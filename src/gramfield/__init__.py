@@ -6,9 +6,10 @@ distances, and numerical solvers for the fixed-point equations that
 characterize the limiting spectral distributions.
 """
 
-from .symbols import (FilterSequence1D, FilterSequence2D, SpectralSymbol1D,
-                      SpectralSymbol2D, filter_from_json_dict,
-                      filter_to_json_dict, load_filter, save_filter)
+from .symbols import (FilterSequence, FilterSequence1D, FilterSequence2D,
+                      SpectralSymbol, SpectralSymbol1D, SpectralSymbol2D,
+                      filter_from_json_dict, filter_to_json_dict, load_filter,
+                      save_filter)
 from .matgen import (FieldMatrix, NoiseSpec, build_circulant, build_field,
                      build_periodized_field, build_pseudo_diagonal,
                      build_toeplitz, circulant_eigenvalues, load_matrix_csv,
@@ -23,7 +24,7 @@ from .spectra import (DistributionFunction, EmpiricalSpectrum, bai_bound,
                       trace_stats, write_cdf_csv)
 from .limit_solver import (AtomicMeasureH, KernelAxiomReport, QuadratureGrid,
                            SolverConfig, SolverConvergenceError,
-                           StieltjesKernel, limiting_cdf, measure_from_lambda,
+                           StieltjesKernel, measure_from_lambda,
                            measure_from_profile, solve_centered,
                            solve_centered_many, solve_noncentered,
                            solve_noncentered_many, solve_square,

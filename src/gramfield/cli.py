@@ -31,8 +31,8 @@ from .limit_solver import (SolverConfig, measure_from_lambda,
 from .spectra import (EmpiricalSpectrum, bai_bound, default_inversion_grid,
                       invert_stieltjes_to_cdf, kolmogorov_distance,
                       levy_distance, read_cdf_csv, write_cdf_csv)
-from .symbols import (SpectralSymbol1D, SpectralSymbol2D,
-                      filter_from_json_dict)
+from .symbols import (FilterSequence1D, FilterSequence2D, SpectralSymbol1D,
+                      SpectralSymbol2D, filter_from_json_dict)
 
 OUTPUT_DIR_ENV = "GRAMFIELD_OUTPUT_DIR"
 
@@ -63,6 +63,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.filter2d, FilterSequence2D):
+            raise ValueError("filter2d must be a 2-d filter, got "
+                             f"dims={getattr(self.filter2d, 'dims', None)!r}")
+        if self.filter1d is not None and \
+                not isinstance(self.filter1d, FilterSequence1D):
+            raise ValueError("filter1d must be a 1-d filter, got "
+                             f"dims={getattr(self.filter1d, 'dims', None)!r}")
         if self.N < 1 or self.n < 1:
             raise ValueError("N and n must be positive")
         if self.mode == "square_toeplitz":
@@ -79,8 +86,10 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("at least one seed is required")
         for z in self.z_grid:
-            if complex(z).imag <= 0:
-                raise ValueError(f"z grid point {z} is not in the upper half-plane")
+            if not (np.isfinite(z) and complex(z).imag > 0):
+                raise ValueError(
+                    f"z grid point {z} is not a finite point of the upper "
+                    "half-plane")
 
     @classmethod
     def from_json_dict(cls, doc):

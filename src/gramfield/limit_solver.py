@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matgen import FieldMatrix
-from .spectra import invert_stieltjes_to_cdf
 
 __all__ = [
     "QuadratureGrid",
@@ -57,7 +56,6 @@ __all__ = [
     "solve_square_many",
     "solve_noncentered",
     "solve_noncentered_many",
-    "limiting_cdf",
     "measure_from_lambda",
     "measure_from_profile",
     "verify_kernel_axioms",
@@ -238,6 +236,8 @@ def _values_vector(fn, xs):
 
 def _check_z(z_values):
     z = np.asarray(z_values, dtype=np.complex128).ravel()
+    if not np.all(np.isfinite(z)):
+        raise ValueError("solver requires a finite z at every point")
     if np.any(z.imag <= 0):
         raise ValueError("solver requires Im z > 0 for every point")
     return z
@@ -318,16 +318,25 @@ def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
     ]
 
 
-def solve_centered(profile, c, z, cfg=SolverConfig()):
-    """Kernel of the centered fixed point at one z (raises if stuck)."""
-    kernel = solve_centered_many(profile, c, [z], cfg)[0]
+def _solve_one(label, solve_many, z, cfg, *args, **kwargs):
+    """``solve_many`` at the single point z, raising if it did not converge.
+
+    Returns the kernel, or the (pi, pi_tilde) pair for coupled solvers.
+    """
+    result = solve_many(*args, [z], cfg, **kwargs)[0]
+    kernel, kernel_tilde = result if isinstance(result, tuple) else (result, None)
     if not kernel.converged:
         raise SolverConvergenceError(
-            f"centered solve at z={z} stopped at residual "
+            f"{label} solve at z={z} stopped at residual "
             f"{kernel.residual:.3e} after {kernel.iterations} iterations "
             f"(tolerance {cfg.tolerance:.1e}); consider lowering damping",
-            kernel=kernel)
-    return kernel
+            kernel=kernel, kernel_tilde=kernel_tilde)
+    return result
+
+
+def solve_centered(profile, c, z, cfg=SolverConfig()):
+    """Kernel of the centered fixed point at one z (raises if stuck)."""
+    return _solve_one("centered", solve_centered_many, z, cfg, profile, c)
 
 
 def solve_square_many(profile, symbol_sq, z_values, cfg=SolverConfig()):
@@ -361,13 +370,8 @@ def solve_square_many(profile, symbol_sq, z_values, cfg=SolverConfig()):
 
 
 def solve_square(profile, symbol_sq, z, cfg=SolverConfig()):
-    pair = solve_square_many(profile, symbol_sq, [z], cfg)[0]
-    if not pair[0].converged:
-        raise SolverConvergenceError(
-            f"square solve at z={z} stopped at residual "
-            f"{pair[0].residual:.3e} after {pair[0].iterations} iterations",
-            kernel=pair[0], kernel_tilde=pair[1])
-    return pair
+    """Square-Toeplitz pair (pi, pi_tilde) at one z (raises if stuck)."""
+    return _solve_one("square", solve_square_many, z, cfg, profile, symbol_sq)
 
 
 def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
@@ -440,18 +444,9 @@ def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
 
 
 def solve_noncentered(profile, c, H, z, cfg=SolverConfig(), tail_grid_size=64):
-    pair = solve_noncentered_many(profile, c, H, [z], cfg, tail_grid_size)[0]
-    if not pair[0].converged:
-        raise SolverConvergenceError(
-            f"non-centered solve at z={z} stopped at residual "
-            f"{pair[0].residual:.3e} after {pair[0].iterations} iterations",
-            kernel=pair[0], kernel_tilde=pair[1])
-    return pair
-
-
-def limiting_cdf(f, grid, eta=1e-3):
-    """Limiting distribution via the inversion formula (delegated)."""
-    return invert_stieltjes_to_cdf(f, grid, eta)
+    """Non-centered pair (pi, pi_tilde) at one z (raises if stuck)."""
+    return _solve_one("non-centered", solve_noncentered_many, z, cfg,
+                      profile, c, H, tail_grid_size=tail_grid_size)
 
 
 def write_solver_csv(kernels, path):

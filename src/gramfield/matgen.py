@@ -11,8 +11,9 @@ the same sampled noise object, so their difference is confined to a
 border band of width equal to the filter radius.
 
 Randomness is counter-based and fully reproducible: each noise matrix
-draws from ``Philox(key=(seed, kind_code))``, one stream per (seed,
-matrix kind) pair.  Everything downstream of the noise is deterministic.
+draws from ``Philox(key=(seed, 0))``, one stream per seed in
+[0, 2**64).  Only noise sheets are random; everything downstream of the
+noise is deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .symbols import FilterSequence1D, FilterSequence2D, SpectralSymbol1D
 
 __all__ = [
-    "KIND_CODES",
+    "FIELD_KINDS",
     "FieldMatrix",
     "NoiseSpec",
     "sample_noise",
@@ -37,32 +38,21 @@ __all__ = [
     "load_matrix_csv",
 ]
 
-# Stream-splitting rule: Philox key word 0 is the user seed, word 1 the
-# matrix-kind code below.
-KIND_CODES = {
-    "noise": 0,
-    "raw_field": 1,
-    "periodized_field": 2,
-    "toeplitz": 3,
-    "circulant": 4,
-    "pseudo_diagonal": 5,
-    "generic": 6,
-}
-
-_UINT64_MASK = (1 << 64) - 1
+FIELD_KINDS = ("noise", "raw_field", "periodized_field", "toeplitz",
+               "circulant", "pseudo_diagonal", "generic")
 
 
 class FieldMatrix:
     """A tagged N x n matrix (random field, noise sheet, or deterministic).
 
-    ``kind`` is one of ``KIND_CODES``; ``seed`` records the noise seed the
+    ``kind`` is one of ``FIELD_KINDS``; ``seed`` records the noise seed the
     entries derive from (0 for purely deterministic matrices).  ``margin``
     is nonzero only for noise sheets sampled on an enlarged window.
     Instances are treated as immutable once built.
     """
 
     def __init__(self, entries, kind="generic", seed=0, margin=0):
-        if kind not in KIND_CODES:
+        if kind not in FIELD_KINDS:
             raise ValueError(f"unknown matrix kind: {kind!r}")
         entries = np.asarray(entries)
         if entries.ndim != 2:
@@ -118,6 +108,7 @@ class NoiseSpec:
     ``complex_standard`` draws U = A + iB with A, B independent real
     Gaussians of standard deviation 1/sqrt(2), so E U = 0, E U^2 = 0 and
     E |U|^2 = 1.  ``real_standard`` draws plain N(0, 1) variables.
+    ``seed`` is the Philox key word 0 and must lie in [0, 2**64).
     """
 
     distribution: str = "complex_standard"
@@ -126,11 +117,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.distribution not in ("complex_standard", "real_standard"):
             raise ValueError(f"unknown distribution: {self.distribution!r}")
-
-
-def _rng(seed, kind):
-    key = np.array([seed & _UINT64_MASK, KIND_CODES[kind]], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed {self.seed} is outside [0, 2**64)")
 
 
 def sample_noise(N, n, spec, margin=0):
@@ -145,7 +133,8 @@ def sample_noise(N, n, spec, margin=0):
     if margin < 0:
         raise ValueError("margin must be nonnegative")
     rows, cols = N + 2 * margin, n + 2 * margin
-    rng = _rng(spec.seed, "noise")
+    key = np.array([spec.seed, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     if spec.distribution == "complex_standard":
         parts = rng.standard_normal(size=(2, rows, cols))
         entries = (parts[0] + 1j * parts[1]) / np.sqrt(2.0)

@@ -102,6 +102,8 @@ class DistributionFunction:
         fs = np.asarray(fs, dtype=np.float64)
         if xs.ndim != 1 or xs.shape != fs.shape or len(xs) == 0:
             raise ValueError("need matching nonempty 1-d x and F arrays")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(fs))):
+            raise ValueError("tabulated CDF abscissae and values must be finite")
         if np.any(np.diff(xs) < 0) or np.any(np.diff(fs) < -1e-12):
             raise ValueError("tabulated CDF must be nondecreasing")
         if fs[0] < -1e-12 or fs[-1] > 1 + 1e-12:

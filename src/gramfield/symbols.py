@@ -1,20 +1,22 @@
 """Finitely supported filter sequences and their spectral symbols.
 
 The deterministic input of the whole pipeline is a finitely supported
-complex sequence h(k1, k2) on the integer lattice (2-d case) or a(j) on
-the integers (1-d case).  Everything derived from a filter here is an
-exact finite sum: the absolute coefficient sum, the autocovariance
+complex sequence on the integer lattice Z^d, d = 1 or 2: the 2-d filter
+h(k1, k2) or the 1-d sequence a(j).  One class, generic in ``dims``,
+covers both.  Everything derived from a filter here is an exact finite
+sum: the absolute coefficient sum, the autocovariance
 
-    C(j1, j2) = sum_k h(k1, k2) * conj(h(k1 - j1, k2 - j2)),
+    C(j) = sum_k h(k) * conj(h(k - j)),
 
-and the trigonometric-polynomial symbols
+and the trigonometric-polynomial symbol
 
     Phi(t1, t2) = sum_l h(l1, l2) * exp(2 pi i (l1*t1 - l2*t2))
     psi(t)      = sum_j a(j) * exp(2 pi i j t)
 
-Note the minus sign on the l2*t2 term of Phi.  Angle arguments are in
-cycles on [0, 1], never radians.  Filters and symbols are immutable
-after construction and safe to share between threads.
+Note the minus sign on the l2*t2 term of Phi: the first index enters the
+phase with a plus sign, the second with a minus sign.  Angle arguments
+are in cycles on [0, 1], never radians.  Filters and symbols are
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ import json
 import numpy as np
 
 __all__ = [
+    "FilterSequence",
     "FilterSequence2D",
     "FilterSequence1D",
+    "SpectralSymbol",
     "SpectralSymbol2D",
     "SpectralSymbol1D",
     "filter_to_json_dict",
@@ -35,28 +39,42 @@ __all__ = [
 ]
 
 
-class FilterSequence2D:
-    """Sparse complex sequence h(k1, k2) with finite support.
+def _index(key, dims):
+    """A support point as a tuple of ``dims`` ints; a 1-d key may be bare."""
+    ks = key if isinstance(key, tuple) else (key,)
+    if len(ks) != dims or any(k != int(k) for k in ks):
+        raise ValueError(f"support point {key!r} is not a point of Z^{dims}")
+    return tuple(int(k) for k in ks)
 
-    ``coeffs`` maps (k1, k2) -> complex coefficient.  Support points are
-    distinct by construction; an empty mapping represents h == 0.
+
+class FilterSequence:
+    """Sparse complex sequence h(k) on Z^dims with finite support.
+
+    ``coeffs`` maps index -> complex coefficient; an index is a
+    ``dims``-tuple of integers (a bare integer when ``dims`` is 1).
+    Support points are distinct by construction; an empty mapping
+    represents h == 0.  Coefficients must be finite.
     """
 
-    def __init__(self, coeffs):
-        items = sorted(coeffs.items())
-        for key, _ in items:
-            k1, k2 = key
-            if k1 != int(k1) or k2 != int(k2):
-                raise ValueError(f"support point {key} is not an integer pair")
-        self._k1 = np.array([k for (k, _), _ in items], dtype=np.int64)
-        self._k2 = np.array([k for (_, k), _ in items], dtype=np.int64)
+    def __init__(self, coeffs, dims):
+        if dims not in (1, 2):
+            raise ValueError(f"unsupported filter dims: {dims!r}")
+        items = sorted(((_index(key, dims), complex(c))
+                        for key, c in coeffs.items()), key=lambda kc: kc[0])
+        for key, c in items:
+            if not np.isfinite(c):
+                raise ValueError(f"coefficient {c} at {key} is not finite")
+        self.dims = dims
+        self._k = np.array([k for k, _ in items],
+                           dtype=np.int64).reshape(len(items), dims)
         self._c = np.array([c for _, c in items], dtype=np.complex128)
-        self._map = {(int(a), int(b)): complex(c)
-                     for a, b, c in zip(self._k1, self._k2, self._c)}
+        self._map = dict(items)
 
     @property
     def support(self):
-        return list(zip(self._k1.tolist(), self._k2.tolist()))
+        """Sorted support points: ints in 1-d, tuples otherwise."""
+        keys = list(self._map)
+        return [k for (k,) in keys] if self.dims == 1 else keys
 
     @property
     def coefficients(self):
@@ -64,7 +82,7 @@ class FilterSequence2D:
 
     @property
     def coeff_abs_sum(self):
-        """Sum of |h(k1, k2)| over the support (the sup bound for Phi)."""
+        """Sum of |h(k)| over the support (the sup bound for the symbol)."""
         return float(np.abs(self._c).sum())
 
     @property
@@ -75,128 +93,61 @@ class FilterSequence2D:
     @property
     def radius(self):
         """Largest absolute index appearing in the support, 0 if empty."""
-        if len(self._c) == 0:
-            return 0
-        return int(max(np.abs(self._k1).max(), np.abs(self._k2).max()))
+        return int(np.abs(self._k).max(initial=0))
 
     def __len__(self):
         return len(self._c)
 
     def __getitem__(self, key):
-        return self._map.get((int(key[0]), int(key[1])), 0.0 + 0.0j)
+        return self._map.get(_index(key, self.dims), 0.0 + 0.0j)
 
-    def covariance(self, j1, j2):
-        """Autocovariance C(j1, j2) = sum_k h(k) conj(h(k1-j1, k2-j2)).
+    def covariance(self, *j):
+        """Autocovariance C(j) = sum_k h(k) conj(h(k - j)).
 
-        C(0, 0) equals sum |h|^2 and C(-j1, -j2) == conj(C(j1, j2)).
+        C(0) equals sum |h|^2 and C(-j) == conj(C(j)).
         """
+        j = _index(j, self.dims)
         total = 0.0 + 0.0j
-        for (k1, k2), c in self._map.items():
-            total += c * np.conj(self._map.get((k1 - j1, k2 - j2), 0.0))
+        for k, c in self._map.items():
+            shifted = tuple(a - b for a, b in zip(k, j))
+            total += c * np.conj(self._map.get(shifted, 0.0))
         return complex(total)
 
     def arrays(self):
-        """Raw (k1, k2, coeff) arrays, sorted by index, for vectorized use."""
-        return self._k1, self._k2, self._c
+        """One index array per dimension, then the coefficients, sorted."""
+        return (*self._k.T, self._c)
 
 
-class FilterSequence1D:
-    """Sparse complex sequence a(j) with finite support on the integers."""
+class FilterSequence2D(FilterSequence):
+    """h(k1, k2) on Z^2, keyed by (k1, k2) pairs."""
 
     def __init__(self, coeffs):
-        items = sorted(coeffs.items())
-        for j, _ in items:
-            if j != int(j):
-                raise ValueError(f"support point {j} is not an integer")
-        self._j = np.array([j for j, _ in items], dtype=np.int64)
-        self._c = np.array([c for _, c in items], dtype=np.complex128)
-        self._map = {int(j): complex(c) for j, c in zip(self._j, self._c)}
-
-    @property
-    def support(self):
-        return self._j.tolist()
-
-    @property
-    def coefficients(self):
-        return self._c.copy()
-
-    @property
-    def coeff_abs_sum(self):
-        return float(np.abs(self._c).sum())
-
-    @property
-    def is_real(self):
-        return bool(np.all(self._c.imag == 0.0))
-
-    @property
-    def radius(self):
-        if len(self._c) == 0:
-            return 0
-        return int(np.abs(self._j).max())
-
-    def __len__(self):
-        return len(self._c)
-
-    def __getitem__(self, j):
-        return self._map.get(int(j), 0.0 + 0.0j)
-
-    def arrays(self):
-        return self._j, self._c
+        super().__init__(coeffs, dims=2)
 
 
-class SpectralSymbol2D:
-    """Evaluator for Phi(t1, t2) = sum h(l1, l2) e^{2 pi i (l1 t1 - l2 t2)}.
+class FilterSequence1D(FilterSequence):
+    """a(j) on the integers, keyed by j."""
 
-    |Phi| is bounded by the filter's absolute coefficient sum and Phi is
-    1-periodic in each argument.  Evaluation broadcasts over numpy
-    arrays; nothing is tabulated here (grids are the caller's concern).
+    def __init__(self, coeffs):
+        super().__init__(coeffs, dims=1)
+
+
+class SpectralSymbol:
+    """Evaluator for the trigonometric polynomial of a filter.
+
+    Phi(t1, t2) = sum h(l1, l2) e^{2 pi i (l1 t1 - l2 t2)} in 2-d and
+    psi(t) = sum a(j) e^{2 pi i j t} in 1-d; the symbol takes one
+    argument per filter dimension.  |symbol| is bounded by the filter's
+    absolute coefficient sum and the symbol is 1-periodic in each
+    argument.  Evaluation broadcasts over numpy arrays; nothing is
+    tabulated here (grids are the caller's concern).
+
+    With ``truncation=n`` set, only terms with every |l_i| <= n are
+    summed; this agrees with the full symbol whenever the support fits
+    in [-n, n]^dims.
     """
 
-    def __init__(self, source: FilterSequence2D):
-        self.source = source
-
-    @property
-    def sup_bound(self):
-        return self.source.coeff_abs_sum
-
-    def eval(self, t1, t2):
-        t1 = np.asarray(t1, dtype=np.float64)
-        t2 = np.asarray(t2, dtype=np.float64)
-        k1, k2, c = self.source.arrays()
-        out = np.zeros(np.broadcast(t1, t2).shape, dtype=np.complex128)
-        for a, b, coeff in zip(k1, k2, c):
-            out += coeff * np.exp(2j * np.pi * (a * t1 - b * t2))
-        if out.ndim == 0:
-            return complex(out)
-        return out
-
-    __call__ = eval
-
-    def profile(self, t1, t2):
-        """Variance profile |Phi(t1, t2)|^2."""
-        val = self.eval(t1, t2)
-        return np.abs(val) ** 2 if isinstance(val, np.ndarray) else abs(val) ** 2
-
-    def folded(self, u, v):
-        """Real-case profile |Phi(u/2, v/2)|, defined for real filters only."""
-        if not self.source.is_real:
-            raise ValueError("folded symbol requires a real-coefficient filter")
-        val = self.eval(np.asarray(u) / 2.0, np.asarray(v) / 2.0)
-        return np.abs(val) if isinstance(val, np.ndarray) else abs(val)
-
-    def folded_profile(self, u, v):
-        """Squared folded symbol |Phi(u/2, v/2)|^2, the real-case profile."""
-        return self.folded(u, v) ** 2
-
-
-class SpectralSymbol1D:
-    """Evaluator for psi(t) = sum a(j) e^{2 pi i j t}.
-
-    With ``truncation=n`` set, only terms with |j| <= n are summed; this
-    agrees with the full symbol whenever the support fits in [-n, n].
-    """
-
-    def __init__(self, source: FilterSequence1D, truncation=None):
+    def __init__(self, source: FilterSequence, truncation=None):
         if truncation is not None and truncation < 0:
             raise ValueError("truncation must be nonnegative")
         self.source = source
@@ -206,64 +157,72 @@ class SpectralSymbol1D:
     def sup_bound(self):
         return self.source.coeff_abs_sum
 
-    def eval(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        j, c = self.source.arrays()
+    def eval(self, *t):
+        if len(t) != self.source.dims:
+            raise TypeError(f"a {self.source.dims}-d symbol takes "
+                            f"{self.source.dims} arguments, got {len(t)}")
+        t = [np.asarray(x, dtype=np.float64) for x in t]
+        k, c = self.source._k, self.source._c
         if self.truncation is not None:
-            keep = np.abs(j) <= self.truncation
-            j, c = j[keep], c[keep]
-        out = np.zeros(t.shape, dtype=np.complex128)
-        for jj, coeff in zip(j, c):
-            out += coeff * np.exp(2j * np.pi * jj * t)
+            keep = np.abs(k).max(axis=1, initial=0) <= self.truncation
+            k, c = k[keep], c[keep]
+        out = np.zeros(np.broadcast(*t).shape, dtype=np.complex128)
+        for idx, coeff in zip(k, c):
+            phase = idx[0] * t[0]
+            for kd, td in zip(idx[1:], t[1:]):
+                phase = phase - kd * td
+            out += coeff * np.exp(2j * np.pi * phase)
         if out.ndim == 0:
             return complex(out)
         return out
 
     __call__ = eval
 
-    def profile(self, t):
-        """Squared modulus |psi(t)|^2."""
-        val = self.eval(t)
+    def profile(self, *t):
+        """Variance profile |symbol(t)|^2."""
+        val = self.eval(*t)
         return np.abs(val) ** 2 if isinstance(val, np.ndarray) else abs(val) ** 2
 
-    def folded(self, u):
-        """Real-case quantity |psi(u/2)|, defined for real filters only."""
+    def folded(self, *u):
+        """Real-case quantity |symbol(u/2)|, defined for real filters only."""
         if not self.source.is_real:
             raise ValueError("folded symbol requires a real-coefficient filter")
-        val = self.eval(np.asarray(u) / 2.0)
+        val = self.eval(*(np.asarray(x) / 2.0 for x in u))
         return np.abs(val) if isinstance(val, np.ndarray) else abs(val)
 
-    def folded_profile(self, u):
-        return self.folded(u) ** 2
+    def folded_profile(self, *u):
+        """Squared folded symbol |symbol(u/2)|^2, the real-case profile."""
+        return self.folded(*u) ** 2
+
+
+class SpectralSymbol2D(SpectralSymbol):
+    """Phi(t1, t2) of a 2-d filter."""
+
+
+class SpectralSymbol1D(SpectralSymbol):
+    """psi(t) of a 1-d sequence."""
 
 
 def filter_to_json_dict(filt):
     """JSON document for a filter: {"dims": d, "entries": [...]}.
 
-    2-d entries are [k1, k2, re, im]; 1-d entries are [j, re, im].
-    Round-trips exactly (floats are serialized via repr).
+    Each entry is [*k, re, im]: [k1, k2, re, im] in 2-d, [j, re, im] in
+    1-d.  Round-trips exactly (floats are serialized via repr).
     """
-    if isinstance(filt, FilterSequence2D):
-        k1, k2, c = filt.arrays()
-        entries = [[int(a), int(b), float(x.real), float(x.imag)]
-                   for a, b, x in zip(k1, k2, c)]
-        return {"dims": 2, "entries": entries}
-    if isinstance(filt, FilterSequence1D):
-        j, c = filt.arrays()
-        entries = [[int(a), float(x.real), float(x.imag)] for a, x in zip(j, c)]
-        return {"dims": 1, "entries": entries}
-    raise TypeError(f"not a filter sequence: {type(filt)!r}")
+    if not isinstance(filt, FilterSequence):
+        raise TypeError(f"not a filter sequence: {type(filt)!r}")
+    entries = [[*k, float(c.real), float(c.imag)]
+               for k, c in zip(filt._k.tolist(), filt._c)]
+    return {"dims": filt.dims, "entries": entries}
 
 
 def filter_from_json_dict(doc):
     dims = doc.get("dims")
-    entries = doc.get("entries", [])
-    if dims == 2:
-        return FilterSequence2D(
-            {(int(e[0]), int(e[1])): complex(e[2], e[3]) for e in entries})
-    if dims == 1:
-        return FilterSequence1D({int(e[0]): complex(e[1], e[2]) for e in entries})
-    raise ValueError(f"unsupported filter dims: {dims!r}")
+    if dims not in (1, 2):
+        raise ValueError(f"unsupported filter dims: {dims!r}")
+    cls = FilterSequence2D if dims == 2 else FilterSequence1D
+    return cls({tuple(int(k) for k in e[:dims]): complex(e[dims], e[dims + 1])
+                for e in doc.get("entries", [])})
 
 
 def save_filter(filt, path):

@@ -147,6 +147,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cli.load_config(write_config(tmp_path, doc))
 
+    def test_filter2d_must_be_2d(self, tmp_path):
+        doc = base_config(tmp_path,
+                          filter2d={"dims": 1, "entries": [[0, 1.0, 0.0]]})
+        with pytest.raises(ValueError, match="filter2d must be a 2-d filter"):
+            cli.ExperimentConfig.from_json_dict(doc)
+
+    def test_filter1d_must_be_1d(self, tmp_path):
+        doc = base_config(tmp_path, mode="square_toeplitz",
+                          filter1d={"dims": 2, "entries": [[0, 0, 1.0, 0.0]]})
+        with pytest.raises(ValueError, match="filter1d must be a 1-d filter"):
+            cli.ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("z", [[0.0, float("nan")], [float("nan"), 1.0]])
+    def test_non_finite_z_rejected(self, tmp_path, z):
+        doc = base_config(tmp_path, z_grid=[[0.0, 1.0], z])
+        with pytest.raises(ValueError, match="finite"):
+            cli.ExperimentConfig.from_json_dict(doc)
+
 
 class TestCompare:
     def test_file_vs_itself(self, tmp_path):

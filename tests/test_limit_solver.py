@@ -3,12 +3,13 @@ import pytest
 
 from gramfield.limit_solver import (AtomicMeasureH, QuadratureGrid,
                                     SolverConfig, SolverConvergenceError,
-                                    StieltjesKernel, limiting_cdf,
-                                    measure_from_lambda, measure_from_profile,
+                                    StieltjesKernel, measure_from_lambda,
+                                    measure_from_profile,
                                     solve_centered, solve_centered_many,
                                     solve_noncentered, solve_noncentered_many,
                                     solve_square, verify_kernel_axioms)
 from gramfield.matgen import build_pseudo_diagonal
+from gramfield.spectra import invert_stieltjes_to_cdf
 from gramfield.symbols import (FilterSequence1D, FilterSequence2D,
                                SpectralSymbol1D, SpectralSymbol2D)
 
@@ -118,6 +119,27 @@ class TestCentered:
             solve_centered(ONES, 1.0, 1.0 - 1j)
         with pytest.raises(ValueError):
             solve_centered(ONES, 1.5, 1j)
+
+    @pytest.mark.parametrize("z", [complex(0.0, np.nan), complex(np.nan, 1.0),
+                                   complex(np.inf, 1.0)])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            solve_centered_many(ONES, 1.0, [1j, z])
+
+
+@pytest.mark.parametrize("solve, args", [
+    (solve_centered, (ONES, 1.0)),
+    (solve_square, (ONES, lambda u: np.ones_like(u))),
+    (solve_noncentered, (ONES, 0.5, measure_from_profile(lambda u: 1.0, 8))),
+])
+def test_single_z_front_ends_raise_alike(solve, args):
+    cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
+    with pytest.raises(SolverConvergenceError,
+                       match=r"solve at z=\S+ stopped at residual .* after 2 "
+                             r"iterations \(tolerance 1\.0e-14\)") as err:
+        solve(*args, 0.5 + 0.01j, cfg)
+    assert err.value.kernel.residual > cfg.tolerance
+    assert (err.value.kernel_tilde is None) == (solve is solve_centered)
 
 
 def _centered_update_reference(P, c, z, w):
@@ -447,7 +469,7 @@ class TestLimitingCdf:
             ONES, 1.0, grid + 1e-3j,
             SolverConfig(tolerance=1e-8, max_iterations=100000, damping=0.5))
         assert all(k.converged for k in ks)
-        cdf = limiting_cdf(np.array([k.value for k in ks]), grid, eta=1e-3)
+        cdf = invert_stieltjes_to_cdf(np.array([k.value for k in ks]), grid, eta=1e-3)
         xs = np.linspace(0, 4.5, 300)
         oracle = np.array([mp_cdf(x, 1.0) for x in xs])
         assert np.abs(cdf.eval(xs) - oracle).max() < 0.02
@@ -455,5 +477,5 @@ class TestLimitingCdf:
 
     def test_point_mass_function_input(self):
         grid = np.arange(-1.0, 1.0, 1e-3)
-        cdf = limiting_cdf(lambda z: -1.0 / z, grid, eta=1e-3)
+        cdf = invert_stieltjes_to_cdf(lambda z: -1.0 / z, grid, eta=1e-3)
         assert cdf.eval(0.1) - cdf.eval(-0.1) >= 0.99

@@ -43,6 +43,18 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseSpec("uniform", seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
+    def test_stream_is_philox_keyed_by_seed(self, seed):
+        u = sample_noise(3, 4, NoiseSpec("real_standard", seed=seed))
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, 0], dtype=np.uint64)))
+        assert np.array_equal(u.entries, rng.standard_normal(size=(3, 4)))
+
 
 class TestBuildField:
     def test_identity_filter_restricts_noise(self):

@@ -268,3 +268,13 @@ class TestCdfCsv:
 def test_negative_eigenvalues_rejected():
     with pytest.raises(ValueError):
         EmpiricalSpectrum(eigenvalues=np.array([-0.5, 1.0]), dim=2)
+
+
+@pytest.mark.parametrize("xs, fs", [
+    ([0.0, np.nan, 1.0], [0.0, 0.5, 1.0]),
+    ([0.0, 0.5, np.inf], [0.0, 0.5, 1.0]),
+    ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0]),
+])
+def test_non_finite_table_rejected(xs, fs):
+    with pytest.raises(ValueError, match="finite"):
+        DistributionFunction.from_table(xs, fs)
