@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise ValueError("rectangular modes require N <= n")
         if self.mode == "noncentered_pseudodiag" and self.lambda_diag is None:
             raise ValueError("noncentered_pseudodiag mode requires lambda_diag")
+        if self.lambda_diag is not None and \
+                not np.all(np.isfinite(self.lambda_diag)):
+            raise ValueError("lambda_diag entries must be finite")
         if self.mode == "real_case" and not self.filter2d.is_real:
             raise ValueError("real_case mode requires a real filter")
         if not self.seeds:
@@ -172,10 +175,7 @@ def _solve_batch(cfg, z_values):
     """Kernels' f-values plus residual/iteration bookkeeping per z."""
     sym = SpectralSymbol2D(cfg.filter2d)
     c = cfg.N / cfg.n
-    if cfg.mode == "real_case":
-        profile = sym.folded_profile
-    else:
-        profile = sym.profile
+    profile = sym.profile
     if cfg.mode == "square_toeplitz":
         sym1 = SpectralSymbol1D(cfg.filter1d)
         pairs = solve_square_many(profile, sym1.profile, z_values, cfg.solver)

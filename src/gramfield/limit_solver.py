@@ -169,6 +169,9 @@ class AtomicMeasureH:
         w = np.asarray(self.weights, dtype=np.float64)
         if not (u.shape == lam.shape == w.shape) or u.ndim != 1 or len(u) == 0:
             raise ValueError("atoms require matching nonempty u/lam/weight arrays")
+        for name, arr in (("u", u), ("lam", lam), ("weights", w)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"atom {name} values must be finite")
         if np.any(u < 0) or np.any(u > 1):
             raise ValueError("atom u-coordinates must lie in [0, 1]")
         if np.any(lam < 0):
@@ -203,35 +206,26 @@ def measure_from_profile(fn, m):
     return AtomicMeasureH(u=grid.nodes, lam=lam, weights=grid.weights)
 
 
-def _profile_matrix(profile, us, ts):
-    """Evaluate a |Phi|^2-style callable on the product grid us x ts."""
-    us = np.asarray(us, dtype=np.float64)
-    ts = np.asarray(ts, dtype=np.float64)
-    try:
-        out = np.asarray(profile(us[:, None], ts[None, :]))
-        if out.shape != (len(us), len(ts)):
-            raise ValueError
-    except (ValueError, TypeError):
-        out = np.array([[profile(u, t) for t in ts] for u in us])
+def _evaluate(name, fn, *args):
+    """``fn(*args)``, called vectorized, as a float array of the arguments'
+    broadcast shape; raises unless every value is real, finite and
+    nonnegative (``fn`` is a squared modulus such as |Phi|^2, not Phi)."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    out = np.asarray(fn(*args))
+    if out.shape != shape:
+        raise ValueError(f"{name} must return an array of shape {shape} "
+                         f"when called on arrays, got shape {out.shape}")
     if np.iscomplexobj(out):
         if np.abs(out.imag).max() > 0:
             raise ValueError(
-                "profile must be real-valued (pass |Phi|^2, not Phi)")
+                f"{name} must be real-valued (pass |Phi|^2, not Phi)")
         out = out.real
     out = out.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be finite everywhere on the grid")
     if out.min() < 0:
-        raise ValueError("profile must be nonnegative (pass |Phi|^2)")
+        raise ValueError(f"{name} must be nonnegative (pass |Phi|^2)")
     return out
-
-
-def _values_vector(fn, xs):
-    try:
-        out = np.asarray(fn(np.asarray(xs)), dtype=np.float64)
-        if out.shape == np.shape(xs):
-            return out
-    except Exception:
-        pass
-    return np.array([float(fn(x)) for x in xs])
 
 
 def _real_factors(P):
@@ -317,7 +311,8 @@ def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
         raise ValueError("aspect ratio c must lie in (0, 1]")
     z = _check_z(z_values)
     grid = QuadratureGrid.midpoint(cfg.grid_size)
-    P = _profile_matrix(profile, grid.nodes, grid.nodes)  # P[x or u, t]
+    x = grid.nodes
+    P = _evaluate("profile", profile, x[:, None], x[None, :])  # P[x or u, t]
     P2, P2T = _real_factors(P)
     m = cfg.grid_size
 
@@ -363,9 +358,10 @@ def solve_square_many(profile, symbol_sq, z_values, cfg=SolverConfig()):
     """Square-Toeplitz kernels (pi, pi_tilde) at a batch of z points."""
     z = _check_z(z_values)
     grid = QuadratureGrid.midpoint(cfg.grid_size)
-    P = _profile_matrix(profile, grid.nodes, grid.nodes)   # P[u, t]
+    x = grid.nodes
+    P = _evaluate("profile", profile, x[:, None], x[None, :])   # P[u, t]
     P2, P2T = _real_factors(P)
-    psi2 = _values_vector(symbol_sq, grid.nodes)[None, :]  # |psi(u)|^2
+    psi2 = _evaluate("|psi|^2", symbol_sq, x)[None, :]      # |psi(u)|^2
     m = cfg.grid_size
 
     def update(state, zb):
@@ -419,10 +415,11 @@ def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
 
     # P_at[i, j] = P(u_i, c u_j): pit atom coordinates are c*u_j, and the
     # same matrix transposed gives int P(t, c u_i) dpi.
-    P_at = _profile_matrix(profile, hu, c * hu)
+    P_at = _evaluate("profile", profile, hu[:, None], c * hu[None, :])
     P_at2, P_at2T = _real_factors(P_at)
     if R:
-        P_tail = _profile_matrix(profile, hu, tail_nodes)
+        P_tail = _evaluate("profile", profile, hu[:, None],
+                           tail_nodes[None, :])
         P_tail2, P_tail2T = _real_factors(P_tail)
     lam_row = hl[None, :]
     hw_row = hw[None, :]

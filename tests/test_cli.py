@@ -94,6 +94,25 @@ class TestRun:
         summary = cli.run_experiment(cfg)
         assert summary["bai_holds_all"] == 1
 
+    def test_real_mode_matches_real_noise_monte_carlo(self, tmp_path):
+        # The real-noise Gram spectrum follows |Phi|^2, not the folded
+        # profile |Phi(u/2, t/2)|^2: at z = i (this filter, N = n = 256,
+        # seeds 0-7) the Monte Carlo mean of 1/(lambda - i) is
+        # 0.26821+0.59916i with standard error 5e-4; the |Phi|^2 limit is
+        # 4.4e-4 from it and the folded one 2.2e-2.
+        doc = base_config(
+            tmp_path, mode="real_case", N=256, n=256, seeds=list(range(8)),
+            z_grid=[[0.0, 1.0]],
+            inversion={"eta": 0.1, "step": 0.5, "pad": 0.5})
+        cli.run_experiment(cli.load_config(write_config(tmp_path, doc)))
+        out = tmp_path / "out"
+        eig = np.concatenate([
+            np.loadtxt(out / f"eigenvalues_seed{s}.csv", skiprows=1)
+            for s in range(8)])
+        monte_carlo = np.mean(1.0 / (eig - 1j))
+        row = np.loadtxt(out / "stieltjes.csv", delimiter=",", skiprows=1)
+        assert abs(complex(row[2], row[3]) - monte_carlo) < 5e-3
+
     def test_nonconvergence_recorded_not_fatal(self, tmp_path):
         doc = base_config(
             tmp_path,
@@ -146,6 +165,13 @@ class TestConfigValidation:
         doc = base_config(tmp_path, seeds=[])
         with pytest.raises(ValueError):
             cli.load_config(write_config(tmp_path, doc))
+
+    def test_non_finite_lambda_diag_rejected(self, tmp_path):
+        # used to pass and fail later inside the eigensolver
+        doc = base_config(tmp_path, mode="noncentered_pseudodiag",
+                          lambda_diag=[[1.0, 0.0]] * 15 + [[np.nan, 0.0]])
+        with pytest.raises(ValueError, match="lambda_diag entries"):
+            cli.ExperimentConfig.from_json_dict(doc)
 
     def test_filter2d_must_be_2d(self, tmp_path):
         doc = base_config(tmp_path,

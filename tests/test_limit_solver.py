@@ -126,6 +126,20 @@ class TestCentered:
         with pytest.raises(ValueError, match="finite"):
             solve_centered_many(ONES, 1.0, [1j, z])
 
+    def test_non_finite_profile_rejected(self):
+        # NaN on a quarter of the grid used to run out the iteration
+        # budget and return NaN with converged=False
+        def profile(u, t):
+            return np.where((u < 0.5) & (t < 0.5), np.nan, 1.0)
+        cfg = SolverConfig(grid_size=16, max_iterations=20000)
+        with pytest.raises(ValueError, match="profile must be finite"):
+            solve_centered_many(profile, 1.0, [1j], cfg)
+
+    def test_non_vectorized_profile_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(16, 16\)"):
+            solve_centered_many(lambda u, t: 1.0, 1.0, [1j],
+                                SolverConfig(grid_size=16))
+
 
 @pytest.mark.parametrize("solve, args", [
     (solve_centered, (ONES, 1.0)),
@@ -186,6 +200,10 @@ class TestSquare:
         zero1 = lambda u: np.zeros(np.shape(u))
         pi, _ = solve_square(ONES, zero1, 1j, TIGHT)
         assert abs(pi.value - mp_stieltjes(1j, 1.0)) < 1e-6
+
+    def test_non_finite_psi_rejected(self):
+        with pytest.raises(ValueError, match=r"\|psi\|\^2 must be finite"):
+            solve_square(ONES, lambda u: np.full(np.shape(u), np.inf), 1j)
 
     def test_noise_free_identity_toeplitz(self):
         one1 = lambda u: np.ones(np.shape(u))
@@ -280,6 +298,14 @@ class TestNonCentered:
         with pytest.raises(ValueError):
             AtomicMeasureH(u=np.array([1.5]), lam=np.array([1.0]),
                            weights=np.array([1.0]))
+
+    @pytest.mark.parametrize("name", ["u", "lam", "weights"])
+    def test_non_finite_atoms_rejected(self, name):
+        atoms = dict(u=np.array([0.5]), lam=np.array([1.0]),
+                     weights=np.array([1.0]))
+        atoms[name] = np.array([np.nan])
+        with pytest.raises(ValueError, match=f"atom {name} values"):
+            AtomicMeasureH(**atoms)
 
 
 class TestMeasureFromLambda:

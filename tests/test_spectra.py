@@ -10,7 +10,7 @@ from gramfield.spectra import (DistributionFunction, EmpiricalSpectrum,
                                write_cdf_csv)
 from gramfield.symbols import FilterSequence2D
 
-from oracles import brute_kolmogorov, brute_levy
+from oracles import brute_kolmogorov, brute_levy, grid_levy_sample_vs_table
 
 
 def spectrum_of(vals):
@@ -120,6 +120,42 @@ class TestLevy:
             b = spectrum_of(rng.random(int(rng.integers(1, 20))) * 2)
             assert levy_distance(a, b) == pytest.approx(
                 levy_distance(b, a), abs=2e-9)
+
+
+def random_table(rng):
+    """Piecewise-linear CDF table: strictly increasing abscissae, a jump
+    at the first point half the time, total mass 1 or below."""
+    k = int(rng.integers(2, 8))
+    xs = np.sort(rng.random(k)) * 2 + np.arange(k) * 1e-3
+    mass = 1.0 if rng.random() < 0.5 else rng.uniform(0.3, 1.0)
+    fs = np.sort(rng.uniform(0.0, mass, k))
+    if rng.random() < 0.5:
+        fs[0] = 0.0
+    fs[-1] = mass
+    return xs, fs
+
+
+class TestLevyAgainstTable:
+    def test_point_mass_vs_uniform(self):
+        # F(x) = 1{x >= 0.2} against G(x) = x on [0, 1]: the binding
+        # constraint is F(x - eps) - eps <= G(x) at x = 0.2 + eps,
+        # i.e. 1 - eps <= 0.2 + eps, so eps = 0.4
+        mass = spectrum_of([0.2])
+        uniform = DistributionFunction([0.0, 1.0], [0.0, 1.0])
+        assert levy_distance(mass, uniform) == pytest.approx(0.4, abs=1e-12)
+        assert levy_distance(uniform, mass) == pytest.approx(0.4, abs=1e-12)
+
+    def test_random_sample_vs_table_matches_grid_scan(self):
+        rng = np.random.default_rng(11)
+        step = 1e-3
+        for _ in range(60):
+            vals = rng.random(int(rng.integers(1, 10))) * 2
+            xs, fs = random_table(rng)
+            table = DistributionFunction(xs, fs)
+            ref = grid_levy_sample_vs_table(vals, xs, fs, step=step)
+            for d in (levy_distance(spectrum_of(vals), table),
+                      levy_distance(table, spectrum_of(vals))):
+                assert d == pytest.approx(ref, abs=step + 1e-9)
 
 
 class TestEmpiricalStieltjes:
