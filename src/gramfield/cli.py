@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -96,8 +96,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc):
-        solver_doc = doc.get("solver", {})
-        inv_doc = doc.get("inversion", {})
         lam = doc.get("lambda_diag")
         return cls(
             mode=doc["mode"],
@@ -110,17 +108,22 @@ class ExperimentConfig:
             n=int(doc["n"]),
             seeds=[int(s) for s in doc["seeds"]],
             z_grid=[complex(p[0], p[1]) for p in doc.get("z_grid", [])],
-            solver=SolverConfig(
-                grid_size=int(solver_doc.get("grid_size", 64)),
-                tolerance=float(solver_doc.get("tolerance", 1e-10)),
-                max_iterations=int(solver_doc.get("max_iterations", 10000)),
-                damping=(float(solver_doc["damping"])
-                         if solver_doc.get("damping") is not None else None)),
-            inversion=InversionSettings(
-                eta=float(inv_doc.get("eta", 1e-3)),
-                step=float(inv_doc.get("step", 5e-3)),
-                pad=float(inv_doc.get("pad", 1.0))),
+            solver=_settings(SolverConfig, doc.get("solver", {}), "solver"),
+            inversion=_settings(InversionSettings, doc.get("inversion", {}),
+                                "inversion"),
             output_dir=doc.get("output_dir"))
+
+
+def _settings(cls, doc, section):
+    """``cls(**doc)`` for the dataclass ``cls``: values are cast to int
+    where the field's default is an int and to float otherwise (null
+    stays None), omitted keys keep the defaults, unknown keys raise."""
+    casts = {f.name: int if isinstance(f.default, int) else float
+             for f in fields(cls)}
+    for key in doc:
+        if key not in casts:
+            raise ValueError(f"unknown {section} setting {key!r}")
+    return cls(**{k: v if v is None else casts[k](v) for k, v in doc.items()})
 
 
 def load_config(path):

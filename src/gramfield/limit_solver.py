@@ -83,6 +83,10 @@ class QuadratureGrid:
 class SolverConfig:
     """Fixed-point iteration controls.
 
+    ``grid_size`` is the midpoint resolution of every solver: the [0, 1]
+    grids of the centered and square-Toeplitz kernels and the (1 - c)
+    tail grid of the non-centered pi_tilde.
+
     ``damping=None`` resolves per z to 1.0 when Im z >= 1 and 0.5
     otherwise; near-axis evaluations (eta ~ 1e-3) usually need damping
     and a generous iteration budget.
@@ -216,14 +220,14 @@ def _evaluate(name, fn, *args):
         raise ValueError(f"{name} must return an array of shape {shape} "
                          f"when called on arrays, got shape {out.shape}")
     if np.iscomplexobj(out):
-        if np.abs(out.imag).max() > 0:
+        if np.abs(out.imag).max(initial=0.0) > 0:
             raise ValueError(
                 f"{name} must be real-valued (pass |Phi|^2, not Phi)")
         out = out.real
     out = out.astype(np.float64, copy=False)
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} must be finite everywhere on the grid")
-    if out.min() < 0:
+    if out.min(initial=0.0) < 0:
         raise ValueError(f"{name} must be nonnegative (pass |Phi|^2)")
     return out
 
@@ -256,49 +260,45 @@ def _check_z(z_values):
     return z
 
 
-def _damping_vector(cfg, z):
-    return np.array([cfg.damping_for(zz) for zz in z])
+def _residual(old, new):
+    """Per-z sup-norm of (new - old) over every block of the state."""
+    return np.max([np.abs(b - a).max(axis=1, initial=0.0)
+                   for a, b in zip(old, new)], axis=0)
 
 
-class _BatchLoop:
-    """Shared driver: damped updates, per-z freezing, final residual."""
+def _iterate(z, cfg, state, update):
+    """Damped iteration of ``state``, a tuple of (B, K_i) arrays updated
+    in place, under ``update(state, z)``, freezing each z once its
+    residual reaches the tolerance.
 
-    def __init__(self, z, cfg):
-        self.z = z
-        self.cfg = cfg
-        self.damp = _damping_vector(cfg, z)[:, None]
-        self.active = np.ones(len(z), dtype=bool)
-        self.iterations = np.zeros(len(z), dtype=np.int64)
+    Returns (residual, iterations, converged) per z, with the residual
+    re-evaluated once at the returned state.
+    """
+    damp = np.array([cfg.damping_for(zz) for zz in z])[:, None]
+    active = np.ones(len(z), dtype=bool)
+    iterations = np.zeros(len(z), dtype=np.int64)
+    for it in range(1, cfg.max_iterations + 1):
+        if not active.any():
+            break
+        sub = tuple(s[active] for s in state)
+        new = update(sub, z[active])
+        d = damp[active]
+        for s, s_old, s_new in zip(state, sub, new):
+            s[active] = (1.0 - d) * s_old + d * s_new
+        iterations[active] = it
+        active[active] = ~(_residual(sub, new) <= cfg.tolerance)
+    resid = _residual(state, update(state, z))
+    return resid, iterations, resid <= cfg.tolerance
 
-    def run(self, state, update_fn):
-        """Iterate ``state`` (tuple of (B, K_i) arrays) until convergence."""
-        cfg = self.cfg
-        for it in range(1, cfg.max_iterations + 1):
-            act = self.active
-            if not act.any():
-                break
-            sub = tuple(s[act] for s in state)
-            new = update_fn(sub, self.z[act])
-            resid = np.zeros(act.sum())
-            for s_old, s_new in zip(sub, new):
-                if s_old.shape[1]:
-                    resid = np.maximum(resid, np.abs(s_new - s_old).max(axis=1))
-            d = self.damp[act]
-            for s_full, s_old, s_new in zip(state, sub, new):
-                s_full[act] = (1.0 - d) * s_old + d * s_new
-            self.iterations[act] = it
-            done = resid <= cfg.tolerance
-            if done.any():
-                idx = np.flatnonzero(act)[done]
-                self.active[idx] = False
-        # one fresh residual evaluation at the returned state
-        new = update_fn(state, self.z)
-        resid = np.zeros(len(self.z))
-        for s_old, s_new in zip(state, new):
-            if s_old.shape[1]:
-                resid = np.maximum(resid, np.abs(s_new - s_old).max(axis=1))
-        converged = resid <= cfg.tolerance
-        return state, resid, self.iterations, converged
+
+def _kernels(z, stats, nodes, weights, lambdas=None):
+    """One StieltjesKernel per z: row i of ``weights`` with the
+    (residual, iterations, converged) of ``_iterate`` at z[i]."""
+    resid, iters, conv = stats
+    return [StieltjesKernel(z=complex(z[i]), nodes=nodes, weights=weights[i],
+                            lambdas=lambdas, residual=float(resid[i]),
+                            iterations=int(iters[i]), converged=bool(conv[i]))
+            for i in range(len(z))]
 
 
 def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
@@ -322,23 +322,17 @@ def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
         inner = _times_real(1.0 / denom_t, P2T) / m    # int P(u,t)/denom dt
         return ((1.0 / m) / (-zb[:, None] + inner),)
 
-    loop = _BatchLoop(z, cfg)
-    w0 = np.tile((-1.0 / z)[:, None] / m, (1, m))
-    (w,), resid, iters, conv = loop.run((w0,), update)
-    return [
-        StieltjesKernel(z=complex(z[i]), nodes=grid.nodes, weights=w[i],
-                        residual=float(resid[i]), iterations=int(iters[i]),
-                        converged=bool(conv[i]))
-        for i in range(len(z))
-    ]
+    w = np.tile((-1.0 / z)[:, None] / m, (1, m))
+    stats = _iterate(z, cfg, (w,), update)
+    return _kernels(z, stats, grid.nodes, w)
 
 
-def _solve_one(label, solve_many, z, cfg, *args, **kwargs):
+def _solve_one(label, solve_many, z, cfg, *args):
     """``solve_many`` at the single point z, raising if it did not converge.
 
     Returns the kernel, or the (pi, pi_tilde) pair for coupled solvers.
     """
-    result = solve_many(*args, [z], cfg, **kwargs)[0]
+    result = solve_many(*args, [z], cfg)[0]
     kernel, kernel_tilde = result if isinstance(result, tuple) else (result, None)
     if not kernel.converged:
         raise SolverConvergenceError(
@@ -373,17 +367,11 @@ def solve_square_many(profile, symbol_sq, z_values, cfg=SolverConfig()):
         new_wt = (1.0 / m) / (-zc * (1.0 + i_plain) + psi2 / (1.0 + i_tilde))
         return new_w, new_wt
 
-    loop = _BatchLoop(z, cfg)
-    w0 = np.tile((-1.0 / z)[:, None] / m, (1, m))
-    (w, wt), resid, iters, conv = loop.run((w0, w0.copy()), update)
-    out = []
-    for i in range(len(z)):
-        common = dict(z=complex(z[i]), nodes=grid.nodes,
-                      residual=float(resid[i]), iterations=int(iters[i]),
-                      converged=bool(conv[i]))
-        out.append((StieltjesKernel(weights=w[i], **common),
-                    StieltjesKernel(weights=wt[i], **common)))
-    return out
+    w = np.tile((-1.0 / z)[:, None] / m, (1, m))
+    wt = w.copy()
+    stats = _iterate(z, cfg, (w, wt), update)
+    return list(zip(_kernels(z, stats, grid.nodes, w),
+                    _kernels(z, stats, grid.nodes, wt)))
 
 
 def solve_square(profile, symbol_sq, z, cfg=SolverConfig()):
@@ -392,81 +380,58 @@ def solve_square(profile, symbol_sq, z, cfg=SolverConfig()):
 
 
 def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
-                           cfg=SolverConfig(), tail_grid_size=64):
+                           cfg=SolverConfig()):
     """Non-centered kernels (pi, pi_tilde) at a batch of z points.
 
     pi lives on the atoms of H; pi_tilde on the atoms mapped through
-    (u, l) -> (c u, l) plus, when c < 1, a ``tail_grid_size``-node
-    midpoint grid on [c, 1] x {0} carrying the (1 - c) term.
+    (u, l) -> (c u, l) plus a ``cfg.grid_size``-node midpoint grid on
+    [c, 1] x {0} carrying the (1 - c) term, empty when c == 1.
     """
     if not 0 < c <= 1:
         raise ValueError("aspect ratio c must lie in (0, 1]")
     z = _check_z(z_values)
     hu, hl, hw = H.u, H.lam, H.weights
-    if c < 1:
-        R = tail_grid_size
-        k = np.arange(R)
-        tail_nodes = c + (1.0 - c) * (k + 0.5) / R
-        tail_w = (1.0 - c) / R
-    else:
-        R = 0
-        tail_nodes = np.empty(0)
-        tail_w = 0.0
+    R = cfg.grid_size if c < 1 else 0
+    tail_nodes = c + (1.0 - c) * (np.arange(R) + 0.5) / R
+    tail_w = np.full(R, 1.0 - c) / R
 
     # P_at[i, j] = P(u_i, c u_j): pit atom coordinates are c*u_j, and the
     # same matrix transposed gives int P(t, c u_i) dpi.
-    P_at = _evaluate("profile", profile, hu[:, None], c * hu[None, :])
-    P_at2, P_at2T = _real_factors(P_at)
-    if R:
-        P_tail = _evaluate("profile", profile, hu[:, None],
-                           tail_nodes[None, :])
-        P_tail2, P_tail2T = _real_factors(P_tail)
-    lam_row = hl[None, :]
-    hw_row = hw[None, :]
+    P_at2, P_at2T = _real_factors(
+        _evaluate("profile", profile, hu[:, None], c * hu[None, :]))
+    P_tail2, P_tail2T = _real_factors(
+        _evaluate("profile", profile, hu[:, None], tail_nodes[None, :]))
 
     def update(state, zb):
         w, wta, wtg = state
         zc = zb[:, None]
-        t_tilde = _times_real(wta, P_at2T)       # int P(u_i, t) dpit, atoms
-        if R:
-            t_tilde = t_tilde + _times_real(wtg, P_tail2T)  # plus tail part
+        # int P(u_i, t) dpit over the atoms plus the tail
+        t_tilde = _times_real(wta, P_at2T) + _times_real(wtg, P_tail2T)
         s_plain = _times_real(w, P_at2)          # int P(t, c u_i) dpi
-        new_w = hw_row / (-zc * (1.0 + t_tilde)
-                          + lam_row / (1.0 + c * s_plain))
-        new_wta = c * hw_row / (-zc * (1.0 + c * s_plain)
-                                + lam_row / (1.0 + t_tilde))
-        if R:
-            g_tail = _times_real(w, P_tail2)     # int P(t, v_r) dpi
-            new_wtg = tail_w / (-zc * (1.0 + c * g_tail))
-        else:
-            new_wtg = wtg
+        new_w = hw / (-zc * (1.0 + t_tilde) + hl / (1.0 + c * s_plain))
+        new_wta = c * hw / (-zc * (1.0 + c * s_plain) + hl / (1.0 + t_tilde))
+        g_tail = _times_real(w, P_tail2)         # int P(t, v_r) dpi
+        new_wtg = tail_w / (-zc * (1.0 + c * g_tail))
         return new_w, new_wta, new_wtg
 
-    loop = _BatchLoop(z, cfg)
     minus_inv_z = (-1.0 / z)[:, None]
-    w0 = minus_inv_z * hw_row
-    wta0 = c * minus_inv_z * hw_row
-    wtg0 = tail_w * np.tile(minus_inv_z, (1, R))
-    (w, wta, wtg), resid, iters, conv = loop.run((w0, wta0, wtg0), update)
+    w = minus_inv_z * hw
+    wta = c * minus_inv_z * hw
+    wtg = tail_w * minus_inv_z
+    stats = _iterate(z, cfg, (w, wta, wtg), update)
 
     tilde_nodes = np.concatenate([c * hu, tail_nodes])
     tilde_lam = np.concatenate([hl, np.zeros(R)])
-    out = []
-    for i in range(len(z)):
-        common = dict(z=complex(z[i]), residual=float(resid[i]),
-                      iterations=int(iters[i]), converged=bool(conv[i]))
-        pi = StieltjesKernel(nodes=hu, lambdas=hl, weights=w[i], **common)
-        pit = StieltjesKernel(nodes=tilde_nodes, lambdas=tilde_lam,
-                              weights=np.concatenate([wta[i], wtg[i]]),
-                              **common)
-        out.append((pi, pit))
-    return out
+    return list(zip(
+        _kernels(z, stats, hu, w, hl),
+        _kernels(z, stats, tilde_nodes, np.concatenate([wta, wtg], axis=1),
+                 tilde_lam)))
 
 
-def solve_noncentered(profile, c, H, z, cfg=SolverConfig(), tail_grid_size=64):
+def solve_noncentered(profile, c, H, z, cfg=SolverConfig()):
     """Non-centered pair (pi, pi_tilde) at one z (raises if stuck)."""
     return _solve_one("non-centered", solve_noncentered_many, z, cfg,
-                      profile, c, H, tail_grid_size=tail_grid_size)
+                      profile, c, H)
 
 
 def write_solver_csv(kernels, path):

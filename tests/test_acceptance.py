@@ -276,12 +276,14 @@ def test_criterion_7_real_case_whiteness_and_esd():
     n_esd = 256
     pooled = pooled_spectrum(H2, n_esd, n_esd, SEEDS, real=True)
     grid = gf.default_inversion_grid(pooled)
-    kernels = gf.solve_centered_many(sym.folded_profile, 1.0,
+    # the real-noise limit is the |Phi|^2 one; the folded profile
+    # |Phi(u/2, t/2)|^2 misses this pooled spectrum by K = 0.025
+    kernels = gf.solve_centered_many(sym.profile, 1.0,
                                      grid + 1e-3j, SWEEP_CFG)
     f_vals = np.array([k.value for k in kernels])
     limit = gf.invert_stieltjes_to_cdf(f_vals, grid, eta=1e-3)
     K = gf.kolmogorov_distance(pooled.ecdf(), limit)
-    esd_ok = K < 0.06
+    esd_ok = K < 0.02
 
     ok = white_ok and esd_ok
     report(7, "real case (whiteness + ESD)", ok,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gramfield import cli
+from gramfield.limit_solver import SolverConfig
 from gramfield.spectra import EmpiricalSpectrum, read_cdf_csv, write_cdf_csv
 
 
@@ -190,6 +191,25 @@ class TestConfigValidation:
         doc = base_config(tmp_path, z_grid=[[0.0, 1.0], z])
         with pytest.raises(ValueError, match="finite"):
             cli.ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("section, key", [("solver", "tolerence"),
+                                              ("inversion", "etta")])
+    def test_unknown_setting_rejected(self, tmp_path, section, key):
+        doc = base_config(tmp_path)
+        doc[section] = dict(doc[section], **{key: 1e-12})
+        with pytest.raises(ValueError, match=f"unknown {section} setting "
+                                             f"'{key}'"):
+            cli.load_config(write_config(tmp_path, doc))
+
+    def test_settings_defaults_and_casts(self, tmp_path):
+        doc = base_config(tmp_path, solver={"grid_size": 16.0,
+                                            "damping": None},
+                          inversion={"step": 1})
+        cfg = cli.load_config(write_config(tmp_path, doc))
+        assert cfg.solver == SolverConfig(grid_size=16)
+        assert type(cfg.solver.grid_size) is int
+        assert cfg.inversion == cli.InversionSettings(step=1.0)
+        assert type(cfg.inversion.step) is float
 
 
 class TestCompare:

@@ -168,6 +168,30 @@ def _centered_update_reference(P, c, z, w):
     return out
 
 
+def _noncentered_update_reference(profile, c, H, tail, z, w, wt):
+    """Independent loop-based reimplementation of one non-centered update:
+    ``w`` on the atoms of H, ``wt`` on the atoms mapped to c u followed by
+    the (1 - c) tail nodes ``tail`` of equal weight (1 - c) / len(tail)."""
+    atoms = len(H.u)
+    tilde = [c * uu for uu in H.u] + list(tail)
+    P = lambda s, t: float(profile(np.array(s), np.array(t)))
+    # int P(u_i, t) dpit, and int P(t, v) dpi at every tilde node v
+    t_tilde = [sum(P(H.u[i], v) * wt[j] for j, v in enumerate(tilde))
+               for i in range(atoms)]
+    s_at = [sum(P(H.u[k], v) * w[k] for k in range(atoms)) for v in tilde]
+    out = np.empty(atoms, dtype=complex)
+    out_t = np.empty(len(tilde), dtype=complex)
+    for i in range(atoms):
+        lam = H.lam[i]
+        out[i] = H.weights[i] / (-z * (1 + t_tilde[i])
+                                 + lam / (1 + c * s_at[i]))
+        out_t[i] = c * H.weights[i] / (-z * (1 + c * s_at[i])
+                                       + lam / (1 + t_tilde[i]))
+    for r in range(atoms, len(tilde)):
+        out_t[r] = ((1 - c) / len(tail)) / (-z * (1 + c * s_at[r]))
+    return out, out_t
+
+
 class TestConjugateSymmetry:
     def test_update_map_commutes_with_conjugation(self):
         sym = SpectralSymbol2D(H_TEST)
@@ -281,15 +305,35 @@ class TestNonCentered:
         H = AtomicMeasureH(u=np.array([0.5]), lam=np.array([2.0]),
                            weights=np.array([1.0]))
         c = 0.5
-        pi, pit = solve_noncentered(ONES, c, H, 1j, TIGHT, tail_grid_size=16)
+        cfg = SolverConfig(grid_size=16, tolerance=1e-12, max_iterations=50000)
+        pi, pit = solve_noncentered(ONES, c, H, 1j, cfg)
         assert len(pi.nodes) == 1
         assert len(pit.nodes) == 1 + 16
         assert pit.nodes[0] == pytest.approx(c * 0.5)
         assert np.all(pit.nodes[1:] >= c)
         assert np.all(pit.lambdas[1:] == 0)
         # c = 1 leaves no tail component
-        _, pit1 = solve_noncentered(ONES, 1.0, H, 1j, TIGHT, tail_grid_size=16)
+        _, pit1 = solve_noncentered(ONES, 1.0, H, 1j, cfg)
         assert len(pit1.nodes) == 1
+
+    def test_fixed_point_of_reference_update_with_tail(self):
+        # c < 1, nonzero lambda and a non-constant profile: the returned
+        # pair, atoms and (1 - c) tail together, solves the equations
+        sym = SpectralSymbol2D(H_TEST)
+        u = (np.arange(6) + 1) / 6
+        H = AtomicMeasureH(u=u, lam=1.0 + 0.5 * np.cos(2 * np.pi * u),
+                           weights=np.full(6, 1 / 6))
+        c, z = 0.5, 0.7 + 0.9j
+        cfg = SolverConfig(grid_size=8, tolerance=1e-12, max_iterations=50000)
+        pi, pit = solve_noncentered(sym.profile, c, H, z, cfg)
+        tail = c + (1 - c) * (np.arange(8) + 0.5) / 8
+        assert np.allclose(pit.nodes, np.concatenate([c * u, tail]))
+        up, up_t = _noncentered_update_reference(sym.profile, c, H, tail, z,
+                                                 pi.weights, pit.weights)
+        assert np.abs(up - pi.weights).max() < 1e-10
+        assert np.abs(up_t - pit.weights).max() < 1e-10
+        # the tail is coupled: it left its zero-coupling value
+        assert abs(pit.weights[6:].sum() - (1 - c) * (-1 / z)) > 1e-3
 
     def test_invalid_measure(self):
         with pytest.raises(ValueError):
