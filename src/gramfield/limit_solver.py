@@ -63,6 +63,9 @@ __all__ = [
     "write_solver_csv",
 ]
 
+_HAT_COUNT = 8  # hat test functions used by verify_kernel_axioms
+_AXIOM_SLACK = 1e-10  # its tolerance, relative to 1/Im z
+
 
 @dataclass(frozen=True)
 class QuadratureGrid:
@@ -477,12 +480,12 @@ def _hat_functions(xs, count):
     return [np.maximum(0.0, 1.0 - np.abs(xs - c0) / width) for c0 in centers]
 
 
-def verify_kernel_axioms(kernel: StieltjesKernel, hat_count=8, slack=1e-10):
+def verify_kernel_axioms(kernel: StieltjesKernel):
     """Check the testable Stieltjes-kernel properties on one kernel."""
     z = complex(kernel.z)
     im_z = z.imag
     gs = [np.ones(len(kernel.nodes))]
-    gs += _hat_functions(kernel.nodes, hat_count)
+    gs += _hat_functions(kernel.nodes, _HAT_COUNT)
     excess = -np.inf
     min_im = np.inf
     min_im_z = np.inf
@@ -494,9 +497,10 @@ def verify_kernel_axioms(kernel: StieltjesKernel, hat_count=8, slack=1e-10):
         min_im_z = min(min_im_z, (z * val).imag)
     scale = 1.0 / im_z
     return KernelAxiomReport(
-        bound_ok=bool(excess <= slack * scale),
-        positive_imag_ok=bool(min_im >= -slack * scale),
-        positive_imag_z_ok=bool(min_im_z >= -slack * (1.0 + abs(z)) * scale),
+        bound_ok=bool(excess <= _AXIOM_SLACK * scale),
+        positive_imag_ok=bool(min_im >= -_AXIOM_SLACK * scale),
+        positive_imag_z_ok=bool(
+            min_im_z >= -_AXIOM_SLACK * (1.0 + abs(z)) * scale),
         max_bound_excess=float(excess),
         min_imag=float(min_im),
         min_imag_z=float(min_im_z))

@@ -128,10 +128,6 @@ class DistributionFunction:
         fs[1::2] = steps
         return cls(xs, fs)
 
-    @classmethod
-    def from_table(cls, xs, fs):
-        return cls(xs, fs)
-
     def eval(self, x):
         """Right-continuous evaluation F(x)."""
         x = np.asarray(x, dtype=np.float64)
@@ -158,12 +154,9 @@ class DistributionFunction:
             i = idx[mid]
             x0, x1 = self.xs[i - 1], self.xs[i]
             f0, f1 = self.fs[i - 1], self.fs[i]
-            same = x1 == x0
-            w = np.zeros(len(x0))
-            w[~same] = (x[mid][~same] - x0[~same]) / (x1[~same] - x0[~same])
-            vals = f0 + w * (f1 - f0)
-            vals[same] = f1[same]
-            out[mid] = vals
+            # searchsorted puts x in [x0, x1) ("right") or (x0, x1]
+            # ("left"), so the bracketing abscissae always differ
+            out[mid] = f0 + (x[mid] - x0) / (x1 - x0) * (f1 - f0)
         return float(out[0]) if scalar else out
 
     def breakpoints(self):
@@ -271,25 +264,22 @@ def invert_stieltjes_to_cdf(f, grid, eta=1e-3):
     eta and the grid (a sensible default is step 1e-3 on
     [min eig - 1, max eig + 1]).
 
-    ``f`` may be a callable z -> complex or a precomputed array of
-    transform values aligned with ``grid``.
+    ``f`` is the array of transform values f(xi + i eta) at the points
+    xi of ``grid``.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     grid = np.asarray(grid, dtype=np.float64)
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    if callable(f):
-        values = np.array([complex(f(x + 1j * eta)) for x in grid])
-    else:
-        values = np.asarray(f, dtype=np.complex128)
-        if values.shape != grid.shape:
-            raise ValueError("precomputed values must align with the grid")
+    values = np.asarray(f, dtype=np.complex128)
+    if values.shape != grid.shape:
+        raise ValueError("precomputed values must align with the grid")
     dens = np.clip(values.imag / np.pi, 0.0, None)
     inc = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
     cdf = np.concatenate([[0.0], np.cumsum(inc)])
     cdf = np.minimum(np.maximum.accumulate(cdf), 1.0)
-    return DistributionFunction.from_table(grid, cdf)
+    return DistributionFunction(grid, cdf)
 
 
 def default_inversion_grid(spectrum: EmpiricalSpectrum, step=1e-3, pad=1.0):
@@ -322,4 +312,4 @@ def read_cdf_csv(path):
             fs.append(float(b))
     if not xs:
         raise ValueError(f"empty CDF CSV: {path}")
-    return DistributionFunction.from_table(np.array(xs), np.array(fs))
+    return DistributionFunction(np.array(xs), np.array(fs))

@@ -183,17 +183,6 @@ class SpectralSymbol:
         val = self.eval(*t)
         return np.abs(val) ** 2 if isinstance(val, np.ndarray) else abs(val) ** 2
 
-    def folded(self, *u):
-        """Real-case quantity |symbol(u/2)|, defined for real filters only."""
-        if not self.source.is_real:
-            raise ValueError("folded symbol requires a real-coefficient filter")
-        val = self.eval(*(np.asarray(x) / 2.0 for x in u))
-        return np.abs(val) if isinstance(val, np.ndarray) else abs(val)
-
-    def folded_profile(self, *u):
-        """Squared folded symbol |symbol(u/2)|^2, the real-case profile."""
-        return self.folded(*u) ** 2
-
 
 class SpectralSymbol2D(SpectralSymbol):
     """Phi(t1, t2) of a 2-d filter."""

@@ -9,11 +9,10 @@ Conjugating a periodized field with these transforms yields a matrix of
 independent entries whose per-entry variances form a grid of the
 squared symbol.  For the Fourier congruence that grid is
 :func:`variance_profile_grid`; for the real congruence each cos/sin row
-pair mixes the mirror frequencies +-f, so the variance grid is
-:func:`symmetrized_variance_grid`, which equals the literal folded grid
-``variance_profile_grid(..., folded=True)`` only when |Phi(s, t)| ==
-|Phi(s, -t)|.  :func:`whiteness_check` verifies the independence claim
-statistically on a population of samples.
+pair mixes the mirror frequencies +-f, so the variance grid is the
+mirror average :func:`symmetrized_variance_grid`.  :func:`whiteness_check`
+verifies the independence claim statistically on a population of
+samples.
 """
 
 from __future__ import annotations
@@ -35,13 +34,15 @@ __all__ = [
     "WhitenessReport",
 ]
 
+_MAX_PAIRS = 2000  # entry pairs per family sampled by whiteness_check
+_SUBSAMPLE_SEED = 20200405  # Philox key of that subsample
+
 
 @dataclass(frozen=True)
 class UnitaryTransform:
     """A p x p unitary (fourier) or orthogonal (real_orthogonal) matrix."""
 
     size: int
-    flavor: str
     entries: np.ndarray = field(repr=False)
 
     def adjoint_entries(self):
@@ -54,7 +55,7 @@ def fourier_matrix(p):
         raise ValueError("p must be >= 1")
     j = np.arange(p)
     entries = np.exp(2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)
-    return UnitaryTransform(size=p, flavor="fourier", entries=entries)
+    return UnitaryTransform(size=p, entries=entries)
 
 
 def real_orthogonal_matrix(p):
@@ -77,7 +78,7 @@ def real_orthogonal_matrix(p):
         q[2 * j1, :] = np.sqrt(2.0 / p) * np.sin(angle)
     if p % 2 == 0 and p > 1:
         q[p - 1, :] = (-1.0) ** j2 / np.sqrt(p)
-    return UnitaryTransform(size=p, flavor="real_orthogonal", entries=q)
+    return UnitaryTransform(size=p, entries=q)
 
 
 def congruence(t_left: UnitaryTransform, mat: FieldMatrix,
@@ -95,29 +96,15 @@ def congruence(t_left: UnitaryTransform, mat: FieldMatrix,
     return FieldMatrix(out, kind="generic", seed=mat.seed)
 
 
-def variance_profile_grid(sym, N, n, folded=False):
-    """Squared-symbol grid (times n) at the transform's frequencies.
+def variance_profile_grid(sym, N, n):
+    """Squared-symbol grid (times n) at the Fourier frequencies.
 
-    Complex case: grid[l1, l2] = |Phi(l1/N, l2/n)|^2, the per-entry
-    variance of the Fourier congruence.  Folded case: the literal grid
-    grid[l1, l2] = |Phi(floor((l1+1)/2)/N, floor((l2+1)/2)/n)|^2, the
-    index folding of the cos/sin row pairing.  It equals the per-entry
-    variance of the real congruence only when |Phi(s, t)| ==
-    |Phi(s, -t)|; in general that variance is the mirror average given
-    by :func:`symmetrized_variance_grid`.
+    grid[l1, l2] = |Phi(l1/N, l2/n)|^2, the per-entry variance of the
+    Fourier congruence.
     """
-    l1 = np.arange(N, dtype=np.float64)
-    l2 = np.arange(n, dtype=np.float64)
-    if folded:
-        if not sym.source.is_real:
-            raise ValueError("folded grid requires a real-coefficient filter")
-        t1 = np.floor((l1 + 1.0) / 2.0) / N
-        t2 = np.floor((l2 + 1.0) / 2.0) / n
-    else:
-        t1 = l1 / N
-        t2 = l2 / n
-    vals = sym.eval(t1[:, None], t2[None, :])
-    return np.abs(vals) ** 2
+    t1 = np.arange(N) / N
+    t2 = np.arange(n) / n
+    return np.abs(sym.eval(t1[:, None], t2[None, :])) ** 2
 
 
 def symmetrized_variance_grid(sym, N, n):
@@ -130,9 +117,8 @@ def symmetrized_variance_grid(sym, N, n):
         grid[l1, l2] = (|Phi(f1, f2)|^2 + |Phi(f1, -f2)|^2) / 2,
         f = floor((l + 1)/2) / p.
 
-    This agrees with the plain folded grid exactly when |Phi(s, t)| =
-    |Phi(s, -t)| (e.g. filters even in one index), and is the grid the
-    sampled variances actually follow; see the whiteness/variance tests.
+    The two terms coincide when |Phi(s, t)| = |Phi(s, -t)| (e.g. filters
+    even in one index); in general neither alone is the variance.
     """
     if not sym.source.is_real:
         raise ValueError("symmetrized grid requires a real-coefficient filter")
@@ -193,11 +179,11 @@ def _pair_correlations(x, y):
     return out
 
 
-def whiteness_check(samples, max_pairs=2000, subsample_seed=20200405):
+def whiteness_check(samples):
     """Empirical independence check over a population of same-shape samples.
 
-    Subsamples ``max_pairs`` random pairs of real-valued components
-    (Re/Im channels of distinct entries) plus up to ``max_pairs`` mirror
+    Subsamples ``_MAX_PAIRS`` random pairs of real-valued components
+    (Re/Im channels of distinct entries) plus up to ``_MAX_PAIRS`` mirror
     pairs, computes sample correlations across the population, and
     compares them against the loose CLT threshold 4/sqrt(#samples).
     """
@@ -210,14 +196,14 @@ def whiteness_check(samples, max_pairs=2000, subsample_seed=20200405):
     nchan = len(channels)
     threshold = 4.0 / np.sqrt(S)
     rng = np.random.Generator(
-        np.random.Philox(key=np.array([subsample_seed, 0], dtype=np.uint64)))
+        np.random.Philox(key=np.array([_SUBSAMPLE_SEED, 0], dtype=np.uint64)))
 
     # random family: pairs of distinct (l1, l2, channel) slots
     nvars = N * n * nchan
-    idx_a = rng.integers(0, nvars, size=2 * max_pairs)
-    idx_b = rng.integers(0, nvars, size=2 * max_pairs)
+    idx_a = rng.integers(0, nvars, size=2 * _MAX_PAIRS)
+    idx_b = rng.integers(0, nvars, size=2 * _MAX_PAIRS)
     keep = idx_a != idx_b
-    idx_a, idx_b = idx_a[keep][:max_pairs], idx_b[keep][:max_pairs]
+    idx_a, idx_b = idx_a[keep][:_MAX_PAIRS], idx_b[keep][:_MAX_PAIRS]
 
     def gather(flat_idx):
         ch, rest = np.divmod(flat_idx, N * n)
@@ -231,8 +217,8 @@ def whiteness_check(samples, max_pairs=2000, subsample_seed=20200405):
     rand_corr = _pair_correlations(gather(idx_a), gather(idx_b))
 
     # mirror family: (l1, l2) against ((N - l1) mod N, (n - l2) mod n)
-    r = rng.integers(0, N, size=max_pairs)
-    c = rng.integers(0, n, size=max_pairs)
+    r = rng.integers(0, N, size=_MAX_PAIRS)
+    c = rng.integers(0, n, size=_MAX_PAIRS)
     rm, cm = (N - r) % N, (n - c) % n
     keep = (r != rm) | (c != cm)
     r, c, rm, cm = r[keep], c[keep], rm[keep], cm[keep]

@@ -7,9 +7,9 @@ re-verified against the Stieltjes-kernel axioms at the end.
 The real-case per-entry variance clause of criterion 7 checks the
 sampled variances against the exact variance of the real congruence,
 the symmetrized grid (|Phi(f1, f2)|^2 + |Phi(f1, -f2)|^2)/2: each cos/sin
-row pair mixes the mirror frequencies +-f.  The literal folded grid
-|Phi(f1, f2)|^2 equals it only when |Phi(s, t)| == |Phi(s, -t)|; its
-misfit is pinned in test_transforms.py.
+row pair mixes the mirror frequencies +-f.  Its ESD clause checks the
+real-noise spectrum against the |Phi|^2 limit, the one real_case runs
+solve.
 """
 
 import time
@@ -276,8 +276,7 @@ def test_criterion_7_real_case_whiteness_and_esd():
     n_esd = 256
     pooled = pooled_spectrum(H2, n_esd, n_esd, SEEDS, real=True)
     grid = gf.default_inversion_grid(pooled)
-    # the real-noise limit is the |Phi|^2 one; the folded profile
-    # |Phi(u/2, t/2)|^2 misses this pooled spectrum by K = 0.025
+    # the real-noise limit is the |Phi|^2 one, as in the complex case
     kernels = gf.solve_centered_many(sym.profile, 1.0,
                                      grid + 1e-3j, SWEEP_CFG)
     f_vals = np.array([k.value for k in kernels])
@@ -294,11 +293,9 @@ def test_criterion_7_real_case_whiteness_and_esd():
     assert esd_ok
 
 
-def test_criterion_7_real_case_variance_folded_grid():
+def test_criterion_7_real_case_variance_symmetrized_grid():
     # The expected grid is the exact real-congruence variance: each cos/sin
     # row pair averages the mirror values |Phi(f1,f2)|^2 and |Phi(f1,-f2)|^2.
-    # The literal folded grid |Phi(f1,f2)|^2 does not fit H2 (which is not
-    # mirror symmetric); that misfit is pinned in test_transforms.py.
     sym = gf.SpectralSymbol2D(H2)
     N = n = 128
     S = 200
@@ -313,11 +310,11 @@ def test_criterion_7_real_case_variance_folded_grid():
     grid = gf.symmetrized_variance_grid(sym, N, n)
     within = np.abs(mean - grid) <= 3 * np.sqrt(2.0 / S) * grid
     ok = within.mean() >= 0.99
-    report(7, "real case (variance vs folded grid)", ok,
-           f"var_within_3sigma={within.mean():.4f} against the folded "
+    report(7, "real case (variance vs symmetrized grid)", ok,
+           f"var_within_3sigma={within.mean():.4f} against the "
            f"mirror-average grid (|Phi(f1,f2)|^2 + |Phi(f1,-f2)|^2)/2")
     assert ok, (
-        "per-entry variance does not follow the folded mirror-average grid "
+        "per-entry variance does not follow the mirror-average grid "
         "(|Phi(f1,f2)|^2 + |Phi(f1,-f2)|^2)/2: "
         f"only {within.mean():.1%} of entries sit within 3 sigma")
 
@@ -345,8 +342,7 @@ def test_criterion_8_kernel_axioms():
             sym.profile, 1.0,
             gf.measure_from_profile(sym1.profile, 64), 1j * y,
             TIGHT_CFG)[0].value,
-        "real": gf.solve_centered(sym.folded_profile, 1.0, 1j * y,
-                                  TIGHT_CFG).value,
+        # real_case runs solve the "centered" problem, so no separate entry
     }
     tail_errs = {name: abs(-1j * y * f - 1.0) for name, f in tails.items()}
     tail_ok = all(e < 1e-2 for e in tail_errs.values())

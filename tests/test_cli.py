@@ -96,11 +96,10 @@ class TestRun:
         assert summary["bai_holds_all"] == 1
 
     def test_real_mode_matches_real_noise_monte_carlo(self, tmp_path):
-        # The real-noise Gram spectrum follows |Phi|^2, not the folded
-        # profile |Phi(u/2, t/2)|^2: at z = i (this filter, N = n = 256,
-        # seeds 0-7) the Monte Carlo mean of 1/(lambda - i) is
-        # 0.26821+0.59916i with standard error 5e-4; the |Phi|^2 limit is
-        # 4.4e-4 from it and the folded one 2.2e-2.
+        # The real-noise Gram spectrum follows |Phi|^2: at z = i (this
+        # filter, N = n = 256, seeds 0-7) the Monte Carlo mean of
+        # 1/(lambda - i) is 0.26821+0.59916i with standard error 5e-4, and
+        # the |Phi|^2 limit is 4.4e-4 from it.
         doc = base_config(
             tmp_path, mode="real_case", N=256, n=256, seeds=list(range(8)),
             z_grid=[[0.0, 1.0]],
@@ -113,6 +112,18 @@ class TestRun:
         monte_carlo = np.mean(1.0 / (eig - 1j))
         row = np.loadtxt(out / "stieltjes.csv", delimiter=",", skiprows=1)
         assert abs(complex(row[2], row[3]) - monte_carlo) < 5e-3
+
+    def test_real_mode_solves_the_centered_limit(self, tmp_path):
+        # real noise changes the simulated spectra, not the limit: both
+        # modes solve the |Phi|^2 fixed point, so the tables are identical
+        tables = {}
+        for mode in ("real_case", "centered"):
+            doc = base_config(tmp_path, mode=mode,
+                              output_dir=str(tmp_path / mode))
+            cli.run_experiment(cli.load_config(
+                write_config(tmp_path, doc, name=f"{mode}.json")))
+            tables[mode] = (tmp_path / mode / "stieltjes.csv").read_bytes()
+        assert tables["real_case"] == tables["centered"]
 
     def test_nonconvergence_recorded_not_fatal(self, tmp_path):
         doc = base_config(

@@ -547,5 +547,5 @@ class TestLimitingCdf:
 
     def test_point_mass_function_input(self):
         grid = np.arange(-1.0, 1.0, 1e-3)
-        cdf = invert_stieltjes_to_cdf(lambda z: -1.0 / z, grid, eta=1e-3)
+        cdf = invert_stieltjes_to_cdf(-1.0 / (grid + 1e-3j), grid, eta=1e-3)
         assert cdf.eval(0.1) - cdf.eval(-0.1) >= 0.99

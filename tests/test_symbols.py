@@ -115,31 +115,6 @@ class TestCovariance:
         assert h.covariance(0, -5) == 0
 
 
-class TestFolded:
-    def test_identity(self):
-        sym = SpectralSymbol2D(FilterSequence2D({(0, 0): 1}))
-        assert sym.folded(0.3, 0.8) == pytest.approx(1.0)
-
-    def test_unit_modulus_exponential(self):
-        sym = SpectralSymbol2D(FilterSequence2D({(1, 0): 1}))
-        assert sym.folded(0.5, 0.1) == pytest.approx(1.0)
-
-    def test_cancellation_at_folded_argument(self):
-        sym = SpectralSymbol2D(FilterSequence2D({(0, 0): 1, (0, 1): 1}))
-        assert sym.folded(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_rejects_complex_filter(self):
-        sym = SpectralSymbol2D(FilterSequence2D({(0, 0): 1j}))
-        with pytest.raises(ValueError):
-            sym.folded(0.1, 0.1)
-
-    def test_psi_folded(self):
-        sym = SpectralSymbol1D(FilterSequence1D({1: 1, -1: 1}))
-        assert sym.folded(1.0) == pytest.approx(2.0)
-        empty = SpectralSymbol1D(FilterSequence1D({}))
-        assert empty.folded(0.4) == pytest.approx(0.0)
-
-
 class TestJsonRoundTrip:
     def test_2d_exact(self, tmp_path):
         h = FilterSequence2D({(0, 0): 1 + 0.1j, (2, -3): -0.7 + np.pi * 1j})
@@ -241,14 +216,13 @@ def test_non_finite_coefficients_rejected(bad):
 
 
 def test_generic_symbol_owns_profile_methods():
-    # the benchmark tracer wraps these methods in each exported class's
-    # own namespace, so each must exist once and each class be exported once
+    # the benchmark tracer wraps the profile method in each exported class's
+    # own namespace, so it must exist once and each class be exported once
     objs = [getattr(symbols, name) for name in symbols.__all__]
     assert len({id(o) for o in objs}) == len(objs)
-    for name in ("profile", "folded_profile"):
-        assert name in vars(SpectralSymbol)
-        assert name not in vars(SpectralSymbol1D)
-        assert name not in vars(SpectralSymbol2D)
+    assert "profile" in vars(SpectralSymbol)
+    assert "profile" not in vars(SpectralSymbol1D)
+    assert "profile" not in vars(SpectralSymbol2D)
 
 
 def test_symbol_takes_one_argument_per_dimension():

@@ -94,18 +94,6 @@ class TestVarianceProfileGrid:
         grid = variance_profile_grid(sym, 4, 6)
         assert np.allclose(grid, 1.0)
 
-    def test_folded_index_mapping(self):
-        # folded row index floor((l+1)/2): l = 0,1,2,3 -> 0,1,1,2
-        folds = [int(np.floor((l + 1) / 2)) for l in range(4)]
-        assert folds == [0, 1, 1, 2]
-        sym = SpectralSymbol2D(H_TEST)
-        N = n = 8
-        grid = variance_profile_grid(sym, N, n, folded=True)
-        l1, l2 = 3, 5
-        f1 = np.floor((l1 + 1) / 2) / N
-        f2 = np.floor((l2 + 1) / 2) / n
-        assert grid[l1, l2] == pytest.approx(abs(sym.eval(f1, f2)) ** 2)
-
     def test_complex_grid_values(self):
         sym = SpectralSymbol2D(H_TEST)
         N, n = 6, 9
@@ -134,9 +122,8 @@ class TestVarianceProfileGrid:
         assert ok.mean() >= 0.99
 
     def test_real_congruence_variance_follows_symmetrized_grid(self):
-        # the literal folded grid misstates the variance for filters with
-        # |Phi(s,t)| != |Phi(s,-t)|; the cos/sin mixing averages the two
-        # mirror values, and that symmetrized grid is what samples follow
+        # the cos/sin mixing averages the two mirror values |Phi(s,+-t)|^2,
+        # and that symmetrized grid is what samples follow
         h = H_TEST
         sym = SpectralSymbol2D(h)
         N = n = 32
@@ -152,24 +139,13 @@ class TestVarianceProfileGrid:
         sym_grid = symmetrized_variance_grid(sym, N, n)
         ok = np.abs(mean - sym_grid) <= 3 * np.sqrt(2.0 / S) * sym_grid
         assert ok.mean() >= 0.99
-        folded = variance_profile_grid(sym, N, n, folded=True)
-        ok_folded = np.abs(mean - folded) <= 3 * np.sqrt(2.0 / S) * folded
-        assert ok_folded.mean() < 0.99  # the literal grid does not fit
-
-    def test_grids_agree_for_mirror_symmetric_filter(self):
-        h = FilterSequence2D({(0, 0): 1, (1, 0): 0.3, (-1, 0): 0.3,
-                              (0, 1): 0.2, (0, -1): 0.2})
-        sym = SpectralSymbol2D(h)
-        a = variance_profile_grid(sym, 10, 14, folded=True)
-        b = symmetrized_variance_grid(sym, 10, 14)
-        assert np.allclose(a, b, atol=1e-12)
 
     def test_exact_second_moment_of_real_congruence(self):
         # no sampling: E[W^2] follows from the Gaussian covariance of the
         # periodized field, E Zt[j] Zt[j'] = C~(j - j') / n with C~ the
         # mod-(N, n) wrapped autocovariance, contracted against the row
         # autocorrelations of Q.  The result matches the symmetrized grid
-        # to machine precision and differs from the plain folded grid.
+        # to machine precision.
         h = H_TEST
         sym = SpectralSymbol2D(h)
         N = n = 12
@@ -189,9 +165,7 @@ class TestVarianceProfileGrid:
             rho[:, d] = (q * np.roll(q, d, axis=1)).sum(axis=1)
         exact = rho @ cov @ rho.T  # E[W^2] * n, entrywise
         sym_grid = symmetrized_variance_grid(sym, N, n)
-        folded = variance_profile_grid(sym, N, n, folded=True)
         assert np.abs(exact - sym_grid).max() < 1e-10
-        assert np.abs(exact - folded).max() > 0.1
 
 
 class TestWhiteness:
