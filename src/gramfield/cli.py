@@ -148,14 +148,25 @@ def _deterministic_part(cfg):
     return None
 
 
+def _metric_lines(summary):
+    """``key,value`` lines of a summary, floats with 17 significant digits."""
+    return "".join(f"{key},{_g17(val) if isinstance(val, float) else val}\n"
+                   for key, val in summary.items())
+
+
+def _coupled_fields(h, N, n, dist, seed):
+    """(raw, periodized) fields of ``h`` built from one noise sheet."""
+    noise = matgen.sample_noise(N, n, matgen.NoiseSpec(dist, seed),
+                                margin=h.radius)
+    return (matgen.build_field(h, noise, N, n),
+            matgen.build_periodized_field(h, noise, N, n))
+
+
 def _simulate_seed(cfg, det, seed):
     """One seed: spectrum of the (possibly shifted) Gram matrix plus the
     coupling statistics between raw and periodized fields."""
     dist = "real_standard" if cfg.mode == "real_case" else "complex_standard"
-    noise = matgen.sample_noise(cfg.N, cfg.n, matgen.NoiseSpec(dist, seed),
-                                margin=cfg.filter2d.radius)
-    z_raw = matgen.build_field(cfg.filter2d, noise, cfg.N, cfg.n)
-    z_per = matgen.build_periodized_field(cfg.filter2d, noise, cfg.N, cfg.n)
+    z_raw, z_per = _coupled_fields(cfg.filter2d, cfg.N, cfg.n, dist, seed)
     if det is None:
         m_raw, m_per = z_raw, z_per
     else:
@@ -214,11 +225,9 @@ def run_experiment(cfg: ExperimentConfig, threads=1):
         results = [_simulate_seed(cfg, det, s) for s in cfg.seeds]
 
     for res in results:
-        path = out / f"eigenvalues_seed{res['seed']}.csv"
-        with open(path, "w") as fh:
-            fh.write("eigenvalue\n")
-            for v in res["spectrum"].eigenvalues:
-                fh.write(_g17(v) + "\n")
+        np.savetxt(out / f"eigenvalues_seed{res['seed']}.csv",
+                   res["spectrum"].eigenvalues, fmt="%.17g",
+                   header="eigenvalue", comments="")
 
     pooled_vals = np.sort(np.concatenate(
         [res["spectrum"].eigenvalues for res in results]))
@@ -255,11 +264,8 @@ def run_experiment(cfg: ExperimentConfig, threads=1):
         "beta_tilde_mean": float(np.mean([r["beta_tilde"] for r in results])),
         "solver_nonconverged": nonconverged,
     }
-    with open(out / "summary.csv", "w") as fh:
-        fh.write("metric,value\n")
-        for key, val in summary.items():
-            text = _g17(val) if isinstance(val, float) else str(val)
-            fh.write(f"{key},{text}\n")
+    (out / "summary.csv").write_text(
+        "metric,value\n" + _metric_lines(summary))
     return summary
 
 
@@ -282,15 +288,8 @@ def sweep_alpha(h, sizes, seeds):
         raise ValueError("sweep_alpha needs a nonempty seed list")
     rows = []
     for N, n in sizes:
-        alphas = []
-        for seed in seeds:
-            noise = matgen.sample_noise(
-                N, n, matgen.NoiseSpec("complex_standard", seed),
-                margin=h.radius)
-            z_raw = matgen.build_field(h, noise, N, n)
-            z_per = matgen.build_periodized_field(h, noise, N, n)
-            alpha, _, _ = spectra.trace_stats(z_raw, z_per)
-            alphas.append(alpha)
+        alphas = [spectra.trace_stats(*_coupled_fields(
+            h, N, n, "complex_standard", seed))[0] for seed in seeds]
         rows.append((N, n, float(np.mean(alphas))))
     return rows
 
@@ -298,9 +297,7 @@ def sweep_alpha(h, sizes, seeds):
 def _cmd_run(args):
     cfg = load_config(args.config)
     summary = run_experiment(cfg, threads=args.threads)
-    for key, val in summary.items():
-        text = _g17(val) if isinstance(val, float) else str(val)
-        print(f"{key},{text}")
+    print(_metric_lines(summary), end="")
     return 0
 
 

@@ -199,8 +199,7 @@ def measure_from_lambda(lam_matrix: FieldMatrix):
         raise ValueError("measure_from_lambda needs a pseudo_diagonal matrix")
     N = lam_matrix.rows
     d = np.zeros(N, dtype=np.complex128)
-    k = min(N, lam_matrix.cols)
-    d[:k] = np.diagonal(lam_matrix.entries)[:k]
+    d[:min(N, lam_matrix.cols)] = np.diagonal(lam_matrix)
     i = np.arange(1, N + 1)
     return AtomicMeasureH(u=i / N, lam=np.abs(d) ** 2, weights=np.full(N, 1.0 / N))
 
@@ -272,7 +271,7 @@ def _residual(old, new):
 def _iterate(z, cfg, state, update):
     """Damped iteration of ``state``, a tuple of (B, K_i) arrays updated
     in place, under ``update(state, z)``, freezing each z once its
-    residual reaches the tolerance.
+    residual reaches the tolerance or is not finite.
 
     Returns (residual, iterations, converged) per z, with the residual
     re-evaluated once at the returned state.
@@ -289,7 +288,8 @@ def _iterate(z, cfg, state, update):
         for s, s_old, s_new in zip(state, sub, new):
             s[active] = (1.0 - d) * s_old + d * s_new
         iterations[active] = it
-        active[active] = ~(_residual(sub, new) <= cfg.tolerance)
+        res = _residual(sub, new)
+        active[active] = np.isfinite(res) & ~(res <= cfg.tolerance)
     resid = _residual(state, update(state, z))
     return resid, iterations, resid <= cfg.tolerance
 
@@ -439,14 +439,10 @@ def solve_noncentered(profile, c, H, z, cfg=SolverConfig()):
 
 def write_solver_csv(kernels, path):
     """Solver results as CSV rows re_z,im_z,re_f,im_f,residual,iterations."""
-    with open(path, "w") as fh:
-        fh.write("re_z,im_z,re_f,im_f,residual,iterations\n")
-        for k in kernels:
-            f = k.value
-            fh.write(",".join([
-                f"{k.z.real:.17g}", f"{k.z.imag:.17g}", f"{f.real:.17g}",
-                f"{f.imag:.17g}", f"{k.residual:.17g}",
-                str(k.iterations)]) + "\n")
+    table = np.reshape([(k.z.real, k.z.imag, k.value.real, k.value.imag,
+                         k.residual, k.iterations) for k in kernels], (-1, 6))
+    np.savetxt(path, table, fmt=["%.17g"] * 5 + ["%d"], delimiter=",",
+               header="re_z,im_z,re_f,im_f,residual,iterations", comments="")
 
 
 @dataclass(frozen=True)

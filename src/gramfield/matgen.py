@@ -48,7 +48,8 @@ class FieldMatrix:
     ``kind`` is one of ``FIELD_KINDS``; ``seed`` records the noise seed the
     entries derive from (0 for purely deterministic matrices).  ``margin``
     is nonzero only for noise sheets sampled on an enlarged window.
-    Instances are treated as immutable once built.
+    Instances are treated as immutable once built, and convert to their
+    entries through ``np.asarray``.
     """
 
     def __init__(self, entries, kind="generic", seed=0, margin=0):
@@ -88,14 +89,17 @@ class FieldMatrix:
     def shape(self):
         return self.entries.shape
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.entries, dtype=dtype, copy=copy)
+
     def __add__(self, other):
-        a = other.entries if isinstance(other, FieldMatrix) else np.asarray(other)
+        a = np.asarray(other)
         if a.shape != self.entries.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {a.shape}")
         return FieldMatrix(self.entries + a, kind="generic", seed=self.seed)
 
     def __sub__(self, other):
-        a = other.entries if isinstance(other, FieldMatrix) else np.asarray(other)
+        a = np.asarray(other)
         if a.shape != self.entries.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {a.shape}")
         return FieldMatrix(self.entries - a, kind="generic", seed=self.seed)
@@ -152,6 +156,20 @@ def _window_block(noise, N, n):
     return noise.entries[m:m + N, m:m + n]
 
 
+def _filtered(h, sheet, margin, N, n):
+    """n^{-1/2} sum_k h(k) sheet[margin + j - k] on the N x n window, in
+    sorted-coefficient order; real when h and the sheet are."""
+    k1s, k2s, coeffs = h.arrays()
+    out = np.zeros((N, n), dtype=np.complex128)
+    for k1, k2, c in zip(k1s, k2s, coeffs):
+        r0, c0 = margin - k1, margin - k2
+        out += c * sheet[r0:r0 + N, c0:c0 + n]
+    out /= np.sqrt(n)
+    if h.is_real and not np.iscomplexobj(sheet):
+        out = out.real
+    return out
+
+
 def build_field(h: FilterSequence2D, noise: FieldMatrix, N, n):
     """Raw field: Z[j1, j2] = n^{-1/2} sum_k h(k) U(j1-k1, j2-k2)."""
     if noise.kind != "noise":
@@ -161,34 +179,22 @@ def build_field(h: FilterSequence2D, noise: FieldMatrix, N, n):
     if h.radius > m:
         raise ValueError(
             f"noise margin {m} too small for filter radius {h.radius}")
-    k1s, k2s, coeffs = h.arrays()
-    out = np.zeros((N, n), dtype=np.complex128)
-    for k1, k2, c in zip(k1s, k2s, coeffs):
-        r0, c0 = m - k1, m - k2
-        out += c * noise.entries[r0:r0 + N, c0:c0 + n]
-    out /= np.sqrt(n)
-    if h.is_real and not np.iscomplexobj(noise.entries):
-        out = out.real
+    out = _filtered(h, noise.entries, m, N, n)
     return FieldMatrix(out, kind="raw_field", seed=noise.seed)
 
 
 def build_periodized_field(h: FilterSequence2D, noise: FieldMatrix, N, n):
     """Periodized field: noise indices reduced mod N and mod n.
 
-    Uses only the central N x n block of the same noise sheet, so the
-    raw and periodized fields built from one sheet are coupled.
+    This is the raw-field sum over the periodic extension of the central
+    N x n block of the noise sheet, so the raw and periodized fields
+    built from one sheet are coupled.
     """
     if noise.kind != "noise":
         raise ValueError("build_periodized_field needs a noise matrix")
     block = _window_block(noise, N, n)
-    k1s, k2s, coeffs = h.arrays()
-    out = np.zeros((N, n), dtype=np.complex128)
-    for k1, k2, c in zip(k1s, k2s, coeffs):
-        # roll(A, (k1, k2))[j1, j2] == A[(j1 - k1) mod N, (j2 - k2) mod n]
-        out += c * np.roll(block, shift=(int(k1), int(k2)), axis=(0, 1))
-    out /= np.sqrt(n)
-    if h.is_real and not np.iscomplexobj(noise.entries):
-        out = out.real
+    r = h.radius
+    out = _filtered(h, np.pad(block, r, mode="wrap"), r, N, n)
     return FieldMatrix(out, kind="periodized_field", seed=noise.seed)
 
 
@@ -263,21 +269,21 @@ def save_matrix_csv(mat: FieldMatrix, path):
     """Write a matrix as CSV: metadata header then (row, col, re, im) lines.
 
     Layout: line 1 ``rows,cols,kind,seed``, line 2 the values, line 3 the
-    column header, then one line per entry with 17 significant digits
-    (lossless for doubles).  :func:`load_matrix_csv` round-trips exactly.
+    column header, then one line per entry in row-major order with 17
+    significant digits (lossless for doubles).  :func:`load_matrix_csv`
+    round-trips exactly.
     """
-    e = mat.entries
-    with open(path, "w") as fh:
-        fh.write("rows,cols,kind,seed\n")
-        fh.write(f"{mat.rows},{mat.cols},{mat.kind},{mat.seed}\n")
-        fh.write("row,col,re,im\n")
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                v = complex(e[i, j])
-                fh.write(f"{i},{j},{v.real:.17g},{v.imag:.17g}\n")
+    e = np.asarray(mat).ravel()
+    rows, cols = np.divmod(np.arange(e.size), mat.cols)
+    np.savetxt(path, np.column_stack([rows, cols, e.real, e.imag]),
+               fmt=("%d", "%d", "%.17g", "%.17g"), delimiter=",", comments="",
+               header=f"rows,cols,kind,seed\n{mat.rows},{mat.cols},"
+                      f"{mat.kind},{mat.seed}\nrow,col,re,im")
 
 
 def load_matrix_csv(path):
+    """Read a :func:`save_matrix_csv` file; raises unless its entry lines
+    are exactly the row-major (row, col) grid of the header's shape."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header != ["rows", "cols", "kind", "seed"]:
@@ -285,10 +291,16 @@ def load_matrix_csv(path):
         rows_s, cols_s, kind, seed_s = fh.readline().strip().split(",")
         rows, cols, seed = int(rows_s), int(cols_s), int(seed_s)
         fh.readline()  # column header
-        entries = np.zeros((rows, cols), dtype=np.complex128)
-        for line in fh:
-            i_s, j_s, re_s, im_s = line.strip().split(",")
-            entries[int(i_s), int(j_s)] = complex(float(re_s), float(im_s))
+        lines = fh.readlines()
+    table = (np.loadtxt(lines, delimiter=",", ndmin=2) if lines
+             else np.empty((0, 4)))
+    grid = np.indices((rows, cols)).reshape(2, -1).T
+    if table.shape != (rows * cols, 4) or np.any(table[:, :2] != grid):
+        raise ValueError(f"entry lines of {path} are not the row-major "
+                         f"(row, col) grid of a {rows} x {cols} matrix")
+    # (re, im) pairs viewed as complex; re + 1j * im would turn an
+    # infinite imaginary part into a NaN real part
+    entries = table[:, 2:].copy().view(np.complex128).reshape(rows, cols)
     if np.all(entries.imag == 0.0):
         entries = entries.real.copy()
     return FieldMatrix(entries, kind=kind, seed=seed)

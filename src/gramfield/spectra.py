@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matgen import FieldMatrix
-
 __all__ = [
     "EmpiricalSpectrum",
     "DistributionFunction",
@@ -77,7 +75,7 @@ def gram_spectrum(mat, side="left"):
     eigensolver; roundoff negatives down to -1e-9 * max|eig| are clipped
     to zero, anything lower raises.
     """
-    entries = mat.entries if isinstance(mat, FieldMatrix) else np.asarray(mat)
+    entries = np.asarray(mat)
     if side == "left":
         g = entries @ entries.conj().T
     elif side == "right":
@@ -219,12 +217,11 @@ def bai_bound(a, b):
     rhs = (2/N^2) Tr (A-B)(A-B)* Tr (AA* + BB*); the inequality
     lhs <= rhs holds for every pair of same-shape matrices.
     """
-    ae = a.entries if isinstance(a, FieldMatrix) else np.asarray(a)
-    be = b.entries if isinstance(b, FieldMatrix) else np.asarray(b)
+    ae, be = np.asarray(a), np.asarray(b)
     if ae.shape != be.shape:
         raise ValueError(f"shape mismatch: {ae.shape} vs {be.shape}")
     N = ae.shape[0]
-    lhs = levy_distance(gram_spectrum(a), gram_spectrum(b)) ** 4
+    lhs = levy_distance(gram_spectrum(ae), gram_spectrum(be)) ** 4
     diff = float(np.sum(np.abs(ae - be) ** 2))
     total = float(np.sum(np.abs(ae) ** 2) + np.sum(np.abs(be) ** 2))
     rhs = 2.0 / N ** 2 * diff * total
@@ -237,16 +234,12 @@ def trace_stats(z, z_tilde, b=None):
     alpha = (1/n) Tr (Z - Zt)(Z - Zt)*, beta = (1/n) Tr (Z+B)(Z+B)*,
     beta_tilde likewise with the periodized field.  B defaults to 0.
     """
-    ze = z.entries if isinstance(z, FieldMatrix) else np.asarray(z)
-    zte = z_tilde.entries if isinstance(z_tilde, FieldMatrix) else np.asarray(z_tilde)
+    ze, zte = np.asarray(z), np.asarray(z_tilde)
     if ze.shape != zte.shape:
         raise ValueError(f"shape mismatch: {ze.shape} vs {zte.shape}")
-    if b is None:
-        be = 0.0
-    else:
-        be = b.entries if isinstance(b, FieldMatrix) else np.asarray(b)
-        if np.shape(be) != ze.shape:
-            raise ValueError(f"shape mismatch: {ze.shape} vs {np.shape(be)}")
+    be = 0.0 if b is None else np.asarray(b)
+    if b is not None and be.shape != ze.shape:
+        raise ValueError(f"shape mismatch: {ze.shape} vs {be.shape}")
     n = ze.shape[1]
     alpha = float(np.sum(np.abs(ze - zte) ** 2)) / n
     beta = float(np.sum(np.abs(ze + be) ** 2)) / n
@@ -291,25 +284,17 @@ def default_inversion_grid(spectrum: EmpiricalSpectrum, step=1e-3, pad=1.0):
 
 def write_cdf_csv(dist: DistributionFunction, path):
     """CSV export, one ``x,F`` header then 17-significant-digit rows."""
-    with open(path, "w") as fh:
-        fh.write("x,F\n")
-        for x, Fv in zip(dist.xs, dist.fs):
-            fh.write(f"{x:.17g},{Fv:.17g}\n")
+    np.savetxt(path, np.column_stack([dist.xs, dist.fs]), fmt="%.17g",
+               delimiter=",", header="x,F", comments="")
 
 
 def read_cdf_csv(path):
-    xs, fs = [], []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "x,F":
             raise ValueError(f"malformed CDF CSV header in {path}: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")
-            xs.append(float(a))
-            fs.append(float(b))
-    if not xs:
+        lines = [line for line in fh if line.strip()]
+    if not lines:
         raise ValueError(f"empty CDF CSV: {path}")
-    return DistributionFunction(np.array(xs), np.array(fs))
+    xs, fs = np.loadtxt(lines, delimiter=",", ndmin=2, unpack=True)
+    return DistributionFunction(xs, fs)

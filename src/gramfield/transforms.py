@@ -158,14 +158,6 @@ class WhitenessReport:
         return ok
 
 
-def _as_sample_array(samples):
-    if isinstance(samples, np.ndarray) and samples.ndim == 3:
-        return samples
-    mats = [s.entries if isinstance(s, FieldMatrix) else np.asarray(s)
-            for s in samples]
-    return np.stack(mats, axis=0)
-
-
 def _pair_correlations(x, y):
     """|Pearson correlation| per row of the (pairs, samples) arrays."""
     x = x - x.mean(axis=1, keepdims=True)
@@ -182,53 +174,41 @@ def _pair_correlations(x, y):
 def whiteness_check(samples):
     """Empirical independence check over a population of same-shape samples.
 
+    ``samples`` is any array-like of S same-shape N x n matrices: an
+    (S, N, n) array or a sequence of arrays or ``FieldMatrix`` objects.
     Subsamples ``_MAX_PAIRS`` random pairs of real-valued components
     (Re/Im channels of distinct entries) plus up to ``_MAX_PAIRS`` mirror
     pairs, computes sample correlations across the population, and
     compares them against the loose CLT threshold 4/sqrt(#samples).
     """
-    arr = _as_sample_array(samples)
+    arr = np.asarray(samples)
     S, N, n = arr.shape
     if S < 2:
         raise ValueError("whiteness_check needs at least 2 samples")
-    complex_input = np.iscomplexobj(arr)
-    channels = [arr.real, arr.imag] if complex_input else [arr]
-    nchan = len(channels)
+    channels = [arr.real, arr.imag] if np.iscomplexobj(arr) else [arr]
+    # every real variable in one row per sample: channel, then l1, then l2
+    flat = np.concatenate([ch.reshape(S, N * n) for ch in channels], axis=1)
     threshold = 4.0 / np.sqrt(S)
     rng = np.random.Generator(
         np.random.Philox(key=np.array([_SUBSAMPLE_SEED, 0], dtype=np.uint64)))
 
-    # random family: pairs of distinct (l1, l2, channel) slots
-    nvars = N * n * nchan
-    idx_a = rng.integers(0, nvars, size=2 * _MAX_PAIRS)
-    idx_b = rng.integers(0, nvars, size=2 * _MAX_PAIRS)
+    # random family: pairs of distinct (channel, l1, l2) slots
+    idx_a = rng.integers(0, flat.shape[1], size=2 * _MAX_PAIRS)
+    idx_b = rng.integers(0, flat.shape[1], size=2 * _MAX_PAIRS)
     keep = idx_a != idx_b
     idx_a, idx_b = idx_a[keep][:_MAX_PAIRS], idx_b[keep][:_MAX_PAIRS]
+    rand_corr = _pair_correlations(flat[:, idx_a].T, flat[:, idx_b].T)
 
-    def gather(flat_idx):
-        ch, rest = np.divmod(flat_idx, N * n)
-        r, c = np.divmod(rest, n)
-        cols = np.empty((len(flat_idx), S))
-        for ci in range(nchan):
-            sel = ch == ci
-            cols[sel] = channels[ci][:, r[sel], c[sel]].T
-        return cols
-
-    rand_corr = _pair_correlations(gather(idx_a), gather(idx_b))
-
-    # mirror family: (l1, l2) against ((N - l1) mod N, (n - l2) mod n)
+    # mirror family: (l1, l2) against ((N - l1) mod N, (n - l2) mod n),
+    # within each channel
     r = rng.integers(0, N, size=_MAX_PAIRS)
     c = rng.integers(0, n, size=_MAX_PAIRS)
     rm, cm = (N - r) % N, (n - c) % n
     keep = (r != rm) | (c != cm)
-    r, c, rm, cm = r[keep], c[keep], rm[keep], cm[keep]
-    mirror_corr = np.empty(0)
-    if len(r):
-        cors = []
-        for ci in range(nchan):
-            cors.append(_pair_correlations(
-                channels[ci][:, r, c].T, channels[ci][:, rm, cm].T))
-        mirror_corr = np.concatenate(cors)
+    offsets = N * n * np.arange(len(channels))[:, None]
+    idx = (offsets + r[keep] * n + c[keep]).ravel()
+    idx_m = (offsets + rm[keep] * n + cm[keep]).ravel()
+    mirror_corr = _pair_correlations(flat[:, idx].T, flat[:, idx_m].T)
 
     def stats(corr):
         if len(corr) == 0:

@@ -7,7 +7,8 @@ from gramfield.limit_solver import (AtomicMeasureH, QuadratureGrid,
                                     measure_from_profile,
                                     solve_centered, solve_centered_many,
                                     solve_noncentered, solve_noncentered_many,
-                                    solve_square, verify_kernel_axioms)
+                                    solve_square, verify_kernel_axioms,
+                                    write_solver_csv)
 from gramfield.matgen import build_pseudo_diagonal
 from gramfield.spectra import invert_stieltjes_to_cdf
 from gramfield.symbols import (FilterSequence1D, FilterSequence2D,
@@ -53,6 +54,15 @@ class TestCentered:
         k = solve_centered(ONES, 1.0, z, TIGHT)
         assert abs(k.value - (np.sqrt(5) - 1) / 2) < 1e-4
         assert abs(k.value - mp_stieltjes(z, 1.0)) < 1e-4
+
+    def test_non_finite_residual_stops_the_point(self):
+        # -1/z overflows at z = 1e-310j, so the state is NaN after one step
+        with np.errstate(all="ignore"):
+            bad, good = solve_centered_many(ONES, 1.0, [1e-310j, 1j], TIGHT)
+        assert bad.iterations == 1
+        assert not bad.converged
+        assert good.converged
+        assert abs(good.value - mp_stieltjes(1j, 1.0)) < 1e-6
 
     def test_marchenko_pastur_ratio_half(self):
         k = solve_centered(ONES, 0.5, 1j, TIGHT)
@@ -549,3 +559,22 @@ class TestLimitingCdf:
         grid = np.arange(-1.0, 1.0, 1e-3)
         cdf = invert_stieltjes_to_cdf(-1.0 / (grid + 1e-3j), grid, eta=1e-3)
         assert cdf.eval(0.1) - cdf.eval(-0.1) >= 0.99
+
+
+def test_write_solver_csv_golden_text(tmp_path):
+    nodes = np.array([0.5])
+    kernels = [
+        StieltjesKernel(z=complex(-0.0, 1 / 3), nodes=nodes,
+                        weights=np.array([complex(0.1, 5e-324)]),
+                        residual=1e300, iterations=42),
+        StieltjesKernel(z=complex(1e300, 0.1), nodes=nodes,
+                        weights=np.array([complex(-0.0, 1 / 3)]),
+                        residual=5e-324, iterations=100000)]
+    path = tmp_path / "s.csv"
+    write_solver_csv(kernels, path)
+    assert path.read_text() == (
+        "re_z,im_z,re_f,im_f,residual,iterations\n"
+        "-0,0.33333333333333331,0.10000000000000001,"
+        "4.9406564584124654e-324,1.0000000000000001e+300,42\n"
+        "1.0000000000000001e+300,0.10000000000000001,0,"
+        "0.33333333333333331,4.9406564584124654e-324,100000\n")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,22 @@ class TestPeriodized:
             means.append(np.mean(alphas))
         assert means[1] <= 0.5 * means[0]
 
+    def test_matches_definition_beyond_window(self):
+        # taps past the 5 x 7 block on both axes, with negative indices:
+        # the filter radius (11) exceeds both N and n
+        N, n = 5, 7
+        taps = {(0, 0): 1.0, (11, -3): 0.5 - 0.25j, (-6, 9): 0.75}
+        noise = sample_noise(N, n, NoiseSpec(seed=12), margin=0)
+        U = noise.entries
+        expected = np.zeros((N, n), dtype=complex)
+        for j1 in range(N):
+            for j2 in range(n):
+                for (k1, k2), c in taps.items():
+                    expected[j1, j2] += c * U[(j1 - k1) % N, (j2 - k2) % n]
+        expected /= np.sqrt(n)
+        zt = build_periodized_field(FilterSequence2D(taps), noise, N, n)
+        assert np.allclose(zt.entries, expected, rtol=0, atol=1e-14)
+
     def test_alpha_zero_for_identity(self):
         h = FilterSequence2D({(0, 0): 1})
         noise = sample_noise(16, 16, NoiseSpec(seed=8), margin=0)
@@ -279,6 +297,18 @@ class TestPseudoDiagonal:
             FieldMatrix(np.array([[1.0, 0.0], [2.0, 1.0]]), kind="circulant")
 
 
+class TestArrayProtocol:
+    @pytest.mark.parametrize("scale", [1.0, 1 - 2j])
+    def test_asarray_is_the_entries(self, scale):
+        m = FieldMatrix(np.arange(6.0).reshape(2, 3) * scale)
+        assert np.asarray(m) is m.entries
+        assert np.array_equal(np.asarray(m, dtype=complex),
+                              m.entries.astype(complex))
+        copied = np.array(m)
+        assert copied is not m.entries
+        assert np.array_equal(copied, m.entries)
+
+
 class TestCsvRoundTrip:
     def test_complex_matrix(self, tmp_path):
         noise = sample_noise(5, 7, NoiseSpec(seed=9), margin=1)
@@ -295,3 +325,47 @@ class TestCsvRoundTrip:
         save_matrix_csv(A, path)
         back = load_matrix_csv(path)
         assert np.array_equal(back.entries, A.entries)
+
+    def test_golden_text(self, tmp_path):
+        path = tmp_path / "g.csv"
+        m = FieldMatrix(np.array([[complex(-0.0, 0.1), 5e-324],
+                                  [1 / 3, complex(1e300, -1.0)]]), seed=7)
+        save_matrix_csv(m, path)
+        assert path.read_text() == (
+            "rows,cols,kind,seed\n2,2,generic,7\nrow,col,re,im\n"
+            "0,0,-0,0.10000000000000001\n"
+            "0,1,4.9406564584124654e-324,0\n"
+            "1,0,0.33333333333333331,0\n"
+            "1,1,1.0000000000000001e+300,-1\n")
+        save_matrix_csv(FieldMatrix(np.array([[-0.0, 5e-324, 0.1],
+                                              [1 / 3, 1e300, 2.0]])), path)
+        assert path.read_text() == (
+            "rows,cols,kind,seed\n2,3,generic,0\nrow,col,re,im\n"
+            "0,0,-0,0\n0,1,4.9406564584124654e-324,0\n"
+            "0,2,0.10000000000000001,0\n1,0,0.33333333333333331,0\n"
+            "1,1,1.0000000000000001e+300,0\n1,2,2,0\n")
+
+    def test_non_finite_parts_round_trip_separately(self, tmp_path):
+        e = np.array([[complex(1.0, np.inf), complex(-0.0, np.nan)],
+                      [complex(-np.inf, 2.0), complex(np.nan, -np.inf)]])
+        path = tmp_path / "nf.csv"
+        save_matrix_csv(FieldMatrix(e), path)
+        back = load_matrix_csv(path).entries
+        assert np.array_equal(back.real, e.real, equal_nan=True)
+        assert np.array_equal(back.imag, e.imag, equal_nan=True)
+        assert np.array_equal(np.signbit(back.real), np.signbit(e.real))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda lines: lines[:-5],                              # truncated
+        lambda lines: lines[:-3] + ["-1" + lines[-3][1:]] + lines[-2:],
+        lambda lines: lines[:5] + [lines[4]] + lines[6:],      # duplicated
+        lambda lines: lines + [lines[-1]],                     # extra line
+    ], ids=["truncated", "negative_index", "duplicated", "extra_line"])
+    def test_malformed_entry_lines_rejected(self, tmp_path, mutate):
+        path = tmp_path / "bad.csv"
+        save_matrix_csv(sample_noise(4, 3, NoiseSpec(seed=3)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[-3].startswith("3,0,")
+        path.write_text("".join(lines[:3] + mutate(lines[3:])))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_matrix_csv(path)

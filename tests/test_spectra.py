@@ -302,6 +302,27 @@ class TestCdfCsv:
         with pytest.raises(ValueError):
             read_cdf_csv(path)
 
+    def test_empty(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("x,F\n\n")
+        with pytest.raises(ValueError, match="empty"):
+            read_cdf_csv(path)
+
+    def test_golden_text_round_trips(self, tmp_path):
+        xs = [-0.0, 5e-324, 0.1, 1 / 3, 1e300]
+        d = DistributionFunction(xs, [0.0, 5e-324, 0.1, 1 / 3, 1.0])
+        path = tmp_path / "g.csv"
+        write_cdf_csv(d, path)
+        assert path.read_text() == (
+            "x,F\n-0,0\n"
+            "4.9406564584124654e-324,4.9406564584124654e-324\n"
+            "0.10000000000000001,0.10000000000000001\n"
+            "0.33333333333333331,0.33333333333333331\n"
+            "1.0000000000000001e+300,1\n")
+        back = read_cdf_csv(path)
+        assert np.array_equal(back.xs, d.xs) and np.array_equal(back.fs, d.fs)
+        assert np.signbit(back.xs[0])
+
 
 def test_negative_eigenvalues_rejected():
     with pytest.raises(ValueError):

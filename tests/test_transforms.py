@@ -204,6 +204,14 @@ class TestWhiteness:
         assert rep.mirror_max > 0.9
         assert not rep.passed
 
+    def test_field_matrix_list_matches_stacked_array(self):
+        for dist in ("complex_standard", "real_standard"):
+            mats = [build_periodized_field(
+                H_TEST, sample_noise(8, 12, NoiseSpec(dist, s), margin=1),
+                8, 12) for s in range(40)]
+            stacked = np.stack([m.entries for m in mats])
+            assert whiteness_check(mats) == whiteness_check(stacked)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             whiteness_check(np.zeros((1, 4, 4)))
