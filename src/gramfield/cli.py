@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -88,6 +87,7 @@ class ExperimentConfig:
             raise ValueError("real_case mode requires a real filter")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        _check_distinct(self.seeds)
         for z in self.z_grid:
             if not (np.isfinite(z) and complex(z).imag > 0):
                 raise ValueError(
@@ -126,6 +126,16 @@ def _settings(cls, doc, section):
     return cls(**{k: v if v is None else casts[k](v) for k, v in doc.items()})
 
 
+def _check_distinct(seeds):
+    """Raise on a repeated seed, which would be simulated and counted
+    twice in every mean and pooled spectrum."""
+    seen = set()
+    for seed in seeds:
+        if seed in seen:
+            raise ValueError(f"seed {seed} is listed more than once")
+        seen.add(seed)
+
+
 def load_config(path):
     with open(path) as fh:
         return ExperimentConfig.from_json_dict(json.load(fh))
@@ -143,7 +153,7 @@ def _deterministic_part(cfg):
         lam = matgen.build_pseudo_diagonal(cfg.lambda_diag, cfg.N, cfg.n)
         f_left = transforms.fourier_matrix(cfg.N)
         f_right = transforms.fourier_matrix(cfg.n)
-        a = f_left.adjoint_entries() @ lam.entries @ f_right.entries
+        a = f_left.conj().T @ lam.entries @ f_right
         return matgen.FieldMatrix(a, kind="generic")
     return None
 
@@ -158,8 +168,7 @@ def _coupled_fields(h, N, n, dist, seed):
     """(raw, periodized) fields of ``h`` built from one noise sheet."""
     noise = matgen.sample_noise(N, n, matgen.NoiseSpec(dist, seed),
                                 margin=h.radius)
-    return (matgen.build_field(h, noise, N, n),
-            matgen.build_periodized_field(h, noise, N, n))
+    return matgen.build_field(h, noise), matgen.build_periodized_field(h, noise)
 
 
 def _simulate_seed(cfg, det, seed):
@@ -204,25 +213,21 @@ def _solve_batch(cfg, z_values):
     return kernels
 
 
-def run_experiment(cfg: ExperimentConfig, threads=1):
+def run_experiment(cfg: ExperimentConfig):
     """Execute a configured run; returns the summary dict.
 
-    Artifacts written to the output directory: per-seed eigenvalue CSVs,
-    the pooled ECDF, the solver table at the configured z grid, the
-    inverted limiting CDF, and a summary CSV.  Non-converged solver
-    points are recorded, not fatal.
+    Seeds are simulated one after another, in order.  Artifacts written
+    to the output directory: per-seed eigenvalue CSVs, the pooled ECDF,
+    the solver table at the configured z grid, the inverted limiting CDF,
+    and a summary CSV.  Non-converged solver points are recorded, not
+    fatal.
     """
     out_dir = cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     det = _deterministic_part(cfg)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda s: _simulate_seed(cfg, det, s), cfg.seeds))
-    else:
-        results = [_simulate_seed(cfg, det, s) for s in cfg.seeds]
+    results = [_simulate_seed(cfg, det, s) for s in cfg.seeds]
 
     for res in results:
         np.savetxt(out / f"eigenvalues_seed{res['seed']}.csv",
@@ -231,7 +236,7 @@ def run_experiment(cfg: ExperimentConfig, threads=1):
 
     pooled_vals = np.sort(np.concatenate(
         [res["spectrum"].eigenvalues for res in results]))
-    pooled = EmpiricalSpectrum(eigenvalues=pooled_vals, dim=len(pooled_vals))
+    pooled = EmpiricalSpectrum(eigenvalues=pooled_vals)
     pooled_ecdf = pooled.ecdf()
     write_cdf_csv(pooled_ecdf, out / "pooled_ecdf.csv")
 
@@ -286,6 +291,7 @@ def sweep_alpha(h, sizes, seeds):
         raise ValueError("sweep_alpha needs at least two sizes")
     if not seeds:
         raise ValueError("sweep_alpha needs a nonempty seed list")
+    _check_distinct(seeds)
     rows = []
     for N, n in sizes:
         alphas = [spectra.trace_stats(*_coupled_fields(
@@ -296,7 +302,7 @@ def sweep_alpha(h, sizes, seeds):
 
 def _cmd_run(args):
     cfg = load_config(args.config)
-    summary = run_experiment(cfg, threads=args.threads)
+    summary = run_experiment(cfg)
     print(_metric_lines(summary), end="")
     return 0
 
@@ -329,8 +335,6 @@ def main(argv=None):
         prog="gramfield",
         description="Gram spectra of stationary Gaussian fields: simulation, "
                     "limit solving, and distribution comparison.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-seed simulation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a configured experiment")

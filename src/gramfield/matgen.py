@@ -7,8 +7,9 @@ A raw field matrix has entries
 over an i.i.d. Gaussian noise sheet U, and its periodized companion
 replaces the noise indices by (j1 - k1) mod N and (j2 - k2) mod n so
 that only the N x n noise block is consumed.  Both constructions read
-the same sampled noise object, so their difference is confined to a
-border band of width equal to the filter radius.
+the same sampled noise object, whose shape less twice its margin is the
+N x n window, so their difference is confined to a border band of width
+equal to the filter radius.
 
 Randomness is counter-based and fully reproducible: each noise matrix
 draws from ``Philox(key=(seed, 0))``, one stream per seed in
@@ -147,18 +148,11 @@ def sample_noise(N, n, spec, margin=0):
     return FieldMatrix(entries, kind="noise", seed=spec.seed, margin=margin)
 
 
-def _window_block(noise, N, n):
-    m = noise.margin
-    if noise.rows - 2 * m < N or noise.cols - 2 * m < n:
-        raise ValueError(
-            f"noise window {noise.rows - 2 * m} x {noise.cols - 2 * m} "
-            f"smaller than requested {N} x {n}")
-    return noise.entries[m:m + N, m:m + n]
-
-
-def _filtered(h, sheet, margin, N, n):
-    """n^{-1/2} sum_k h(k) sheet[margin + j - k] on the N x n window, in
-    sorted-coefficient order; real when h and the sheet are."""
+def _filtered(h, sheet, margin):
+    """n^{-1/2} sum_k h(k) sheet[margin + j - k] on the window that the
+    margin leaves, in sorted-coefficient order; real when h and the sheet
+    are."""
+    N, n = sheet.shape[0] - 2 * margin, sheet.shape[1] - 2 * margin
     k1s, k2s, coeffs = h.arrays()
     out = np.zeros((N, n), dtype=np.complex128)
     for k1, k2, c in zip(k1s, k2s, coeffs):
@@ -170,31 +164,35 @@ def _filtered(h, sheet, margin, N, n):
     return out
 
 
-def build_field(h: FilterSequence2D, noise: FieldMatrix, N, n):
-    """Raw field: Z[j1, j2] = n^{-1/2} sum_k h(k) U(j1-k1, j2-k2)."""
+def build_field(h: FilterSequence2D, noise: FieldMatrix):
+    """Raw field: Z[j1, j2] = n^{-1/2} sum_k h(k) U(j1-k1, j2-k2).
+
+    The field covers the sheet's N x n window, its shape less twice the
+    margin; the margin must reach the filter radius.
+    """
     if noise.kind != "noise":
         raise ValueError("build_field needs a noise matrix")
-    _window_block(noise, N, n)  # dimension sanity
     m = noise.margin
     if h.radius > m:
         raise ValueError(
             f"noise margin {m} too small for filter radius {h.radius}")
-    out = _filtered(h, noise.entries, m, N, n)
+    out = _filtered(h, noise.entries, m)
     return FieldMatrix(out, kind="raw_field", seed=noise.seed)
 
 
-def build_periodized_field(h: FilterSequence2D, noise: FieldMatrix, N, n):
+def build_periodized_field(h: FilterSequence2D, noise: FieldMatrix):
     """Periodized field: noise indices reduced mod N and mod n.
 
-    This is the raw-field sum over the periodic extension of the central
-    N x n block of the noise sheet, so the raw and periodized fields
-    built from one sheet are coupled.
+    This is the raw-field sum over the periodic extension of the sheet's
+    central N x n window, so the raw and periodized fields built from one
+    sheet are coupled.
     """
     if noise.kind != "noise":
         raise ValueError("build_periodized_field needs a noise matrix")
-    block = _window_block(noise, N, n)
+    m = noise.margin
+    block = noise.entries[m:noise.rows - m, m:noise.cols - m]
     r = h.radius
-    out = _filtered(h, np.pad(block, r, mode="wrap"), r, N, n)
+    out = _filtered(h, np.pad(block, r, mode="wrap"), r)
     return FieldMatrix(out, kind="periodized_field", seed=noise.seed)
 
 
@@ -268,30 +266,36 @@ def build_pseudo_diagonal(diag, N, n):
 def save_matrix_csv(mat: FieldMatrix, path):
     """Write a matrix as CSV: metadata header then (row, col, re, im) lines.
 
-    Layout: line 1 ``rows,cols,kind,seed``, line 2 the values, line 3 the
-    column header, then one line per entry in row-major order with 17
-    significant digits (lossless for doubles).  :func:`load_matrix_csv`
-    round-trips exactly.
+    Layout: line 1 ``rows,cols,kind,seed,margin``, line 2 the values,
+    line 3 the column header, then one line per entry in row-major order
+    with 17 significant digits (lossless for doubles).
+    :func:`load_matrix_csv` round-trips exactly.
     """
     e = np.asarray(mat).ravel()
     rows, cols = np.divmod(np.arange(e.size), mat.cols)
     np.savetxt(path, np.column_stack([rows, cols, e.real, e.imag]),
                fmt=("%d", "%d", "%.17g", "%.17g"), delimiter=",", comments="",
-               header=f"rows,cols,kind,seed\n{mat.rows},{mat.cols},"
-                      f"{mat.kind},{mat.seed}\nrow,col,re,im")
+               header=f"rows,cols,kind,seed,margin\n{mat.rows},{mat.cols},"
+                      f"{mat.kind},{mat.seed},{mat.margin}\nrow,col,re,im")
 
 
 def load_matrix_csv(path):
     """Read a :func:`save_matrix_csv` file; raises unless its entry lines
-    are exactly the row-major (row, col) grid of the header's shape."""
+    are exactly the row-major (row, col) grid of the header's shape and
+    its margin leaves a nonempty window."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if header != ["rows", "cols", "kind", "seed"]:
+        if header != ["rows", "cols", "kind", "seed", "margin"]:
             raise ValueError(f"malformed matrix CSV header in {path}")
-        rows_s, cols_s, kind, seed_s = fh.readline().strip().split(",")
-        rows, cols, seed = int(rows_s), int(cols_s), int(seed_s)
+        rows_s, cols_s, kind, seed_s, margin_s = \
+            fh.readline().strip().split(",")
+        rows, cols = int(rows_s), int(cols_s)
+        seed, margin = int(seed_s), int(margin_s)
         fh.readline()  # column header
         lines = fh.readlines()
+    if margin < 0 or (margin and min(rows, cols) <= 2 * margin):
+        raise ValueError(f"margin {margin} in {path} is negative or leaves "
+                         f"no window of the {rows} x {cols} matrix")
     table = (np.loadtxt(lines, delimiter=",", ndmin=2) if lines
              else np.empty((0, 4)))
     grid = np.indices((rows, cols)).reshape(2, -1).T
@@ -303,4 +307,4 @@ def load_matrix_csv(path):
     entries = table[:, 2:].copy().view(np.complex128).reshape(rows, cols)
     if np.all(entries.imag == 0.0):
         entries = entries.real.copy()
-    return FieldMatrix(entries, kind=kind, seed=seed)
+    return FieldMatrix(entries, kind=kind, seed=seed, margin=margin)

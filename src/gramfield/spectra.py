@@ -1,8 +1,8 @@
 """Gram spectra, distribution functions, distances, and Stieltjes tools.
 
 An empirical spectrum is the sorted nonnegative eigenvalue list of a
-Gram matrix MM* (left) or M*M (right); it induces a right-continuous
-step ECDF.  Distribution functions may also be tabulated (a monotone
+Gram matrix MM* (pass M* for M*M); it induces a right-continuous step
+ECDF.  Distribution functions may also be tabulated (a monotone
 grid of (x, F(x)) pairs, with repeated x values encoding jumps), which
 is how inverted limiting distributions are stored.
 
@@ -49,15 +49,12 @@ _CLIP = 1e-9  # relative floor below which small negative eigenvalues are zeroed
 
 @dataclass(frozen=True)
 class EmpiricalSpectrum:
-    """Sorted nonnegative eigenvalues of a Gram matrix of side ``dim``."""
+    """Sorted nonnegative eigenvalues of a Gram matrix."""
 
     eigenvalues: np.ndarray = field(repr=False)
-    dim: int
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        if len(vals) != self.dim:
-            raise ValueError(f"{len(vals)} eigenvalues for dim {self.dim}")
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
         if np.any(vals < 0):
@@ -68,20 +65,15 @@ class EmpiricalSpectrum:
         return DistributionFunction.from_spectrum(self)
 
 
-def gram_spectrum(mat, side="left"):
-    """Eigenvalues of MM* (side="left") or M*M (side="right").
+def gram_spectrum(mat):
+    """Eigenvalues of MM*; ``gram_spectrum(M.conj().T)`` gives those of M*M.
 
     The Gram product is formed explicitly and fed to a self-adjoint
     eigensolver; roundoff negatives down to -1e-9 * max|eig| are clipped
     to zero, anything lower raises.
     """
     entries = np.asarray(mat)
-    if side == "left":
-        g = entries @ entries.conj().T
-    elif side == "right":
-        g = entries.conj().T @ entries
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    g = entries @ entries.conj().T
     vals = np.linalg.eigvalsh(g)
     scale = max(1.0, float(np.abs(vals).max()) if len(vals) else 1.0)
     if vals.min(initial=0.0) < -_CLIP * scale:
@@ -89,7 +81,7 @@ def gram_spectrum(mat, side="left"):
             f"Gram eigenvalue {vals.min():.3e} below clipping floor "
             f"{-_CLIP * scale:.3e}")
     vals = np.clip(vals, 0.0, None)
-    return EmpiricalSpectrum(eigenvalues=np.sort(vals), dim=len(vals))
+    return EmpiricalSpectrum(eigenvalues=np.sort(vals))
 
 
 class DistributionFunction:

@@ -17,14 +17,13 @@ samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .matgen import FieldMatrix
 
 __all__ = [
-    "UnitaryTransform",
     "fourier_matrix",
     "real_orthogonal_matrix",
     "congruence",
@@ -38,24 +37,12 @@ _MAX_PAIRS = 2000  # entry pairs per family sampled by whiteness_check
 _SUBSAMPLE_SEED = 20200405  # Philox key of that subsample
 
 
-@dataclass(frozen=True)
-class UnitaryTransform:
-    """A p x p unitary (fourier) or orthogonal (real_orthogonal) matrix."""
-
-    size: int
-    entries: np.ndarray = field(repr=False)
-
-    def adjoint_entries(self):
-        return self.entries.conj().T
-
-
 def fourier_matrix(p):
     """Unitary Fourier matrix with entries p^{-1/2} e^{2 pi i j1 j2 / p}."""
     if p < 1:
         raise ValueError("p must be >= 1")
     j = np.arange(p)
-    entries = np.exp(2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)
-    return UnitaryTransform(size=p, entries=entries)
+    return np.exp(2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)
 
 
 def real_orthogonal_matrix(p):
@@ -78,21 +65,22 @@ def real_orthogonal_matrix(p):
         q[2 * j1, :] = np.sqrt(2.0 / p) * np.sin(angle)
     if p % 2 == 0 and p > 1:
         q[p - 1, :] = (-1.0) ** j2 / np.sqrt(p)
-    return UnitaryTransform(size=p, entries=q)
+    return q
 
 
-def congruence(t_left: UnitaryTransform, mat: FieldMatrix,
-               t_right: UnitaryTransform):
+def congruence(t_left, mat: FieldMatrix, t_right):
     """T_left @ M @ T_right^adjoint (transpose when T_right is real).
 
+    The transforms are square arrays matching M's rows and columns.
     Gram spectra of the input and output coincide because both factors
     are unitary.
     """
-    if t_left.size != mat.rows or t_right.size != mat.cols:
+    t_left, t_right = np.asarray(t_left), np.asarray(t_right)
+    if t_left.shape != (mat.rows,) * 2 or t_right.shape != (mat.cols,) * 2:
         raise ValueError(
-            f"transform sizes ({t_left.size}, {t_right.size}) do not match "
-            f"matrix shape {mat.shape}")
-    out = t_left.entries @ mat.entries @ t_right.adjoint_entries()
+            f"transform shapes {t_left.shape} and {t_right.shape} do not "
+            f"match matrix shape {mat.shape}")
+    out = t_left @ mat.entries @ t_right.conj().T
     return FieldMatrix(out, kind="generic", seed=mat.seed)
 
 

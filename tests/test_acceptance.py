@@ -41,11 +41,11 @@ def pooled_spectrum(h, N, n, seeds, *, real=False, extra=None):
     vals = []
     for s in seeds:
         noise = gf.sample_noise(N, n, gf.NoiseSpec(dist, s), margin=h.radius)
-        z = gf.build_field(h, noise, N, n)
+        z = gf.build_field(h, noise)
         m = z if extra is None else z + extra
         vals.append(gf.gram_spectrum(m).eigenvalues)
     v = np.sort(np.concatenate(vals))
-    return gf.EmpiricalSpectrum(eigenvalues=v, dim=len(v))
+    return gf.EmpiricalSpectrum(eigenvalues=v)
 
 
 def keep_kernels(label, kernels):
@@ -98,7 +98,7 @@ def test_criterion_3_fourier_congruence():
 
     noise = gf.sample_noise(N, n, gf.NoiseSpec("complex_standard", 0),
                             margin=H2.radius)
-    zt = gf.build_periodized_field(H2, noise, N, n)
+    zt = gf.build_periodized_field(H2, noise)
     y = gf.congruence(F_N, zt, F_n)
     s_direct = gf.gram_spectrum(zt).eigenvalues
     s_conj = gf.gram_spectrum(y).eigenvalues
@@ -109,7 +109,7 @@ def test_criterion_3_fourier_congruence():
     for s in range(S):
         noise = gf.sample_noise(N, n, gf.NoiseSpec("complex_standard", s),
                                 margin=H2.radius)
-        zt = gf.build_periodized_field(H2, noise, N, n)
+        zt = gf.build_periodized_field(H2, noise)
         acc += np.abs(gf.congruence(F_N, zt, F_n).entries) ** 2
     mean = acc / S * n
     grid = gf.variance_profile_grid(sym, N, n)
@@ -131,8 +131,8 @@ def test_criterion_4_coupling_statistics():
             noise = gf.sample_noise(size, size,
                                     gf.NoiseSpec("complex_standard", s),
                                     margin=H2.radius)
-            z = gf.build_field(H2, noise, size, size)
-            zt = gf.build_periodized_field(H2, noise, size, size)
+            z = gf.build_field(H2, noise)
+            zt = gf.build_periodized_field(H2, noise)
             alpha, _, _ = gf.trace_stats(z, zt)
             alphas.append(alpha)
         means.append(float(np.mean(alphas)))
@@ -149,8 +149,8 @@ def test_criterion_4_coupling_statistics():
     for s in range(100):
         noise = gf.sample_noise(64, 64, gf.NoiseSpec("complex_standard", s),
                                 margin=H2.radius)
-        z = gf.build_field(H2, noise, 64, 64)
-        zt = gf.build_periodized_field(H2, noise, 64, 64)
+        z = gf.build_field(H2, noise)
+        zt = gf.build_periodized_field(H2, noise)
         lhs, rhs = gf.bai_bound(z, zt)
         bai_ok = bai_ok and lhs <= rhs
         checked += 1
@@ -179,7 +179,7 @@ def test_criterion_5_square_toeplitz_pipeline():
     n = 256
     C = gf.build_circulant(A1, n)
     F = gf.fourier_matrix(n)
-    D = F.entries @ C.entries @ F.adjoint_entries()
+    D = F @ C.entries @ F.conj().T
     expected_diag = gf.circulant_eigenvalues(A1, n)
     off = D.copy()
     np.fill_diagonal(off, 0.0)
@@ -268,7 +268,7 @@ def test_criterion_7_real_case_whiteness_and_esd():
     for s in range(S):
         noise = gf.sample_noise(N, n, gf.NoiseSpec("real_standard", s),
                                 margin=H2.radius)
-        zt = gf.build_periodized_field(H2, noise, N, n)
+        zt = gf.build_periodized_field(H2, noise)
         samples[s] = gf.congruence(Q_N, zt, Q_n).entries
     rep = gf.whiteness_check(samples)
     white_ok = rep.passed
@@ -304,7 +304,7 @@ def test_criterion_7_real_case_variance_symmetrized_grid():
     for s in range(S):
         noise = gf.sample_noise(N, n, gf.NoiseSpec("real_standard", s),
                                 margin=H2.radius)
-        zt = gf.build_periodized_field(H2, noise, N, n)
+        zt = gf.build_periodized_field(H2, noise)
         acc += gf.congruence(Q_N, zt, Q_n).entries ** 2
     mean = acc / S * n
     grid = gf.symmetrized_variance_grid(sym, N, n)

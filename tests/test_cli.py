@@ -59,15 +59,6 @@ class TestRun:
         for p in (tmp_path / "out").iterdir():
             assert p.read_bytes() == blobs[p.name]
 
-    def test_threads_match_serial(self, tmp_path):
-        doc = base_config(tmp_path)
-        path = write_config(tmp_path, doc)
-        cli.run_experiment(cli.load_config(path))
-        serial = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
-        cli.run_experiment(cli.load_config(path), threads=3)
-        for p in (tmp_path / "out").iterdir():
-            assert p.read_bytes() == serial[p.name]
-
     def test_square_identity_is_delta_one(self, tmp_path):
         doc = base_config(
             tmp_path,
@@ -178,6 +169,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cli.load_config(write_config(tmp_path, doc))
 
+    def test_repeated_seed_rejected(self, tmp_path):
+        # used to write one eigenvalue file and pool its spectrum twice
+        doc = base_config(tmp_path, seeds=[3, 1, 3])
+        with pytest.raises(ValueError, match="seed 3 is listed more than"):
+            cli.load_config(write_config(tmp_path, doc))
+
     def test_non_finite_lambda_diag_rejected(self, tmp_path):
         # used to pass and fail later inside the eigensolver
         doc = base_config(tmp_path, mode="noncentered_pseudodiag",
@@ -227,7 +224,7 @@ class TestCompare:
     def test_file_vs_itself(self, tmp_path):
         vals = np.array([0.1, 0.5, 0.9])
         path = tmp_path / "f.csv"
-        write_cdf_csv(EmpiricalSpectrum(eigenvalues=vals, dim=3).ecdf(), path)
+        write_cdf_csv(EmpiricalSpectrum(eigenvalues=vals).ecdf(), path)
         levy, kolmogorov = cli.compare_distributions(path, path)
         assert levy == 0.0
         assert kolmogorov == 0.0
@@ -235,10 +232,8 @@ class TestCompare:
     def test_delta_masses(self, tmp_path):
         p0 = tmp_path / "d0.csv"
         p3 = tmp_path / "d3.csv"
-        write_cdf_csv(EmpiricalSpectrum(
-            eigenvalues=np.array([0.0]), dim=1).ecdf(), p0)
-        write_cdf_csv(EmpiricalSpectrum(
-            eigenvalues=np.array([0.3]), dim=1).ecdf(), p3)
+        write_cdf_csv(EmpiricalSpectrum(np.array([0.0])).ecdf(), p0)
+        write_cdf_csv(EmpiricalSpectrum(np.array([0.3])).ecdf(), p3)
         levy, kolmogorov = cli.compare_distributions(p0, p3)
         assert levy == pytest.approx(0.3, abs=1e-8)
         assert kolmogorov == 1.0
@@ -264,6 +259,12 @@ class TestSweepAlpha:
             cli.sweep_alpha(h, [(8, 8)], [0])
         with pytest.raises(ValueError):
             cli.sweep_alpha(h, [(8, 8), (16, 16)], [])
+
+    def test_repeated_seed_rejected(self):
+        from gramfield.symbols import FilterSequence2D
+        h = FilterSequence2D({(0, 0): 1})
+        with pytest.raises(ValueError, match="seed 0 is listed more than"):
+            cli.sweep_alpha(h, [(8, 8), (16, 16)], [0, 1, 0])
 
 
 class TestMainEntry:
@@ -291,7 +292,3 @@ class TestMainEntry:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "N,n,mean_alpha"
         assert lines[-1] == "monotone_decreasing,1"
-
-    def test_threads_flag(self, tmp_path):
-        path = write_config(tmp_path, base_config(tmp_path))
-        assert cli.main(["--threads", "2", "run", str(path)]) == 0

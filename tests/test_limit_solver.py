@@ -441,7 +441,7 @@ class TestMonteCarloAgreement:
             vals = []
             for s in range(20):
                 noise = sample_noise(size, size, NoiseSpec(seed=s), margin=1)
-                zm = build_field(H_TEST, noise, size, size)
+                zm = build_field(H_TEST, noise)
                 from gramfield.spectra import gram_spectrum
                 vals.append(empirical_stieltjes(gram_spectrum(zm), z))
             errs[size] = abs(np.mean(vals) - f_limit)
@@ -464,17 +464,18 @@ class TestMonteCarloAgreement:
         z = 1j
         pi, pit = solve_noncentered(sym.profile, c, H, z, TIGHT)
         # A = F_N^* Lambda F_n so that F_N A F_n^* is pseudo-diagonal
-        a_entries = fourier_matrix(N).adjoint_entries() @ lam.entries \
-            @ fourier_matrix(n).entries
+        a_entries = fourier_matrix(N).conj().T @ lam.entries \
+            @ fourier_matrix(n)
         vals_left, vals_right = [], []
         for s in range(40):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
-            zm = build_field(H_TEST, noise, N, n)
+            zm = build_field(H_TEST, noise)
             total = zm.entries + a_entries
             from gramfield.matgen import FieldMatrix
             m = FieldMatrix(total)
-            vals_left.append(empirical_stieltjes(gram_spectrum(m, "left"), z))
-            vals_right.append(empirical_stieltjes(gram_spectrum(m, "right"), z))
+            vals_left.append(empirical_stieltjes(gram_spectrum(m), z))
+            vals_right.append(empirical_stieltjes(
+                gram_spectrum(m.entries.conj().T), z))
         assert abs(np.mean(vals_left) - pi.value) < 0.02
         assert abs(np.mean(vals_right) - pit.value) < 0.02
 
@@ -493,11 +494,11 @@ class TestEndToEndRectangular:
         vals = []
         for s in range(20):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=H_TEST.radius)
-            z = build_field(H_TEST, noise, N, n)
+            z = build_field(H_TEST, noise)
             from gramfield.spectra import gram_spectrum
             vals.append(gram_spectrum(z).eigenvalues)
         v = np.sort(np.concatenate(vals))
-        e = EmpiricalSpectrum(eigenvalues=v, dim=len(v))
+        e = EmpiricalSpectrum(eigenvalues=v)
         grid = default_inversion_grid(e)
         cfg = SolverConfig(tolerance=1e-7, max_iterations=100000, damping=0.5)
         ks = solve_centered_many(sym.profile, N / n, grid + 1e-3j, cfg)
@@ -524,16 +525,16 @@ class TestEndToEndRectangular:
         diag = np.where(np.arange(N) < N // 2, 1.0, 2.0)
         lam = build_pseudo_diagonal(diag, N, n)
         H = measure_from_lambda(lam)
-        a_entries = fourier_matrix(N).adjoint_entries() @ lam.entries \
-            @ fourier_matrix(n).entries
+        a_entries = fourier_matrix(N).conj().T @ lam.entries \
+            @ fourier_matrix(n)
         vals = []
         for s in range(20):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=H_TEST.radius)
-            z = build_field(H_TEST, noise, N, n)
+            z = build_field(H_TEST, noise)
             m = FieldMatrix(z.entries + a_entries)
             vals.append(gram_spectrum(m).eigenvalues)
         v = np.sort(np.concatenate(vals))
-        e = EmpiricalSpectrum(eigenvalues=v, dim=len(v))
+        e = EmpiricalSpectrum(eigenvalues=v)
         grid = default_inversion_grid(e)
         cfg = SolverConfig(tolerance=1e-7, max_iterations=100000, damping=0.5)
         pairs = solve_noncentered_many(sym.profile, 1.0, H, grid + 1e-3j, cfg)

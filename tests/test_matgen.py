@@ -62,21 +62,21 @@ class TestBuildField:
     def test_identity_filter_restricts_noise(self):
         h = FilterSequence2D({(0, 0): 1})
         noise = sample_noise(6, 9, NoiseSpec(seed=3), margin=2)
-        z = build_field(h, noise, 6, 9)
+        z = build_field(h, noise)
         assert np.allclose(z.entries, noise.entries[2:8, 2:11] / 3.0)
         assert z.kind == "raw_field"
 
     def test_empty_filter_gives_zero(self):
         h = FilterSequence2D({})
         noise = sample_noise(4, 4, NoiseSpec(seed=3))
-        z = build_field(h, noise, 4, 4)
+        z = build_field(h, noise)
         assert np.all(z.entries == 0)
 
     def test_margin_too_small(self):
         h = FilterSequence2D({(2, 0): 1})
         noise = sample_noise(4, 4, NoiseSpec(seed=3), margin=1)
         with pytest.raises(ValueError, match="margin"):
-            build_field(h, noise, 4, 4)
+            build_field(h, noise)
 
     def test_entry_variance_monte_carlo(self):
         # sample mean of |Z|^2 over entries and seeds targets C(0,0)/n;
@@ -88,7 +88,7 @@ class TestBuildField:
         acc = 0.0
         for s in range(S):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
-            z = build_field(h, noise, N, n)
+            z = build_field(h, noise)
             acc += np.mean(np.abs(z.entries) ** 2)
         mean = acc / S
         c00 = h.covariance(0, 0).real
@@ -105,7 +105,7 @@ class TestBuildField:
         traces = []
         for s in range(S):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
-            z = build_field(h, noise, N, n)
+            z = build_field(h, noise)
             traces.append(np.sum(np.abs(z.entries) ** 2) / n)
         c00 = h.covariance(0, 0).real
         sum_c2 = sum(abs(h.covariance(d1, d2)) ** 2
@@ -118,8 +118,8 @@ class TestPeriodized:
     def test_identity_filter_no_wrap(self):
         h = FilterSequence2D({(0, 0): 1})
         noise = sample_noise(8, 8, NoiseSpec(seed=5), margin=0)
-        z = build_field(h, noise, 8, 8)
-        zt = build_periodized_field(h, noise, 8, 8)
+        z = build_field(h, noise)
+        zt = build_periodized_field(h, noise)
         assert np.array_equal(z.entries, zt.entries)
 
     def test_full_wrap_shift(self):
@@ -127,7 +127,7 @@ class TestPeriodized:
         N = n = 8
         h = FilterSequence2D({(N, 0): 1})
         noise = sample_noise(N, n, NoiseSpec(seed=6), margin=N)
-        zt = build_periodized_field(h, noise, N, n)
+        zt = build_periodized_field(h, noise)
         block = noise.entries[N:2 * N, N:2 * N]
         assert np.allclose(zt.entries, block / np.sqrt(n))
 
@@ -136,8 +136,8 @@ class TestPeriodized:
         N = n = 64
         r = h.radius
         noise = sample_noise(N, n, NoiseSpec(seed=7), margin=r)
-        z = build_field(h, noise, N, n)
-        zt = build_periodized_field(h, noise, N, n)
+        z = build_field(h, noise)
+        zt = build_periodized_field(h, noise)
         diff = np.abs((z - zt).entries)
         assert np.all(diff[r:N - r, r:n - r] == 0)
         assert diff.max() > 0  # border band genuinely differs
@@ -149,8 +149,8 @@ class TestPeriodized:
             alphas = []
             for s in range(50):
                 noise = sample_noise(size, size, NoiseSpec(seed=s), margin=1)
-                z = build_field(h, noise, size, size)
-                zt = build_periodized_field(h, noise, size, size)
+                z = build_field(h, noise)
+                zt = build_periodized_field(h, noise)
                 alphas.append(np.sum(np.abs(z.entries - zt.entries) ** 2) / size)
             means.append(np.mean(alphas))
         assert means[1] <= 0.5 * means[0]
@@ -168,14 +168,32 @@ class TestPeriodized:
                 for (k1, k2), c in taps.items():
                     expected[j1, j2] += c * U[(j1 - k1) % N, (j2 - k2) % n]
         expected /= np.sqrt(n)
-        zt = build_periodized_field(FilterSequence2D(taps), noise, N, n)
+        zt = build_periodized_field(FilterSequence2D(taps), noise)
         assert np.allclose(zt.entries, expected, rtol=0, atol=1e-14)
+
+    def test_window_inside_wider_margin(self):
+        # margin 3 around a 5 x 7 window, filter radius 1: both fields
+        # cover the window, and the raw one reads the sheet at offset 3
+        N, n, m = 5, 7, 3
+        taps = {(0, 0): 1.0, (1, -1): 0.5 - 0.25j, (-1, 0): 0.75}
+        h = FilterSequence2D(taps)
+        noise = sample_noise(N, n, NoiseSpec(seed=13), margin=m)
+        U = noise.entries
+        expected = np.zeros((N, n), dtype=complex)
+        for j1 in range(N):
+            for j2 in range(n):
+                for (k1, k2), c in taps.items():
+                    expected[j1, j2] += c * U[m + j1 - k1, m + j2 - k2]
+        expected /= np.sqrt(n)
+        z = build_field(h, noise)
+        assert np.allclose(z.entries, expected, rtol=0, atol=1e-14)
+        assert build_periodized_field(h, noise).shape == (N, n)
 
     def test_alpha_zero_for_identity(self):
         h = FilterSequence2D({(0, 0): 1})
         noise = sample_noise(16, 16, NoiseSpec(seed=8), margin=0)
-        z = build_field(h, noise, 16, 16)
-        zt = build_periodized_field(h, noise, 16, 16)
+        z = build_field(h, noise)
+        zt = build_periodized_field(h, noise)
         assert np.sum(np.abs(z.entries - zt.entries) ** 2) == 0
 
 
@@ -238,7 +256,7 @@ class TestCirculant:
         n = 16
         C = build_circulant(a, n)
         F = fourier_matrix(n)
-        D = F.entries @ C.entries @ F.adjoint_entries()
+        D = F @ C.entries @ F.conj().T
         diag = circulant_eigenvalues(a, n)
         off = D.copy()
         np.fill_diagonal(off, 0.0)
@@ -319,6 +337,30 @@ class TestCsvRoundTrip:
         assert back.seed == 9
         assert np.array_equal(back.entries, noise.entries)
 
+    def test_noise_margin_round_trips(self, tmp_path):
+        # the margin places the N x n window inside the sheet, so a sheet
+        # reloaded without it would filter a shifted, larger block
+        h = FilterSequence2D({(0, 0): 1, (1, 0): 0.5})
+        noise = sample_noise(5, 7, NoiseSpec(seed=9), margin=1)
+        path = tmp_path / "m.csv"
+        save_matrix_csv(noise, path)
+        back = load_matrix_csv(path)
+        assert back.margin == 1
+        for build in (build_field, build_periodized_field):
+            assert np.array_equal(build(h, back).entries,
+                                  build(h, noise).entries)
+
+    @pytest.mark.parametrize("margin", ["-1", "2", "3"])
+    def test_margin_without_window_rejected(self, tmp_path, margin):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(sample_noise(2, 4, NoiseSpec(seed=9), margin=1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[1] == "4,6,noise,9,1\n"
+        lines[1] = f"4,6,noise,9,{margin}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_matrix_csv(path)
+
     def test_real_matrix(self, tmp_path):
         A = build_toeplitz(FilterSequence1D({0: 1.5, 2: -0.125}), 4)
         path = tmp_path / "a.csv"
@@ -332,7 +374,7 @@ class TestCsvRoundTrip:
                                   [1 / 3, complex(1e300, -1.0)]]), seed=7)
         save_matrix_csv(m, path)
         assert path.read_text() == (
-            "rows,cols,kind,seed\n2,2,generic,7\nrow,col,re,im\n"
+            "rows,cols,kind,seed,margin\n2,2,generic,7,0\nrow,col,re,im\n"
             "0,0,-0,0.10000000000000001\n"
             "0,1,4.9406564584124654e-324,0\n"
             "1,0,0.33333333333333331,0\n"
@@ -340,7 +382,7 @@ class TestCsvRoundTrip:
         save_matrix_csv(FieldMatrix(np.array([[-0.0, 5e-324, 0.1],
                                               [1 / 3, 1e300, 2.0]])), path)
         assert path.read_text() == (
-            "rows,cols,kind,seed\n2,3,generic,0\nrow,col,re,im\n"
+            "rows,cols,kind,seed,margin\n2,3,generic,0,0\nrow,col,re,im\n"
             "0,0,-0,0\n0,1,4.9406564584124654e-324,0\n"
             "0,2,0.10000000000000001,0\n1,0,0.33333333333333331,0\n"
             "1,1,1.0000000000000001e+300,0\n1,2,2,0\n")

@@ -15,7 +15,7 @@ from oracles import brute_kolmogorov, brute_levy, grid_levy_sample_vs_table
 
 def spectrum_of(vals):
     vals = np.sort(np.asarray(vals, dtype=float))
-    return EmpiricalSpectrum(eigenvalues=vals, dim=len(vals))
+    return EmpiricalSpectrum(eigenvalues=vals)
 
 
 class TestGramSpectrum:
@@ -31,22 +31,19 @@ class TestGramSpectrum:
         e = np.zeros((2, 3))
         e[0, 0], e[1, 1] = 1.0, 2.0
         m = FieldMatrix(e)
-        assert np.allclose(gram_spectrum(m, "left").eigenvalues, [1, 4])
-        assert np.allclose(gram_spectrum(m, "right").eigenvalues, [0, 1, 4])
+        assert np.allclose(gram_spectrum(m).eigenvalues, [1, 4])
+        assert np.allclose(gram_spectrum(m.entries.conj().T).eigenvalues,
+                           [0, 1, 4])
 
     def test_left_right_share_nonzero(self):
         noise = sample_noise(10, 17, NoiseSpec(seed=31))
-        left = gram_spectrum(noise, "left").eigenvalues
-        right = gram_spectrum(noise, "right").eigenvalues
+        left = gram_spectrum(noise).eigenvalues
+        right = gram_spectrum(noise.entries.conj().T).eigenvalues
         assert len(right) - len(left) == 7
         # the 7 extra values are (numerical) zeros
         assert np.abs(right[:7]).max() <= 1e-9 * left.max()
         assert np.abs(np.sort(right[7:]) - np.sort(left)).max() \
             <= 1e-9 * left.max()
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            gram_spectrum(FieldMatrix(np.eye(2)), side="middle")
 
 
 class TestKolmogorov:
@@ -198,8 +195,8 @@ class TestBaiBound:
         h = FilterSequence2D({(0, 0): 1, (1, 0): 0.5, (0, 1): 0.25})
         for s in range(20):
             noise = sample_noise(64, 64, NoiseSpec(seed=s), margin=1)
-            z = build_field(h, noise, 64, 64)
-            zt = build_periodized_field(h, noise, 64, 64)
+            z = build_field(h, noise)
+            zt = build_periodized_field(h, noise)
             lhs, rhs = bai_bound(z, zt)
             assert lhs <= rhs
 
@@ -228,8 +225,8 @@ class TestTraceStats:
         betas = []
         for s in range(S):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=0)
-            z = build_field(h, noise, N, n)
-            zt = build_periodized_field(h, noise, N, n)
+            z = build_field(h, noise)
+            zt = build_periodized_field(h, noise)
             _, beta, _ = trace_stats(z, zt)
             betas.append(beta)
         # var over seeds of (1/n)||Z||_F^2 = N/n^2 for the identity filter
@@ -242,8 +239,8 @@ class TestTraceStats:
         B = FieldMatrix(b_entries)
         for s in range(10):
             noise = sample_noise(12, 20, NoiseSpec(seed=s), margin=1)
-            z = build_field(h, noise, 12, 20)
-            zt = build_periodized_field(h, noise, 12, 20)
+            z = build_field(h, noise)
+            zt = build_periodized_field(h, noise)
             _, beta, _ = trace_stats(z, zt, B)
             t_z = np.sum(np.abs(z.entries) ** 2) / 20
             t_b = np.sum(np.abs(B.entries) ** 2) / 20
@@ -326,7 +323,7 @@ class TestCdfCsv:
 
 def test_negative_eigenvalues_rejected():
     with pytest.raises(ValueError):
-        EmpiricalSpectrum(eigenvalues=np.array([-0.5, 1.0]), dim=2)
+        EmpiricalSpectrum(eigenvalues=np.array([-0.5, 1.0]))
 
 
 @pytest.mark.parametrize("xs, fs", [

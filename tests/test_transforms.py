@@ -14,15 +14,15 @@ H_TEST = FilterSequence2D({(0, 0): 1, (1, 0): 0.5, (0, 1): 0.25})
 
 class TestFourierMatrix:
     def test_p1(self):
-        assert np.array_equal(fourier_matrix(1).entries, [[1.0]])
+        assert np.array_equal(fourier_matrix(1), [[1.0]])
 
     def test_p2(self):
         expect = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert np.allclose(fourier_matrix(2).entries, expect, atol=1e-15)
+        assert np.allclose(fourier_matrix(2), expect, atol=1e-15)
 
     def test_unitarity(self):
         for p in (3, 8, 17, 64):
-            F = fourier_matrix(p).entries
+            F = fourier_matrix(p)
             assert np.abs(F @ F.conj().T - np.eye(p)).max() < 1e-12
 
     def test_p0_rejected(self):
@@ -33,10 +33,10 @@ class TestFourierMatrix:
 class TestRealOrthogonal:
     def test_p2(self):
         expect = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert np.allclose(real_orthogonal_matrix(2).entries, expect)
+        assert np.allclose(real_orthogonal_matrix(2), expect)
 
     def test_p3_rows(self):
-        q = real_orthogonal_matrix(3).entries
+        q = real_orthogonal_matrix(3)
         ang = 2 * np.pi * np.arange(3) / 3
         assert np.allclose(q[0], np.ones(3) / np.sqrt(3))
         assert np.allclose(q[1], np.sqrt(2 / 3) * np.cos(ang))
@@ -44,11 +44,11 @@ class TestRealOrthogonal:
 
     def test_orthogonality(self):
         for p in (1, 2, 5, 6, 31, 64):
-            q = real_orthogonal_matrix(p).entries
+            q = real_orthogonal_matrix(p)
             assert np.abs(q @ q.T - np.eye(p)).max() < 1e-12
 
     def test_row_norms_and_dots(self):
-        q = real_orthogonal_matrix(12).entries
+        q = real_orthogonal_matrix(12)
         gram = q @ q.T
         assert np.allclose(np.diagonal(gram), 1.0, atol=1e-12)
         off = gram - np.diag(np.diagonal(gram))
@@ -81,7 +81,7 @@ class TestCongruence:
         N = n = 16
         h = H_TEST
         noise = sample_noise(N, n, NoiseSpec("real_standard", 3), margin=1)
-        zt = build_periodized_field(h, noise, N, n)
+        zt = build_periodized_field(h, noise)
         w = congruence(real_orthogonal_matrix(N), zt, real_orthogonal_matrix(n))
         s0 = gram_spectrum(zt).eigenvalues
         s1 = gram_spectrum(w).eigenvalues
@@ -113,7 +113,7 @@ class TestVarianceProfileGrid:
         acc = np.zeros((N, n))
         for s in range(S):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
-            zt = build_periodized_field(h, noise, N, n)
+            zt = build_periodized_field(h, noise)
             y = congruence(F_N, zt, F_n)
             acc += np.abs(y.entries) ** 2
         mean = acc / S * n
@@ -132,7 +132,7 @@ class TestVarianceProfileGrid:
         acc = np.zeros((N, n))
         for s in range(S):
             noise = sample_noise(N, n, NoiseSpec("real_standard", s), margin=1)
-            zt = build_periodized_field(h, noise, N, n)
+            zt = build_periodized_field(h, noise)
             w = congruence(Q, zt, Q)
             acc += w.entries ** 2
         mean = acc / S * n
@@ -149,7 +149,7 @@ class TestVarianceProfileGrid:
         h = H_TEST
         sym = SpectralSymbol2D(h)
         N = n = 12
-        q = real_orthogonal_matrix(N).entries
+        q = real_orthogonal_matrix(N)
         # wrapped autocovariance on the fundamental domain
         cov = np.zeros((N, n))
         for d1 in range(N):
@@ -184,7 +184,7 @@ class TestWhiteness:
         samples = np.empty((200, N, n), dtype=complex)
         for s in range(200):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
-            zt = build_periodized_field(h, noise, N, n)
+            zt = build_periodized_field(h, noise)
             samples[s] = congruence(F, zt, F).entries
         rep = whiteness_check(samples)
         assert rep.passed
@@ -198,7 +198,7 @@ class TestWhiteness:
         samples = np.empty((100, N, n), dtype=complex)
         for s in range(100):
             noise = sample_noise(N, n, NoiseSpec("real_standard", s), margin=1)
-            zt = build_periodized_field(h, noise, N, n)
+            zt = build_periodized_field(h, noise)
             samples[s] = congruence(F, zt, F).entries
         rep = whiteness_check(samples)
         assert rep.mirror_max > 0.9
@@ -207,8 +207,8 @@ class TestWhiteness:
     def test_field_matrix_list_matches_stacked_array(self):
         for dist in ("complex_standard", "real_standard"):
             mats = [build_periodized_field(
-                H_TEST, sample_noise(8, 12, NoiseSpec(dist, s), margin=1),
-                8, 12) for s in range(40)]
+                H_TEST, sample_noise(8, 12, NoiseSpec(dist, s), margin=1))
+                for s in range(40)]
             stacked = np.stack([m.entries for m in mats])
             assert whiteness_check(mats) == whiteness_check(stacked)
 
