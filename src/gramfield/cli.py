@@ -30,8 +30,8 @@ from .limit_solver import (SolverConfig, measure_from_lambda,
 from .spectra import (EmpiricalSpectrum, bai_bound, default_inversion_grid,
                       invert_stieltjes_to_cdf, kolmogorov_distance,
                       levy_distance, read_cdf_csv, write_cdf_csv)
-from .symbols import (FilterSequence1D, FilterSequence2D, SpectralSymbol1D,
-                      SpectralSymbol2D, filter_from_json_dict)
+from .symbols import (FilterSequence1D, FilterSequence2D, SpectralSymbol,
+                      filter_from_json_dict)
 
 OUTPUT_DIR_ENV = "GRAMFIELD_OUTPUT_DIR"
 
@@ -43,6 +43,16 @@ class InversionSettings:
     eta: float = 1e-3
     step: float = 5e-3
     pad: float = 1.0
+
+    def __post_init__(self):
+        for name in ("eta", "step"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"inversion {name} must be finite and "
+                                 f"positive, got {value}")
+        if not (np.isfinite(self.pad) and self.pad >= 0):
+            raise ValueError("inversion pad must be finite and nonnegative, "
+                             f"got {self.pad}")
 
 
 @dataclass
@@ -146,15 +156,14 @@ def _g17(x):
 
 
 def _deterministic_part(cfg):
-    """The matrix added to the field, or None for centered modes."""
+    """The array added to the field, or None for centered modes."""
     if cfg.mode == "square_toeplitz":
-        return matgen.build_toeplitz(cfg.filter1d, cfg.n)
+        return np.asarray(matgen.build_toeplitz(cfg.filter1d, cfg.n))
     if cfg.mode == "noncentered_pseudodiag":
         lam = matgen.build_pseudo_diagonal(cfg.lambda_diag, cfg.N, cfg.n)
         f_left = transforms.fourier_matrix(cfg.N)
         f_right = transforms.fourier_matrix(cfg.n)
-        a = f_left.conj().T @ lam.entries @ f_right
-        return matgen.FieldMatrix(a, kind="generic")
+        return f_left.conj().T @ lam.entries @ f_right
     return None
 
 
@@ -165,10 +174,11 @@ def _metric_lines(summary):
 
 
 def _coupled_fields(h, N, n, dist, seed):
-    """(raw, periodized) fields of ``h`` built from one noise sheet."""
+    """(raw, periodized) field arrays of ``h`` built from one noise sheet."""
     noise = matgen.sample_noise(N, n, matgen.NoiseSpec(dist, seed),
                                 margin=h.radius)
-    return matgen.build_field(h, noise), matgen.build_periodized_field(h, noise)
+    return (np.asarray(matgen.build_field(h, noise)),
+            np.asarray(matgen.build_periodized_field(h, noise)))
 
 
 def _simulate_seed(cfg, det, seed):
@@ -196,11 +206,11 @@ def _simulate_seed(cfg, det, seed):
 
 def _solve_batch(cfg, z_values):
     """Kernels' f-values plus residual/iteration bookkeeping per z."""
-    sym = SpectralSymbol2D(cfg.filter2d)
+    sym = SpectralSymbol(cfg.filter2d)
     c = cfg.N / cfg.n
     profile = sym.profile
     if cfg.mode == "square_toeplitz":
-        sym1 = SpectralSymbol1D(cfg.filter1d)
+        sym1 = SpectralSymbol(cfg.filter1d)
         pairs = solve_square_many(profile, sym1.profile, z_values, cfg.solver)
         kernels = [p[0] for p in pairs]
     elif cfg.mode == "noncentered_pseudodiag":

@@ -42,10 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matgen import FieldMatrix
-
 __all__ = [
-    "QuadratureGrid",
     "SolverConfig",
     "StieltjesKernel",
     "AtomicMeasureH",
@@ -67,19 +64,10 @@ _HAT_COUNT = 8  # hat test functions used by verify_kernel_axioms
 _AXIOM_SLACK = 1e-10  # its tolerance, relative to 1/Im z
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Midpoint rule on [0, 1]: nodes (k + 1/2)/M, weights 1/M."""
-
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-    @classmethod
-    def midpoint(cls, m):
-        if m < 1:
-            raise ValueError("grid size must be positive")
-        k = np.arange(m)
-        return cls(nodes=(k + 0.5) / m, weights=np.full(m, 1.0 / m))
+def _midpoints(m):
+    """Nodes (k + 1/2)/m of the m-point midpoint rule on [0, 1]; every
+    node carries weight 1/m."""
+    return (np.arange(m) + 0.5) / m
 
 
 @dataclass(frozen=True)
@@ -103,8 +91,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.grid_size < 8:
             raise ValueError("grid_size must be at least 8")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(
+                f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.damping is not None and not 0 < self.damping <= 1:
@@ -192,9 +181,9 @@ class AtomicMeasureH:
         object.__setattr__(self, "weights", w)
 
 
-def measure_from_lambda(lam_matrix: FieldMatrix):
+def measure_from_lambda(lam_matrix):
     """Diagonal measure (1/N) sum_i delta_{(i/N, |diag_i|^2)} of a
-    pseudo-diagonal matrix."""
+    pseudo-diagonal ``FieldMatrix``."""
     if lam_matrix.kind != "pseudo_diagonal":
         raise ValueError("measure_from_lambda needs a pseudo_diagonal matrix")
     N = lam_matrix.rows
@@ -207,9 +196,11 @@ def measure_from_lambda(lam_matrix: FieldMatrix):
 def measure_from_profile(fn, m):
     """Atomic approximation of the image of Lebesgue measure under
     u -> (u, fn(u)), on the m-point midpoint grid."""
-    grid = QuadratureGrid.midpoint(m)
-    lam = np.array([float(fn(u)) for u in grid.nodes])
-    return AtomicMeasureH(u=grid.nodes, lam=lam, weights=grid.weights)
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    nodes = _midpoints(m)
+    lam = np.array([float(fn(u)) for u in nodes])
+    return AtomicMeasureH(u=nodes, lam=lam, weights=np.full(m, 1.0 / m))
 
 
 def _evaluate(name, fn, *args):
@@ -313,8 +304,7 @@ def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
     if not 0 < c <= 1:
         raise ValueError("aspect ratio c must lie in (0, 1]")
     z = _check_z(z_values)
-    grid = QuadratureGrid.midpoint(cfg.grid_size)
-    x = grid.nodes
+    x = _midpoints(cfg.grid_size)
     P = _evaluate("profile", profile, x[:, None], x[None, :])  # P[x or u, t]
     P2, P2T = _real_factors(P)
     m = cfg.grid_size
@@ -327,7 +317,7 @@ def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
 
     w = np.tile((-1.0 / z)[:, None] / m, (1, m))
     stats = _iterate(z, cfg, (w,), update)
-    return _kernels(z, stats, grid.nodes, w)
+    return _kernels(z, stats, x, w)
 
 
 def _solve_one(label, solve_many, z, cfg, *args):
@@ -354,8 +344,7 @@ def solve_centered(profile, c, z, cfg=SolverConfig()):
 def solve_square_many(profile, symbol_sq, z_values, cfg=SolverConfig()):
     """Square-Toeplitz kernels (pi, pi_tilde) at a batch of z points."""
     z = _check_z(z_values)
-    grid = QuadratureGrid.midpoint(cfg.grid_size)
-    x = grid.nodes
+    x = _midpoints(cfg.grid_size)
     P = _evaluate("profile", profile, x[:, None], x[None, :])   # P[u, t]
     P2, P2T = _real_factors(P)
     psi2 = _evaluate("|psi|^2", symbol_sq, x)[None, :]      # |psi(u)|^2
@@ -373,8 +362,7 @@ def solve_square_many(profile, symbol_sq, z_values, cfg=SolverConfig()):
     w = np.tile((-1.0 / z)[:, None] / m, (1, m))
     wt = w.copy()
     stats = _iterate(z, cfg, (w, wt), update)
-    return list(zip(_kernels(z, stats, grid.nodes, w),
-                    _kernels(z, stats, grid.nodes, wt)))
+    return list(zip(_kernels(z, stats, x, w), _kernels(z, stats, x, wt)))
 
 
 def solve_square(profile, symbol_sq, z, cfg=SolverConfig()):
@@ -453,7 +441,7 @@ class KernelAxiomReport:
     >= 0 for g >= 0.  Property 4: Im (z int g dpi) >= 0 for g >= 0.
     Each is evaluated for g == 1 and a family of nonnegative hat
     functions on [0, 1].  Property 2 (analyticity in z) admits no finite
-    test and is reported as skipped.
+    test and is not tested.
     """
 
     bound_ok: bool
@@ -462,7 +450,6 @@ class KernelAxiomReport:
     max_bound_excess: float
     min_imag: float
     min_imag_z: float
-    analyticity_tested: bool = False
 
     @property
     def passed(self):

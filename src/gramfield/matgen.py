@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import FilterSequence1D, FilterSequence2D, SpectralSymbol1D
+from .symbols import FilterSequence1D, FilterSequence2D, SpectralSymbol
 
 __all__ = [
     "FIELD_KINDS",
@@ -50,7 +50,7 @@ class FieldMatrix:
     entries derive from (0 for purely deterministic matrices).  ``margin``
     is nonzero only for noise sheets sampled on an enlarged window.
     Instances are treated as immutable once built, and convert to their
-    entries through ``np.asarray``.
+    entries through ``np.asarray``; arithmetic is done on those arrays.
     """
 
     def __init__(self, entries, kind="generic", seed=0, margin=0):
@@ -92,18 +92,6 @@ class FieldMatrix:
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype, copy=copy)
-
-    def __add__(self, other):
-        a = np.asarray(other)
-        if a.shape != self.entries.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {a.shape}")
-        return FieldMatrix(self.entries + a, kind="generic", seed=self.seed)
-
-    def __sub__(self, other):
-        a = np.asarray(other)
-        if a.shape != self.entries.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {a.shape}")
-        return FieldMatrix(self.entries - a, kind="generic", seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -248,7 +236,7 @@ def build_circulant(a: FilterSequence1D, n):
 
 def circulant_eigenvalues(a: FilterSequence1D, n):
     """Diagonal psi_n(k/n), k = 0..n-1, of the Fourier-conjugated circulant."""
-    sym = SpectralSymbol1D(a, truncation=n)
+    sym = SpectralSymbol(a, truncation=n)
     return np.asarray(sym.eval(np.arange(n) / n), dtype=np.complex128)
 
 

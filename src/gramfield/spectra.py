@@ -49,12 +49,14 @@ _CLIP = 1e-9  # relative floor below which small negative eigenvalues are zeroed
 
 @dataclass(frozen=True)
 class EmpiricalSpectrum:
-    """Sorted nonnegative eigenvalues of a Gram matrix."""
+    """Sorted, finite, nonnegative eigenvalues of a Gram matrix."""
 
     eigenvalues: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
         if np.any(vals < 0):
@@ -80,8 +82,8 @@ def gram_spectrum(mat):
         raise ValueError(
             f"Gram eigenvalue {vals.min():.3e} below clipping floor "
             f"{-_CLIP * scale:.3e}")
-    vals = np.clip(vals, 0.0, None)
-    return EmpiricalSpectrum(eigenvalues=np.sort(vals))
+    # eigvalsh returns ascending values, and clipping keeps their order
+    return EmpiricalSpectrum(eigenvalues=np.clip(vals, 0.0, None))
 
 
 class DistributionFunction:
@@ -149,9 +151,6 @@ class DistributionFunction:
             out[mid] = f0 + (x[mid] - x0) / (x1 - x0) * (f1 - f0)
         return float(out[0]) if scalar else out
 
-    def breakpoints(self):
-        return np.unique(self.xs)
-
     @property
     def total_mass(self):
         return float(self.fs[-1])
@@ -168,11 +167,9 @@ def _as_cdf(obj):
 def kolmogorov_distance(f, g):
     """sup_x |F(x) - G(x)| over the merged breakpoints (both limits)."""
     F, G = _as_cdf(f), _as_cdf(g)
-    pts = np.union1d(F.breakpoints(), G.breakpoints())
-    if len(pts) == 0:
-        return 0.0
-    d_right = np.abs(np.atleast_1d(F.eval(pts)) - np.atleast_1d(G.eval(pts)))
-    d_left = np.abs(np.atleast_1d(F.eval_left(pts)) - np.atleast_1d(G.eval_left(pts)))
+    pts = np.union1d(F.xs, G.xs)
+    d_right = np.abs(F.eval(pts) - G.eval(pts))
+    d_left = np.abs(F.eval_left(pts) - G.eval_left(pts))
     return float(max(d_right.max(), d_left.max()))
 
 

@@ -3,8 +3,10 @@
 The deterministic input of the whole pipeline is a finitely supported
 complex sequence on the integer lattice Z^d, d = 1 or 2: the 2-d filter
 h(k1, k2) or the 1-d sequence a(j).  One class, generic in ``dims``,
-covers both.  Everything derived from a filter here is an exact finite
-sum: the absolute coefficient sum, the autocovariance
+covers both (``FilterSequence2D`` and ``FilterSequence1D`` fix ``dims``),
+and one ``SpectralSymbol`` evaluates the symbol of either, taking one
+argument per filter dimension.  Everything derived from a filter here is
+an exact finite sum: the absolute coefficient sum, the autocovariance
 
     C(j) = sum_k h(k) * conj(h(k - j)),
 
@@ -30,8 +32,6 @@ __all__ = [
     "FilterSequence2D",
     "FilterSequence1D",
     "SpectralSymbol",
-    "SpectralSymbol2D",
-    "SpectralSymbol1D",
     "filter_to_json_dict",
     "filter_from_json_dict",
     "save_filter",
@@ -153,10 +153,6 @@ class SpectralSymbol:
         self.source = source
         self.truncation = truncation
 
-    @property
-    def sup_bound(self):
-        return self.source.coeff_abs_sum
-
     def eval(self, *t):
         if len(t) != self.source.dims:
             raise TypeError(f"a {self.source.dims}-d symbol takes "
@@ -176,20 +172,10 @@ class SpectralSymbol:
             return complex(out)
         return out
 
-    __call__ = eval
-
     def profile(self, *t):
         """Variance profile |symbol(t)|^2."""
         val = self.eval(*t)
         return np.abs(val) ** 2 if isinstance(val, np.ndarray) else abs(val) ** 2
-
-
-class SpectralSymbol2D(SpectralSymbol):
-    """Phi(t1, t2) of a 2-d filter."""
-
-
-class SpectralSymbol1D(SpectralSymbol):
-    """psi(t) of a 1-d sequence."""
 
 
 def filter_to_json_dict(filt):

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matgen import FieldMatrix
-
 __all__ = [
     "fourier_matrix",
     "real_orthogonal_matrix",
@@ -68,20 +66,21 @@ def real_orthogonal_matrix(p):
     return q
 
 
-def congruence(t_left, mat: FieldMatrix, t_right):
+def congruence(t_left, mat, t_right):
     """T_left @ M @ T_right^adjoint (transpose when T_right is real).
 
-    The transforms are square arrays matching M's rows and columns.
+    ``mat`` is an array or a ``FieldMatrix``, and the transforms are
+    square arrays matching its rows and columns.  Returns a plain array.
     Gram spectra of the input and output coincide because both factors
     are unitary.
     """
-    t_left, t_right = np.asarray(t_left), np.asarray(t_right)
-    if t_left.shape != (mat.rows,) * 2 or t_right.shape != (mat.cols,) * 2:
+    t_left, mat, t_right = (np.asarray(a) for a in (t_left, mat, t_right))
+    rows, cols = mat.shape
+    if t_left.shape != (rows, rows) or t_right.shape != (cols, cols):
         raise ValueError(
             f"transform shapes {t_left.shape} and {t_right.shape} do not "
             f"match matrix shape {mat.shape}")
-    out = t_left @ mat.entries @ t_right.conj().T
-    return FieldMatrix(out, kind="generic", seed=mat.seed)
+    return t_left @ mat @ t_right.conj().T
 
 
 def variance_profile_grid(sym, N, n):
@@ -92,7 +91,7 @@ def variance_profile_grid(sym, N, n):
     """
     t1 = np.arange(N) / N
     t2 = np.arange(n) / n
-    return np.abs(sym.eval(t1[:, None], t2[None, :])) ** 2
+    return sym.profile(t1[:, None], t2[None, :])
 
 
 def symmetrized_variance_grid(sym, N, n):
@@ -112,8 +111,8 @@ def symmetrized_variance_grid(sym, N, n):
         raise ValueError("symmetrized grid requires a real-coefficient filter")
     f1 = np.floor((np.arange(N) + 1.0) / 2.0) / N
     f2 = np.floor((np.arange(n) + 1.0) / 2.0) / n
-    plus = np.abs(sym.eval(f1[:, None], f2[None, :])) ** 2
-    minus = np.abs(sym.eval(f1[:, None], -f2[None, :])) ** 2
+    plus = sym.profile(f1[:, None], f2[None, :])
+    minus = sym.profile(f1[:, None], -f2[None, :])
     return 0.5 * (plus + minus)
 
 

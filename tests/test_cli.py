@@ -209,6 +209,23 @@ class TestConfigValidation:
                                              f"'{key}'"):
             cli.load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("key, value", [
+        ("step", 0.0), ("step", -0.1), ("step", float("nan")),
+        ("pad", -5.0), ("pad", float("inf")),
+        ("eta", 0.0), ("eta", float("nan"))])
+    def test_bad_inversion_setting_fails_before_output(self, tmp_path, key,
+                                                       value):
+        # used to simulate every seed and write the eigenvalue, pooled-ECDF
+        # and stieltjes.csv files before failing in the inversion
+        out = tmp_path / "out"
+        out.mkdir()
+        doc = base_config(tmp_path)
+        doc["inversion"] = dict(doc["inversion"], **{key: value})
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ValueError, match=f"inversion {key} must be finite"):
+            cli.main(["run", str(path)])
+        assert list(out.iterdir()) == []
+
     def test_settings_defaults_and_casts(self, tmp_path):
         doc = base_config(tmp_path, solver={"grid_size": 16.0,
                                             "damping": None},

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gramfield.limit_solver import (AtomicMeasureH, QuadratureGrid,
-                                    SolverConfig, SolverConvergenceError,
+from gramfield.limit_solver import (AtomicMeasureH, SolverConfig,
+                                    SolverConvergenceError,
                                     StieltjesKernel, measure_from_lambda,
                                     measure_from_profile,
                                     solve_centered, solve_centered_many,
@@ -12,7 +12,7 @@ from gramfield.limit_solver import (AtomicMeasureH, QuadratureGrid,
 from gramfield.matgen import build_pseudo_diagonal
 from gramfield.spectra import invert_stieltjes_to_cdf
 from gramfield.symbols import (FilterSequence1D, FilterSequence2D,
-                               SpectralSymbol1D, SpectralSymbol2D)
+                               SpectralSymbol)
 
 from oracles import mp_cdf, mp_stieltjes
 
@@ -24,10 +24,13 @@ TIGHT = SolverConfig(tolerance=1e-12, max_iterations=50000)
 
 class TestConfigAndGrid:
     def test_midpoint_grid(self):
-        g = QuadratureGrid.midpoint(8)
-        assert np.allclose(g.nodes, (np.arange(8) + 0.5) / 8)
-        assert g.weights.sum() == pytest.approx(1.0)
-        assert np.all(np.diff(g.nodes) > 0)
+        cfg = SolverConfig(grid_size=8)
+        k = solve_centered(ONES, 1.0, 1j, cfg)
+        assert np.array_equal(k.nodes, (np.arange(8) + 0.5) / 8)
+
+    def test_profile_measure_needs_a_node(self):
+        with pytest.raises(ValueError, match="m must be positive"):
+            measure_from_profile(lambda u: 1.0, 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -36,6 +39,13 @@ class TestConfigAndGrid:
             SolverConfig(tolerance=0)
         with pytest.raises(ValueError):
             SolverConfig(damping=1.5)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # NaN ran every iteration and reported residual 0.0 unconverged;
+        # inf "converged" after one iteration
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            SolverConfig(tolerance=tol)
 
     def test_damping_rule(self):
         cfg = SolverConfig()
@@ -75,14 +85,14 @@ class TestCentered:
         assert np.allclose(k.weights, (-1.0 / z) / len(k.weights))
 
     def test_residual_reevaluated(self):
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         k = solve_centered(sym.profile, 1.0, 1j, TIGHT)
         assert k.converged
         assert k.residual <= TIGHT.tolerance
 
     def test_batch_matches_single(self):
         # batched and one-at-a-time solves agree to summation-order noise
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         zs = [1j, 0.5 + 0.25j, -2.0 + 1e-3j]
         batch = solve_centered_many(sym.profile, 1.0, zs, TIGHT)
         for z, kb in zip(zs, batch):
@@ -91,7 +101,7 @@ class TestCentered:
             assert np.abs(ks.weights - kb.weights).max() < 1e-14
 
     def test_grid_refinement(self):
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         z = 1.0 + 0.5j
         f64 = solve_centered(sym.profile, 1.0, z,
                              SolverConfig(grid_size=64, tolerance=1e-12,
@@ -102,7 +112,7 @@ class TestCentered:
         assert abs(f64 - f128) < 1e-3
 
     def test_transform_properties(self):
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         for z in (1j, 3 + 0.2j, -1 + 0.05j):
             k = solve_centered(sym.profile, 0.75, z, TIGHT)
             f = k.value
@@ -111,13 +121,13 @@ class TestCentered:
             assert (z * f).imag >= -1e-12
 
     def test_tail_normalization(self):
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         y = 1e3
         f = solve_centered(sym.profile, 1.0, 1j * y, TIGHT).value
         assert abs(-1j * y * f - 1.0) < 1e-2
 
     def test_nonconvergence_raises_with_kernel(self):
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
         with pytest.raises(SolverConvergenceError) as err:
             solve_centered(sym.profile, 1.0, 0.5 + 0.01j, cfg)
@@ -204,9 +214,9 @@ def _noncentered_update_reference(profile, c, H, tail, z, w, wt):
 
 class TestConjugateSymmetry:
     def test_update_map_commutes_with_conjugation(self):
-        sym = SpectralSymbol2D(H_TEST)
-        g = QuadratureGrid.midpoint(16)
-        P = sym.profile(g.nodes[:, None], g.nodes[None, :])
+        sym = SpectralSymbol(H_TEST)
+        x = (np.arange(16) + 0.5) / 16
+        P = sym.profile(x[:, None], x[None, :])
         rng = np.random.default_rng(3)
         w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         z = 0.7 + 0.9j
@@ -218,12 +228,12 @@ class TestConjugateSymmetry:
         # iterating at conj(z) from the conjugate initial point converges
         # to the conjugate kernel: its weights are a fixed point of the
         # conjugated map within the same tolerance
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         cfg = SolverConfig(grid_size=16, tolerance=1e-12, max_iterations=50000)
         z = 0.4 + 0.8j
         k = solve_centered(sym.profile, 1.0, z, cfg)
-        g = QuadratureGrid.midpoint(16)
-        P = sym.profile(g.nodes[:, None], g.nodes[None, :])
+        x = (np.arange(16) + 0.5) / 16
+        P = sym.profile(x[:, None], x[None, :])
         w_conj = np.conj(k.weights)
         up = _centered_update_reference(P, 1.0, np.conj(z), w_conj)
         assert np.abs(up - w_conj).max() <= cfg.tolerance
@@ -249,16 +259,16 @@ class TestSquare:
     def test_symmetric_profile_swaps_kernels(self):
         # |Phi(u,t)| = |Phi(t,u)| makes the two coupled kernels equal
         h = FilterSequence2D({(0, 0): 1, (1, 1): 0.5})
-        sym2 = SpectralSymbol2D(h)
-        sym1 = SpectralSymbol1D(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
+        sym2 = SpectralSymbol(h)
+        sym1 = SpectralSymbol(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
         pi, pit = solve_square(sym2.profile, sym1.profile, 0.7 + 0.6j, TIGHT)
         assert np.abs(pi.weights - pit.weights).max() < 1e-10
 
     def test_total_masses_agree_for_square_matrices(self):
         # both Gram sides of a square matrix share the spectrum, so the
         # two kernels carry the same total mass even when they differ
-        sym2 = SpectralSymbol2D(H_TEST)
-        sym1 = SpectralSymbol1D(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
+        sym2 = SpectralSymbol(H_TEST)
+        sym1 = SpectralSymbol(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
         pi, pit = solve_square(sym2.profile, sym1.profile, 1j, TIGHT)
         assert abs(pi.value - pit.value) < 1e-9
         assert np.abs(pi.weights - pit.weights).max() > 1e-4  # kernels differ
@@ -284,7 +294,7 @@ class TestNonCentered:
     def test_lambda_zero_reduces_to_centered_general_profile(self):
         # atoms placed on the quadrature nodes make the two discretized
         # systems share their fixed point exactly
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         H = measure_from_profile(lambda u: 0.0, TIGHT.grid_size)
         for z in (1j, 0.5 + 2j):
             pi, _ = solve_noncentered(sym.profile, 1.0, H, z, TIGHT)
@@ -292,8 +302,8 @@ class TestNonCentered:
             assert abs(pi.value - k.value) < 1e-8
 
     def test_symbol_measure_matches_square(self):
-        sym2 = SpectralSymbol2D(H_TEST)
-        sym1 = SpectralSymbol1D(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
+        sym2 = SpectralSymbol(H_TEST)
+        sym1 = SpectralSymbol(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
         H = measure_from_profile(sym1.profile, TIGHT.grid_size)
         for z in (1j, -0.5 + 0.3j):
             pi, pit = solve_noncentered(sym2.profile, 1.0, H, z, TIGHT)
@@ -304,7 +314,7 @@ class TestNonCentered:
     def test_zero_padding_relation_for_thin_matrices(self):
         # with lambda == 0 the tilde transform is the zero-padded one:
         # ftilde = c f + (1 - c)(-1/z)
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         H = measure_from_profile(lambda u: 0.0, 32)
         c = 0.4
         z = 0.8 + 1.2j
@@ -329,7 +339,7 @@ class TestNonCentered:
     def test_fixed_point_of_reference_update_with_tail(self):
         # c < 1, nonzero lambda and a non-constant profile: the returned
         # pair, atoms and (1 - c) tail together, solves the equations
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         u = (np.arange(6) + 1) / 6
         H = AtomicMeasureH(u=u, lam=1.0 + 0.5 * np.cos(2 * np.pi * u),
                            weights=np.full(6, 1 / 6))
@@ -385,7 +395,7 @@ class TestMeasureFromLambda:
         # lambda-marginal ECDF of (1/N) sum delta_{|psi_n(k/n)|^2} vs the
         # pushforward of Lebesgue measure under |psi|^2, sampled finely
         a = FilterSequence1D({0: 1, 1: 0.5, -1: 0.5})
-        sym = SpectralSymbol1D(a)
+        sym = SpectralSymbol(a)
         N = 4096
         diag = sym.eval(np.arange(N) / N)
         lam = build_pseudo_diagonal(diag, N, N)
@@ -401,15 +411,14 @@ class TestMeasureFromLambda:
 
 class TestKernelAxioms:
     def test_converged_kernels_pass(self):
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         for z in (1j, 0.3 + 0.5j, -2 + 0.1j):
             k = solve_centered(sym.profile, 1.0, z, TIGHT)
             rep = verify_kernel_axioms(k)
             assert rep.passed
-            assert not rep.analyticity_tested
 
     def test_hand_built_negative_imag_fails(self):
-        nodes = QuadratureGrid.midpoint(8).nodes
+        nodes = (np.arange(8) + 0.5) / 8
         w = np.full(8, 0.1 - 0.05j)
         k = StieltjesKernel(z=1j, nodes=nodes, weights=w)
         rep = verify_kernel_axioms(k)
@@ -419,7 +428,7 @@ class TestKernelAxioms:
     def test_point_mass_saturates_bound(self):
         # f(z) = -1/z at z = iy: |f| = 1/y, equality in the bound
         y = 3.0
-        nodes = QuadratureGrid.midpoint(8).nodes
+        nodes = (np.arange(8) + 0.5) / 8
         w = np.full(8, (-1.0 / (1j * y)) / 8)
         k = StieltjesKernel(z=1j * y, nodes=nodes, weights=w)
         rep = verify_kernel_axioms(k)
@@ -433,7 +442,7 @@ class TestMonteCarloAgreement:
         # matrix grows
         from gramfield.matgen import NoiseSpec, build_field, sample_noise
         from gramfield.spectra import empirical_stieltjes
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         z = 1j
         f_limit = solve_centered(sym.profile, 1.0, z, TIGHT).value
         errs = {}
@@ -455,7 +464,7 @@ class TestMonteCarloAgreement:
                                       build_pseudo_diagonal, sample_noise)
         from gramfield.spectra import empirical_stieltjes, gram_spectrum
         from gramfield.transforms import fourier_matrix
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         N, n = 64, 128
         c = N / n
         lam_diag = 0.8 * np.ones(N)
@@ -489,7 +498,7 @@ class TestEndToEndRectangular:
                                        default_inversion_grid,
                                        invert_stieltjes_to_cdf,
                                        kolmogorov_distance)
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         N, n = 128, 256
         vals = []
         for s in range(20):
@@ -520,7 +529,7 @@ class TestEndToEndRectangular:
                                        invert_stieltjes_to_cdf,
                                        kolmogorov_distance)
         from gramfield.transforms import fourier_matrix
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         N = n = 128
         diag = np.where(np.arange(N) < N // 2, 1.0, 2.0)
         lam = build_pseudo_diagonal(diag, N, n)

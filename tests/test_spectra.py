@@ -326,6 +326,14 @@ def test_negative_eigenvalues_rejected():
         EmpiricalSpectrum(eigenvalues=np.array([-0.5, 1.0]))
 
 
+@pytest.mark.parametrize("vals", [[0.1, np.nan, 2.0], [0.1, 2.0, np.inf]])
+def test_non_finite_eigenvalues_rejected(vals):
+    # both pass the order and sign checks; a NaN made the Stieltjes
+    # transform NaN
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        EmpiricalSpectrum(eigenvalues=np.array(vals))
+
+
 @pytest.mark.parametrize("xs, fs", [
     ([0.0, np.nan, 1.0], [0.0, 0.5, 1.0]),
     ([0.0, 0.5, np.inf], [0.0, 0.5, 1.0]),

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from gramfield import symbols
 from gramfield.symbols import (FilterSequence1D, FilterSequence2D,
-                               SpectralSymbol, SpectralSymbol1D,
-                               SpectralSymbol2D, filter_from_json_dict,
+                               SpectralSymbol, filter_from_json_dict,
                                filter_to_json_dict, load_filter, save_filter)
 
 
@@ -22,32 +21,32 @@ def random_filter2d(rng, n_terms=5, span=3):
 
 class TestPhi:
     def test_zero_frequency_term(self):
-        sym = SpectralSymbol2D(FilterSequence2D({(0, 0): 1}))
+        sym = SpectralSymbol(FilterSequence2D({(0, 0): 1}))
         for t1, t2 in [(0, 0), (0.3, 0.7), (1, 1)]:
             assert sym.eval(t1, t2) == pytest.approx(1.0)
 
     def test_single_exponential(self):
-        sym = SpectralSymbol2D(FilterSequence2D({(1, 0): 1}))
+        sym = SpectralSymbol(FilterSequence2D({(1, 0): 1}))
         assert sym.eval(0.25, 0.9) == pytest.approx(1j)
 
     def test_two_term_cancellation(self):
         # 1 + e^{-i pi} = 0 at (t1, t2) = (0, 0.5); minus sign on the
         # second index is what produces the cancellation
-        sym = SpectralSymbol2D(FilterSequence2D({(0, 0): 1, (0, 1): 1}))
+        sym = SpectralSymbol(FilterSequence2D({(0, 0): 1, (0, 1): 1}))
         assert abs(sym.eval(0.0, 0.5)) == pytest.approx(0.0, abs=1e-15)
 
     def test_sup_bound_random(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             filt = random_filter2d(rng)
-            sym = SpectralSymbol2D(filt)
+            sym = SpectralSymbol(filt)
             t1, t2 = rng.random(20), rng.random(20)
             assert np.all(np.abs(sym.eval(t1, t2)) <= filt.coeff_abs_sum + 1e-12)
 
     def test_periodicity(self):
         rng = np.random.default_rng(8)
         filt = random_filter2d(rng)
-        sym = SpectralSymbol2D(filt)
+        sym = SpectralSymbol(filt)
         for t1, t2 in rng.random((10, 2)):
             assert sym.eval(t1, t2) == pytest.approx(sym.eval(t1 + 1, t2))
             assert sym.eval(t1, t2) == pytest.approx(sym.eval(t1, t2 - 1))
@@ -57,7 +56,7 @@ class TestPhi:
         # equals C(0,0) exactly once M exceeds the support diameter
         rng = np.random.default_rng(9)
         filt = random_filter2d(rng, n_terms=4, span=2)
-        sym = SpectralSymbol2D(filt)
+        sym = SpectralSymbol(filt)
         m = 4 * (filt.radius + 1)
         t = np.arange(m) / m
         grid = np.abs(sym.eval(t[:, None], t[None, :])) ** 2
@@ -67,24 +66,24 @@ class TestPhi:
 
 class TestPsi:
     def test_constant(self):
-        sym = SpectralSymbol1D(FilterSequence1D({0: 1}))
+        sym = SpectralSymbol(FilterSequence1D({0: 1}))
         assert sym.eval(0.37) == pytest.approx(1.0)
 
     def test_cosine_pair(self):
-        sym = SpectralSymbol1D(FilterSequence1D({1: 1, -1: 1}))
+        sym = SpectralSymbol(FilterSequence1D({1: 1, -1: 1}))
         assert sym.eval(0.5) == pytest.approx(-2.0)
         t = np.linspace(0, 1, 11)
         assert np.allclose(sym.eval(t), 2 * np.cos(2 * np.pi * t))
 
     def test_truncation_drops_terms(self):
-        sym = SpectralSymbol1D(FilterSequence1D({0: 1, 2: 1}), truncation=1)
+        sym = SpectralSymbol(FilterSequence1D({0: 1, 2: 1}), truncation=1)
         for t in (0.0, 0.2, 0.9):
             assert sym.eval(t) == pytest.approx(1.0)
 
     def test_truncation_noop_when_support_covered(self):
         a = FilterSequence1D({0: 1, 2: 0.5, -1: 0.25j})
-        full = SpectralSymbol1D(a)
-        trunc = SpectralSymbol1D(a, truncation=2)
+        full = SpectralSymbol(a)
+        trunc = SpectralSymbol(a, truncation=2)
         t = np.linspace(0, 1, 17)
         assert np.allclose(full.eval(t), trunc.eval(t))
 
@@ -148,7 +147,7 @@ def test_empty_filter_is_zero():
     h = FilterSequence2D({})
     assert h.coeff_abs_sum == 0.0
     assert h.radius == 0
-    sym = SpectralSymbol2D(h)
+    sym = SpectralSymbol(h)
     assert sym.eval(0.1, 0.2) == 0.0
 
 
@@ -221,12 +220,10 @@ def test_generic_symbol_owns_profile_methods():
     objs = [getattr(symbols, name) for name in symbols.__all__]
     assert len({id(o) for o in objs}) == len(objs)
     assert "profile" in vars(SpectralSymbol)
-    assert "profile" not in vars(SpectralSymbol1D)
-    assert "profile" not in vars(SpectralSymbol2D)
 
 
 def test_symbol_takes_one_argument_per_dimension():
     with pytest.raises(TypeError):
-        SpectralSymbol1D(FilterSequence1D({0: 1})).eval(0.1, 0.2)
+        SpectralSymbol(FilterSequence1D({0: 1})).eval(0.1, 0.2)
     with pytest.raises(TypeError):
-        SpectralSymbol2D(FilterSequence2D({(0, 0): 1})).eval(0.1)
+        SpectralSymbol(FilterSequence2D({(0, 0): 1})).eval(0.1)

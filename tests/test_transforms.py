@@ -3,7 +3,7 @@ import pytest
 
 from gramfield.matgen import NoiseSpec, build_periodized_field, sample_noise
 from gramfield.spectra import gram_spectrum
-from gramfield.symbols import FilterSequence2D, SpectralSymbol2D
+from gramfield.symbols import FilterSequence2D, SpectralSymbol
 from gramfield.transforms import (congruence, fourier_matrix,
                                   real_orthogonal_matrix,
                                   symmetrized_variance_grid,
@@ -62,7 +62,13 @@ class TestCongruence:
         F = fourier_matrix(p)
         eye = FieldMatrix(np.eye(p), kind="generic")
         out = congruence(F, eye, F)
-        assert np.abs(out.entries - np.eye(p)).max() < 1e-12
+        assert np.abs(out - np.eye(p)).max() < 1e-12
+
+    def test_plain_array_input(self):
+        F = fourier_matrix(3)
+        out = congruence(F, np.eye(3), F)
+        assert isinstance(out, np.ndarray)
+        assert np.abs(out - np.eye(3)).max() < 1e-12
 
     def test_spectrum_invariance(self):
         N, n = 12, 20
@@ -90,12 +96,12 @@ class TestCongruence:
 
 class TestVarianceProfileGrid:
     def test_constant_filter(self):
-        sym = SpectralSymbol2D(FilterSequence2D({(0, 0): 1}))
+        sym = SpectralSymbol(FilterSequence2D({(0, 0): 1}))
         grid = variance_profile_grid(sym, 4, 6)
         assert np.allclose(grid, 1.0)
 
     def test_complex_grid_values(self):
-        sym = SpectralSymbol2D(H_TEST)
+        sym = SpectralSymbol(H_TEST)
         N, n = 6, 9
         grid = variance_profile_grid(sym, N, n)
         assert grid[2, 5] == pytest.approx(abs(sym.eval(2 / 6, 5 / 9)) ** 2)
@@ -107,7 +113,7 @@ class TestVarianceProfileGrid:
         # is exponential with sd equal to its mean, so the 3-sigma band
         # is 3*grid/sqrt(S); at least 99% of entries must sit inside
         h = H_TEST
-        sym = SpectralSymbol2D(h)
+        sym = SpectralSymbol(h)
         N, n, S = 32, 48, 200
         F_N, F_n = fourier_matrix(N), fourier_matrix(n)
         acc = np.zeros((N, n))
@@ -115,7 +121,7 @@ class TestVarianceProfileGrid:
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
             zt = build_periodized_field(h, noise)
             y = congruence(F_N, zt, F_n)
-            acc += np.abs(y.entries) ** 2
+            acc += np.abs(y) ** 2
         mean = acc / S * n
         grid = variance_profile_grid(sym, N, n)
         ok = np.abs(mean - grid) <= 3 * grid / np.sqrt(S)
@@ -125,7 +131,7 @@ class TestVarianceProfileGrid:
         # the cos/sin mixing averages the two mirror values |Phi(s,+-t)|^2,
         # and that symmetrized grid is what samples follow
         h = H_TEST
-        sym = SpectralSymbol2D(h)
+        sym = SpectralSymbol(h)
         N = n = 32
         S = 200
         Q = real_orthogonal_matrix(N)
@@ -134,7 +140,7 @@ class TestVarianceProfileGrid:
             noise = sample_noise(N, n, NoiseSpec("real_standard", s), margin=1)
             zt = build_periodized_field(h, noise)
             w = congruence(Q, zt, Q)
-            acc += w.entries ** 2
+            acc += w ** 2
         mean = acc / S * n
         sym_grid = symmetrized_variance_grid(sym, N, n)
         ok = np.abs(mean - sym_grid) <= 3 * np.sqrt(2.0 / S) * sym_grid
@@ -147,7 +153,7 @@ class TestVarianceProfileGrid:
         # autocorrelations of Q.  The result matches the symmetrized grid
         # to machine precision.
         h = H_TEST
-        sym = SpectralSymbol2D(h)
+        sym = SpectralSymbol(h)
         N = n = 12
         q = real_orthogonal_matrix(N)
         # wrapped autocovariance on the fundamental domain
@@ -185,7 +191,7 @@ class TestWhiteness:
         for s in range(200):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
             zt = build_periodized_field(h, noise)
-            samples[s] = congruence(F, zt, F).entries
+            samples[s] = congruence(F, zt, F)
         rep = whiteness_check(samples)
         assert rep.passed
 
@@ -199,7 +205,7 @@ class TestWhiteness:
         for s in range(100):
             noise = sample_noise(N, n, NoiseSpec("real_standard", s), margin=1)
             zt = build_periodized_field(h, noise)
-            samples[s] = congruence(F, zt, F).entries
+            samples[s] = congruence(F, zt, F)
         rep = whiteness_check(samples)
         assert rep.mirror_max > 0.9
         assert not rep.passed
