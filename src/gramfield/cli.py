@@ -90,14 +90,18 @@ class ExperimentConfig:
             raise ValueError("rectangular modes require N <= n")
         if self.mode == "noncentered_pseudodiag" and self.lambda_diag is None:
             raise ValueError("noncentered_pseudodiag mode requires lambda_diag")
-        if self.lambda_diag is not None and \
-                not np.all(np.isfinite(self.lambda_diag)):
-            raise ValueError("lambda_diag entries must be finite")
+        if self.lambda_diag is not None:
+            if not np.all(np.isfinite(self.lambda_diag)):
+                raise ValueError("lambda_diag entries must be finite")
+            # raises unless len(lambda_diag) == min(N, n)
+            matgen.build_pseudo_diagonal(self.lambda_diag, self.N, self.n)
         if self.mode == "real_case" and not self.filter2d.is_real:
             raise ValueError("real_case mode requires a real filter")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         _check_distinct(self.seeds)
+        for seed in self.seeds:
+            matgen.NoiseSpec(seed=seed)  # raises outside [0, 2**64)
         for z in self.z_grid:
             if not (np.isfinite(z) and complex(z).imag > 0):
                 raise ValueError(
@@ -114,9 +118,9 @@ class ExperimentConfig:
                       if "filter1d" in doc else None),
             lambda_diag=(np.array([complex(p[0], p[1]) for p in lam])
                          if lam is not None else None),
-            N=int(doc["N"]),
-            n=int(doc["n"]),
-            seeds=[int(s) for s in doc["seeds"]],
+            N=_integer(doc["N"], "N"),
+            n=_integer(doc["n"], "n"),
+            seeds=[_integer(s, "seed") for s in doc["seeds"]],
             z_grid=[complex(p[0], p[1]) for p in doc.get("z_grid", [])],
             solver=_settings(SolverConfig, doc.get("solver", {}), "solver"),
             inversion=_settings(InversionSettings, doc.get("inversion", {}),
@@ -124,16 +128,35 @@ class ExperimentConfig:
             output_dir=doc.get("output_dir"))
 
 
+def _integer(value, name):
+    """``value`` as an int: ints and integral floats pass, anything else
+    (booleans too) raises naming the setting.  An int is never routed
+    through float, so seeds up to 2**64 - 1 stay exact."""
+    if isinstance(value, bool) or not (isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _settings(cls, doc, section):
     """``cls(**doc)`` for the dataclass ``cls``: values are cast to int
-    where the field's default is an int and to float otherwise (null
-    stays None), omitted keys keep the defaults, unknown keys raise."""
-    casts = {f.name: int if isinstance(f.default, int) else float
-             for f in fields(cls)}
-    for key in doc:
-        if key not in casts:
+    where the field's default is an int and to float otherwise, null is
+    kept only where the default is None, omitted keys keep the defaults,
+    unknown keys raise."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    for key, value in doc.items():
+        if key not in defaults:
             raise ValueError(f"unknown {section} setting {key!r}")
-    return cls(**{k: v if v is None else casts[k](v) for k, v in doc.items()})
+        name = f"{section} {key}"
+        if value is None and defaults[key] is not None:
+            raise ValueError(f"{name} must not be null")
+        if isinstance(defaults[key], int):
+            value = _integer(value, name)
+        elif value is not None:
+            value = float(value)
+        values[key] = value
+    return cls(**values)
 
 
 def _check_distinct(seeds):
@@ -158,12 +181,12 @@ def _g17(x):
 def _deterministic_part(cfg):
     """The array added to the field, or None for centered modes."""
     if cfg.mode == "square_toeplitz":
-        return np.asarray(matgen.build_toeplitz(cfg.filter1d, cfg.n))
+        return matgen.build_toeplitz(cfg.filter1d, cfg.n)
     if cfg.mode == "noncentered_pseudodiag":
         lam = matgen.build_pseudo_diagonal(cfg.lambda_diag, cfg.N, cfg.n)
         f_left = transforms.fourier_matrix(cfg.N)
         f_right = transforms.fourier_matrix(cfg.n)
-        return f_left.conj().T @ lam.entries @ f_right
+        return f_left.conj().T @ lam @ f_right
     return None
 
 
@@ -177,8 +200,8 @@ def _coupled_fields(h, N, n, dist, seed):
     """(raw, periodized) field arrays of ``h`` built from one noise sheet."""
     noise = matgen.sample_noise(N, n, matgen.NoiseSpec(dist, seed),
                                 margin=h.radius)
-    return (np.asarray(matgen.build_field(h, noise)),
-            np.asarray(matgen.build_periodized_field(h, noise)))
+    return (matgen.build_field(h, noise),
+            matgen.build_periodized_field(h, noise))
 
 
 def _simulate_seed(cfg, det, seed):
@@ -328,8 +351,8 @@ def _cmd_sweep_alpha(args):
     with open(args.config) as fh:
         doc = json.load(fh)
     h = filter_from_json_dict(doc["filter2d"])
-    sizes = [(int(p[0]), int(p[1])) for p in doc["sizes"]]
-    seeds = [int(s) for s in doc["seeds"]]
+    sizes = [(_integer(p[0], "N"), _integer(p[1], "n")) for p in doc["sizes"]]
+    seeds = [_integer(s, "seed") for s in doc["seeds"]]
     rows = sweep_alpha(h, sizes, seeds)
     print("N,n,mean_alpha")
     for N, n, alpha in rows:

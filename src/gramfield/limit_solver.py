@@ -183,12 +183,14 @@ class AtomicMeasureH:
 
 def measure_from_lambda(lam_matrix):
     """Diagonal measure (1/N) sum_i delta_{(i/N, |diag_i|^2)} of a
-    pseudo-diagonal ``FieldMatrix``."""
-    if lam_matrix.kind != "pseudo_diagonal":
-        raise ValueError("measure_from_lambda needs a pseudo_diagonal matrix")
-    N = lam_matrix.rows
+    pseudo-diagonal N x n array; raises on a nonzero off-diagonal entry."""
+    lam = np.asarray(lam_matrix)
+    N, n = lam.shape
+    if np.any(lam[~np.eye(N, n, dtype=bool)]):
+        raise ValueError("measure_from_lambda needs a pseudo-diagonal matrix, "
+                         "but an off-diagonal entry is nonzero")
     d = np.zeros(N, dtype=np.complex128)
-    d[:min(N, lam_matrix.cols)] = np.diagonal(lam_matrix)
+    d[:min(N, n)] = np.diagonal(lam)
     i = np.arange(1, N + 1)
     return AtomicMeasureH(u=i / N, lam=np.abs(d) ** 2, weights=np.full(N, 1.0 / N))
 

@@ -7,9 +7,10 @@ A raw field matrix has entries
 over an i.i.d. Gaussian noise sheet U, and its periodized companion
 replaces the noise indices by (j1 - k1) mod N and (j2 - k2) mod n so
 that only the N x n noise block is consumed.  Both constructions read
-the same sampled noise object, whose shape less twice its margin is the
-N x n window, so their difference is confined to a border band of width
-equal to the filter radius.
+the same noise sheet, whose shape less twice its margin is the N x n
+window, so their difference is confined to a border band of width equal
+to the filter radius.  Only a noise sheet is a :class:`FieldMatrix`,
+which keeps its seed and margin; every other matrix is a plain array.
 
 Randomness is counter-based and fully reproducible: each noise matrix
 draws from ``Philox(key=(seed, 0))``, one stream per seed in
@@ -26,7 +27,6 @@ import numpy as np
 from .symbols import FilterSequence1D, FilterSequence2D, SpectralSymbol
 
 __all__ = [
-    "FIELD_KINDS",
     "FieldMatrix",
     "NoiseSpec",
     "sample_noise",
@@ -39,52 +39,21 @@ __all__ = [
     "load_matrix_csv",
 ]
 
-FIELD_KINDS = ("noise", "raw_field", "periodized_field", "toeplitz",
-               "circulant", "pseudo_diagonal", "generic")
-
 
 class FieldMatrix:
-    """A tagged N x n matrix (random field, noise sheet, or deterministic).
-
-    ``kind`` is one of ``FIELD_KINDS``; ``seed`` records the noise seed the
-    entries derive from (0 for purely deterministic matrices).  ``margin``
-    is nonzero only for noise sheets sampled on an enlarged window.
+    """A noise sheet: its entries, the seed they derive from, and the
+    margin by which the sheet extends past its N x n window on each side.
     Instances are treated as immutable once built, and convert to their
-    entries through ``np.asarray``; arithmetic is done on those arrays.
+    entries through ``np.asarray``.
     """
 
-    def __init__(self, entries, kind="generic", seed=0, margin=0):
-        if kind not in FIELD_KINDS:
-            raise ValueError(f"unknown matrix kind: {kind!r}")
+    def __init__(self, entries, seed=0, margin=0):
         entries = np.asarray(entries)
         if entries.ndim != 2:
             raise ValueError("entries must be a 2-d array")
-        if kind == "pseudo_diagonal":
-            off = entries.copy()
-            np.fill_diagonal(off, 0.0)
-            if np.any(off != 0):
-                raise ValueError("pseudo_diagonal matrix has off-diagonal entries")
-        if kind in ("toeplitz", "circulant"):
-            if entries.shape[0] != entries.shape[1]:
-                raise ValueError(f"{kind} matrix must be square")
-            if entries.shape[0] > 1 and \
-                    np.any(entries[1:, 1:] != entries[:-1, :-1]):
-                raise ValueError(f"{kind} matrix has non-constant diagonals")
-            if kind == "circulant" and entries.shape[0] > 1 and \
-                    np.any(entries[1] != np.roll(entries[0], 1)):
-                raise ValueError("circulant matrix rows are not cyclic shifts")
         self.entries = entries
-        self.kind = kind
         self.seed = int(seed)
         self.margin = int(margin)
-
-    @property
-    def rows(self):
-        return self.entries.shape[0]
-
-    @property
-    def cols(self):
-        return self.entries.shape[1]
 
     @property
     def shape(self):
@@ -133,7 +102,7 @@ def sample_noise(N, n, spec, margin=0):
         entries = (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
     else:
         entries = rng.standard_normal(size=(rows, cols))
-    return FieldMatrix(entries, kind="noise", seed=spec.seed, margin=margin)
+    return FieldMatrix(entries, seed=spec.seed, margin=margin)
 
 
 def _filtered(h, sheet, margin):
@@ -152,36 +121,31 @@ def _filtered(h, sheet, margin):
     return out
 
 
-def build_field(h: FilterSequence2D, noise: FieldMatrix):
+def build_field(h: FilterSequence2D, noise):
     """Raw field: Z[j1, j2] = n^{-1/2} sum_k h(k) U(j1-k1, j2-k2).
 
-    The field covers the sheet's N x n window, its shape less twice the
-    margin; the margin must reach the filter radius.
+    The field covers the N x n window of the sheet (a plain array has
+    margin 0), its shape less twice the margin; the margin must reach the
+    filter radius.
     """
-    if noise.kind != "noise":
-        raise ValueError("build_field needs a noise matrix")
-    m = noise.margin
+    m = noise.margin if isinstance(noise, FieldMatrix) else 0
     if h.radius > m:
         raise ValueError(
             f"noise margin {m} too small for filter radius {h.radius}")
-    out = _filtered(h, noise.entries, m)
-    return FieldMatrix(out, kind="raw_field", seed=noise.seed)
+    return _filtered(h, np.asarray(noise), m)
 
 
-def build_periodized_field(h: FilterSequence2D, noise: FieldMatrix):
+def build_periodized_field(h: FilterSequence2D, noise):
     """Periodized field: noise indices reduced mod N and mod n.
 
     This is the raw-field sum over the periodic extension of the sheet's
-    central N x n window, so the raw and periodized fields built from one
-    sheet are coupled.
+    central N x n window (all of a plain array), so the raw and periodized
+    fields built from one sheet are coupled.
     """
-    if noise.kind != "noise":
-        raise ValueError("build_periodized_field needs a noise matrix")
-    m = noise.margin
-    block = noise.entries[m:noise.rows - m, m:noise.cols - m]
-    r = h.radius
-    out = _filtered(h, np.pad(block, r, mode="wrap"), r)
-    return FieldMatrix(out, kind="periodized_field", seed=noise.seed)
+    m = noise.margin if isinstance(noise, FieldMatrix) else 0
+    sheet = np.asarray(noise)
+    block = sheet[m:sheet.shape[0] - m, m:sheet.shape[1] - m]
+    return _filtered(h, np.pad(block, h.radius, mode="wrap"), h.radius)
 
 
 def build_toeplitz(a: FilterSequence1D, n):
@@ -197,7 +161,7 @@ def build_toeplitz(a: FilterSequence1D, n):
     entries = table[(idx[:, None] - idx[None, :]) + n - 1]
     if a.is_real:
         entries = entries.real
-    return FieldMatrix(entries, kind="toeplitz")
+    return entries
 
 
 def circulant_coefficients(a: FilterSequence1D, n):
@@ -231,7 +195,7 @@ def build_circulant(a: FilterSequence1D, n):
     entries = table[(idx[:, None] - idx[None, :]) + n - 1]
     if a.is_real:
         entries = entries.real
-    return FieldMatrix(entries, kind="circulant")
+    return entries
 
 
 def circulant_eigenvalues(a: FilterSequence1D, n):
@@ -248,23 +212,24 @@ def build_pseudo_diagonal(diag, N, n):
             f"diagonal length {diag.shape} does not match min({N}, {n})")
     entries = np.zeros((N, n), dtype=np.complex128)
     entries[np.arange(len(diag)), np.arange(len(diag))] = diag
-    return FieldMatrix(entries, kind="pseudo_diagonal")
+    return entries
 
 
-def save_matrix_csv(mat: FieldMatrix, path):
+def save_matrix_csv(mat, path):
     """Write a matrix as CSV: metadata header then (row, col, re, im) lines.
 
-    Layout: line 1 ``rows,cols,kind,seed,margin``, line 2 the values,
-    line 3 the column header, then one line per entry in row-major order
-    with 17 significant digits (lossless for doubles).
-    :func:`load_matrix_csv` round-trips exactly.
+    Layout: line 1 ``rows,cols,seed,margin`` (seed and margin 0 for a
+    plain array), line 2 the values, line 3 the column header, then one
+    line per entry in row-major order with 17 significant digits
+    (lossless for doubles).  :func:`load_matrix_csv` round-trips exactly.
     """
-    e = np.asarray(mat).ravel()
-    rows, cols = np.divmod(np.arange(e.size), mat.cols)
+    mat = mat if isinstance(mat, FieldMatrix) else FieldMatrix(mat)
+    e = mat.entries.ravel()
+    rows, cols = np.divmod(np.arange(e.size), mat.shape[1])
     np.savetxt(path, np.column_stack([rows, cols, e.real, e.imag]),
                fmt=("%d", "%d", "%.17g", "%.17g"), delimiter=",", comments="",
-               header=f"rows,cols,kind,seed,margin\n{mat.rows},{mat.cols},"
-                      f"{mat.kind},{mat.seed},{mat.margin}\nrow,col,re,im")
+               header=f"rows,cols,seed,margin\n{mat.shape[0]},{mat.shape[1]},"
+                      f"{mat.seed},{mat.margin}\nrow,col,re,im")
 
 
 def load_matrix_csv(path):
@@ -273,12 +238,9 @@ def load_matrix_csv(path):
     its margin leaves a nonempty window."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if header != ["rows", "cols", "kind", "seed", "margin"]:
+        if header != ["rows", "cols", "seed", "margin"]:
             raise ValueError(f"malformed matrix CSV header in {path}")
-        rows_s, cols_s, kind, seed_s, margin_s = \
-            fh.readline().strip().split(",")
-        rows, cols = int(rows_s), int(cols_s)
-        seed, margin = int(seed_s), int(margin_s)
+        rows, cols, seed, margin = map(int, fh.readline().strip().split(","))
         fh.readline()  # column header
         lines = fh.readlines()
     if margin < 0 or (margin and min(rows, cols) <= 2 * margin):
@@ -295,4 +257,4 @@ def load_matrix_csv(path):
     entries = table[:, 2:].copy().view(np.complex128).reshape(rows, cols)
     if np.all(entries.imag == 0.0):
         entries = entries.real.copy()
-    return FieldMatrix(entries, kind=kind, seed=seed, margin=margin)
+    return FieldMatrix(entries, seed=seed, margin=margin)

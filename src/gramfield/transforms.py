@@ -69,8 +69,8 @@ def real_orthogonal_matrix(p):
 def congruence(t_left, mat, t_right):
     """T_left @ M @ T_right^adjoint (transpose when T_right is real).
 
-    ``mat`` is an array or a ``FieldMatrix``, and the transforms are
-    square arrays matching its rows and columns.  Returns a plain array.
+    ``mat`` is any N x n array, and the transforms are square arrays
+    matching its rows and columns.  Returns a plain array.
     Gram spectra of the input and output coincide because both factors
     are unitary.
     """
@@ -162,7 +162,7 @@ def whiteness_check(samples):
     """Empirical independence check over a population of same-shape samples.
 
     ``samples`` is any array-like of S same-shape N x n matrices: an
-    (S, N, n) array or a sequence of arrays or ``FieldMatrix`` objects.
+    (S, N, n) array or a sequence of arrays or noise sheets.
     Subsamples ``_MAX_PAIRS`` random pairs of real-valued components
     (Re/Im channels of distinct entries) plus up to ``_MAX_PAIRS`` mirror
     pairs, computes sample correlations across the population, and

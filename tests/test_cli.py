@@ -226,6 +226,51 @@ class TestConfigValidation:
             cli.main(["run", str(path)])
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("section, key", [
+        ("solver", "tolerance"), ("solver", "grid_size"),
+        ("inversion", "step")])
+    def test_null_setting_rejected(self, tmp_path, section, key):
+        # used to fail with a TypeError that did not name the setting
+        doc = base_config(tmp_path)
+        doc[section] = dict(doc[section], **{key: None})
+        with pytest.raises(ValueError, match=f"{section} {key} must not be "
+                                             "null"):
+            cli.ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("override, name", [
+        ({"solver": {"grid_size": 64.7}}, "solver grid_size"),
+        ({"solver": {"max_iterations": True}}, "solver max_iterations"),
+        ({"N": 8.9}, "N"), ({"n": "16"}, "n"), ({"seeds": [0, 1.5]}, "seed")],
+        ids=["grid_size", "max_iterations", "N", "n", "seed"])
+    def test_non_integer_setting_rejected(self, tmp_path, override, name):
+        # used to truncate: 64.7 -> 64, true -> 1, 8.9 -> 8, 1.5 -> 1
+        doc = base_config(tmp_path, **override)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            cli.ExperimentConfig.from_json_dict(doc)
+
+    def test_largest_seed_kept_exactly(self, tmp_path):
+        doc = base_config(tmp_path, seeds=[2 ** 64 - 1, 0])
+        cfg = cli.ExperimentConfig.from_json_dict(doc)
+        assert cfg.seeds == [2 ** 64 - 1, 0]
+
+    @pytest.mark.parametrize("override, message", [
+        ({"mode": "noncentered_pseudodiag", "lambda_diag": [[1.0, 0.0]] * 15},
+         r"diagonal length \(15,\) does not match min\(16, 16\)"),
+        ({"lambda_diag": [[1.0, 0.0]] * 17},
+         r"diagonal length \(17,\) does not match min\(16, 16\)"),
+        ({"seeds": [0, -1]}, r"seed -1 is outside \[0, 2\*\*64\)"),
+        ({"seeds": [2 ** 64]}, r"seed 18446744073709551616 is outside")],
+        ids=["lambda_diag_short", "lambda_diag_long", "seed_negative",
+             "seed_too_large"])
+    def test_bad_config_fails_before_output_dir(self, tmp_path, override,
+                                               message):
+        # used to create the output directory (and, for a bad seed, to
+        # simulate every earlier seed) before failing
+        path = write_config(tmp_path, base_config(tmp_path, **override))
+        with pytest.raises(ValueError, match=message):
+            cli.main(["run", str(path)])
+        assert not (tmp_path / "out").exists()
+
     def test_settings_defaults_and_casts(self, tmp_path):
         doc = base_config(tmp_path, solver={"grid_size": 16.0,
                                             "damping": None},

@@ -386,10 +386,14 @@ class TestMeasureFromLambda:
         assert np.allclose(H.u, [0.5, 1.0])
         assert np.allclose(H.lam, [1.0, 1.0])
 
+    def test_plain_identity(self):
+        H = measure_from_lambda(np.eye(2))
+        assert np.allclose(H.u, [0.5, 1.0])
+        assert np.allclose(H.lam, [1.0, 1.0])
+
     def test_rejects_non_pseudo_diagonal(self):
-        from gramfield.matgen import FieldMatrix
-        with pytest.raises(ValueError):
-            measure_from_lambda(FieldMatrix(np.eye(3), kind="generic"))
+        with pytest.raises(ValueError, match="off-diagonal entry is nonzero"):
+            measure_from_lambda(np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0]]))
 
     def test_symbol_diagonal_converges_to_lebesgue_image(self):
         # lambda-marginal ECDF of (1/N) sum delta_{|psi_n(k/n)|^2} vs the
@@ -473,13 +477,13 @@ class TestMonteCarloAgreement:
         z = 1j
         pi, pit = solve_noncentered(sym.profile, c, H, z, TIGHT)
         # A = F_N^* Lambda F_n so that F_N A F_n^* is pseudo-diagonal
-        a_entries = fourier_matrix(N).conj().T @ lam.entries \
+        a_entries = fourier_matrix(N).conj().T @ lam \
             @ fourier_matrix(n)
         vals_left, vals_right = [], []
         for s in range(40):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
             zm = build_field(H_TEST, noise)
-            total = zm.entries + a_entries
+            total = zm + a_entries
             from gramfield.matgen import FieldMatrix
             m = FieldMatrix(total)
             vals_left.append(empirical_stieltjes(gram_spectrum(m), z))
@@ -534,13 +538,13 @@ class TestEndToEndRectangular:
         diag = np.where(np.arange(N) < N // 2, 1.0, 2.0)
         lam = build_pseudo_diagonal(diag, N, n)
         H = measure_from_lambda(lam)
-        a_entries = fourier_matrix(N).conj().T @ lam.entries \
+        a_entries = fourier_matrix(N).conj().T @ lam \
             @ fourier_matrix(n)
         vals = []
         for s in range(20):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=H_TEST.radius)
             z = build_field(H_TEST, noise)
-            m = FieldMatrix(z.entries + a_entries)
+            m = FieldMatrix(z + a_entries)
             vals.append(gram_spectrum(m).eigenvalues)
         v = np.sort(np.concatenate(vals))
         e = EmpiricalSpectrum(eigenvalues=v)

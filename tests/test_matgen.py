@@ -63,20 +63,26 @@ class TestBuildField:
         h = FilterSequence2D({(0, 0): 1})
         noise = sample_noise(6, 9, NoiseSpec(seed=3), margin=2)
         z = build_field(h, noise)
-        assert np.allclose(z.entries, noise.entries[2:8, 2:11] / 3.0)
-        assert z.kind == "raw_field"
+        assert np.allclose(z, noise.entries[2:8, 2:11] / 3.0)
 
     def test_empty_filter_gives_zero(self):
         h = FilterSequence2D({})
         noise = sample_noise(4, 4, NoiseSpec(seed=3))
         z = build_field(h, noise)
-        assert np.all(z.entries == 0)
+        assert np.all(z == 0)
 
     def test_margin_too_small(self):
         h = FilterSequence2D({(2, 0): 1})
         noise = sample_noise(4, 4, NoiseSpec(seed=3), margin=1)
         with pytest.raises(ValueError, match="margin"):
             build_field(h, noise)
+
+    def test_plain_sheet_has_no_margin(self):
+        h = FilterSequence2D({(0, 0): 1, (1, 0): 0.5})
+        plain = sample_noise(6, 6, NoiseSpec(seed=3), margin=1).entries
+        with pytest.raises(ValueError,
+                           match="noise margin 0 too small for filter radius 1"):
+            build_field(h, plain)
 
     def test_entry_variance_monte_carlo(self):
         # sample mean of |Z|^2 over entries and seeds targets C(0,0)/n;
@@ -89,7 +95,7 @@ class TestBuildField:
         for s in range(S):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
             z = build_field(h, noise)
-            acc += np.mean(np.abs(z.entries) ** 2)
+            acc += np.mean(np.abs(z) ** 2)
         mean = acc / S
         c00 = h.covariance(0, 0).real
         sum_c2 = sum(abs(h.covariance(d1, d2)) ** 2
@@ -106,7 +112,7 @@ class TestBuildField:
         for s in range(S):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
             z = build_field(h, noise)
-            traces.append(np.sum(np.abs(z.entries) ** 2) / n)
+            traces.append(np.sum(np.abs(z) ** 2) / n)
         c00 = h.covariance(0, 0).real
         sum_c2 = sum(abs(h.covariance(d1, d2)) ** 2
                      for d1 in range(-2, 3) for d2 in range(-2, 3))
@@ -120,7 +126,7 @@ class TestPeriodized:
         noise = sample_noise(8, 8, NoiseSpec(seed=5), margin=0)
         z = build_field(h, noise)
         zt = build_periodized_field(h, noise)
-        assert np.array_equal(z.entries, zt.entries)
+        assert np.array_equal(z, zt)
 
     def test_full_wrap_shift(self):
         # a filter tap at (N, 0) wraps all the way around
@@ -129,7 +135,7 @@ class TestPeriodized:
         noise = sample_noise(N, n, NoiseSpec(seed=6), margin=N)
         zt = build_periodized_field(h, noise)
         block = noise.entries[N:2 * N, N:2 * N]
-        assert np.allclose(zt.entries, block / np.sqrt(n))
+        assert np.allclose(zt, block / np.sqrt(n))
 
     def test_differs_only_in_border_band(self):
         h = FilterSequence2D({(0, 0): 1, (1, 0): 0.5, (0, 1): 0.25, (-1, -1): 0.1})
@@ -138,7 +144,7 @@ class TestPeriodized:
         noise = sample_noise(N, n, NoiseSpec(seed=7), margin=r)
         z = build_field(h, noise)
         zt = build_periodized_field(h, noise)
-        diff = np.abs(z.entries - zt.entries)
+        diff = np.abs(z - zt)
         assert np.all(diff[r:N - r, r:n - r] == 0)
         assert diff.max() > 0  # border band genuinely differs
 
@@ -151,7 +157,7 @@ class TestPeriodized:
                 noise = sample_noise(size, size, NoiseSpec(seed=s), margin=1)
                 z = build_field(h, noise)
                 zt = build_periodized_field(h, noise)
-                alphas.append(np.sum(np.abs(z.entries - zt.entries) ** 2) / size)
+                alphas.append(np.sum(np.abs(z - zt) ** 2) / size)
             means.append(np.mean(alphas))
         assert means[1] <= 0.5 * means[0]
 
@@ -169,7 +175,7 @@ class TestPeriodized:
                     expected[j1, j2] += c * U[(j1 - k1) % N, (j2 - k2) % n]
         expected /= np.sqrt(n)
         zt = build_periodized_field(FilterSequence2D(taps), noise)
-        assert np.allclose(zt.entries, expected, rtol=0, atol=1e-14)
+        assert np.allclose(zt, expected, rtol=0, atol=1e-14)
 
     def test_window_inside_wider_margin(self):
         # margin 3 around a 5 x 7 window, filter radius 1: both fields
@@ -186,25 +192,32 @@ class TestPeriodized:
                     expected[j1, j2] += c * U[m + j1 - k1, m + j2 - k2]
         expected /= np.sqrt(n)
         z = build_field(h, noise)
-        assert np.allclose(z.entries, expected, rtol=0, atol=1e-14)
+        assert np.allclose(z, expected, rtol=0, atol=1e-14)
         assert build_periodized_field(h, noise).shape == (N, n)
+
+    def test_plain_sheet_matches_margin_zero_sheet(self):
+        h = FilterSequence2D({(0, 0): 1, (1, -2): 0.5 - 0.25j})
+        noise = sample_noise(6, 9, NoiseSpec(seed=4))
+        plain = noise.entries.copy()
+        assert np.array_equal(build_periodized_field(h, plain),
+                              build_periodized_field(h, noise))
 
     def test_alpha_zero_for_identity(self):
         h = FilterSequence2D({(0, 0): 1})
         noise = sample_noise(16, 16, NoiseSpec(seed=8), margin=0)
         z = build_field(h, noise)
         zt = build_periodized_field(h, noise)
-        assert np.sum(np.abs(z.entries - zt.entries) ** 2) == 0
+        assert np.sum(np.abs(z - zt) ** 2) == 0
 
 
 class TestToeplitz:
     def test_identity(self):
         a = FilterSequence1D({0: 1})
-        assert np.array_equal(build_toeplitz(a, 3).entries, np.eye(3))
+        assert np.array_equal(build_toeplitz(a, 3), np.eye(3))
 
     def test_subdiagonal(self):
         a = FilterSequence1D({1: 1})
-        assert np.array_equal(build_toeplitz(a, 2).entries,
+        assert np.array_equal(build_toeplitz(a, 2),
                               np.array([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_trace_identity(self):
@@ -213,7 +226,7 @@ class TestToeplitz:
                               for j in range(-6, 7)})
         n = 11
         A = build_toeplitz(a, n)
-        lhs = np.sum(np.abs(A.entries) ** 2) / n
+        lhs = np.sum(np.abs(A) ** 2) / n
         rhs = sum(abs(a[j]) ** 2 * (1 - abs(j) / n) for j in range(-n + 1, n))
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert lhs <= a.coeff_abs_sum ** 2
@@ -225,7 +238,7 @@ class TestCirculant:
         C = build_circulant(a, 3)
         # wrapped coefficients: at(0)=2, at(1)=1, at(2)=0.5, at(-1)=0.5, at(-2)=1
         expect = np.array([[2, 0.5, 1], [1, 2, 0.5], [0.5, 1, 2]], dtype=float)
-        assert np.allclose(C.entries, expect)
+        assert np.allclose(C, expect)
 
     def test_matches_fourier_sum(self):
         # closed form vs (1/n) sum_k psi_n(k/n) e^{-2 pi i k d / n}
@@ -239,24 +252,24 @@ class TestCirculant:
         fourier = (psi_vals[None, None, :] *
                    np.exp(-2j * np.pi * k[None, None, :] * d[:, :, None] / n)
                    ).sum(axis=2) / n
-        assert np.abs(C.entries - fourier).max() < 1e-10
+        assert np.abs(C - fourier).max() < 1e-10
 
     def test_no_wrap_matches_toeplitz(self):
         a = FilterSequence1D({0: 1, 1: 0.5, -1: 0.25})
         n = 6
         A = build_toeplitz(a, n)
         C = build_circulant(a, n)
-        assert np.allclose(C.entries[:, 0][:2], A.entries[:, 0][:2])
+        assert np.allclose(C[:, 0][:2], A[:, 0][:2])
         # circulant: every diagonal wraps
         for shift in range(1, n):
-            assert np.allclose(np.roll(C.entries[0], shift), C.entries[shift])
+            assert np.allclose(np.roll(C[0], shift), C[shift])
 
     def test_fourier_diagonalization(self):
         a = FilterSequence1D({0: 1, 1: 0.5, -1: 0.5, 3: 0.2})
         n = 16
         C = build_circulant(a, n)
         F = fourier_matrix(n)
-        D = F @ C.entries @ F.conj().T
+        D = F @ C @ F.conj().T
         diag = circulant_eigenvalues(a, n)
         off = D.copy()
         np.fill_diagonal(off, 0.0)
@@ -268,7 +281,7 @@ class TestCirculant:
         a = FilterSequence1D({j: (0.8 + 0.1j) ** abs(j) for j in range(-5, 6)})
         for n in (4, 9, 16):
             C = build_circulant(a, n)
-            lhs = np.sum(np.abs(C.entries) ** 2) / n
+            lhs = np.sum(np.abs(C) ** 2) / n
             eig_form = np.mean(np.abs(circulant_eigenvalues(a, n)) ** 2)
             assert lhs == pytest.approx(eig_form, rel=1e-12)
             assert lhs <= a.coeff_abs_sum ** 2 + 1e-12
@@ -281,38 +294,25 @@ class TestCirculant:
         for n in (128, 512):
             A = build_toeplitz(a, n)
             C = build_circulant(a, n)
-            gaps[n] = np.sum(np.abs(A.entries - C.entries) ** 2) / n
+            gaps[n] = np.sum(np.abs(A - C) ** 2) / n
         assert gaps[512] <= 0.5 * gaps[128]
 
 
 class TestPseudoDiagonal:
     def test_identity(self):
         lam = build_pseudo_diagonal([1, 1], 2, 2)
-        assert np.allclose(lam.entries, np.eye(2))
+        assert np.allclose(lam, np.eye(2))
 
     def test_rectangular(self):
         lam = build_pseudo_diagonal([2j, 3], 2, 4)
         assert lam.shape == (2, 4)
-        assert lam.entries[0, 0] == 2j
-        assert lam.entries[1, 1] == 3
-        assert np.sum(np.abs(lam.entries)) == pytest.approx(5.0)
+        assert lam[0, 0] == 2j
+        assert lam[1, 1] == 3
+        assert np.sum(np.abs(lam)) == pytest.approx(5.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             build_pseudo_diagonal([1, 2, 3], 2, 4)
-
-    def test_kind_invariant(self):
-        with pytest.raises(ValueError):
-            FieldMatrix(np.ones((2, 2)), kind="pseudo_diagonal")
-
-    def test_structured_kind_invariants(self):
-        with pytest.raises(ValueError):
-            FieldMatrix(np.arange(4.0).reshape(2, 2), kind="toeplitz")
-        with pytest.raises(ValueError):
-            FieldMatrix(np.array([[1.0, 2.0], [3.0, 1.0]]), kind="circulant")
-        # a Toeplitz that does not wrap is not circulant
-        with pytest.raises(ValueError):
-            FieldMatrix(np.array([[1.0, 0.0], [2.0, 1.0]]), kind="circulant")
 
 
 class TestArrayProtocol:
@@ -333,7 +333,6 @@ class TestCsvRoundTrip:
         path = tmp_path / "m.csv"
         save_matrix_csv(noise, path)
         back = load_matrix_csv(path)
-        assert back.kind == "noise"
         assert back.seed == 9
         assert np.array_equal(back.entries, noise.entries)
 
@@ -347,16 +346,15 @@ class TestCsvRoundTrip:
         back = load_matrix_csv(path)
         assert back.margin == 1
         for build in (build_field, build_periodized_field):
-            assert np.array_equal(build(h, back).entries,
-                                  build(h, noise).entries)
+            assert np.array_equal(build(h, back), build(h, noise))
 
     @pytest.mark.parametrize("margin", ["-1", "2", "3"])
     def test_margin_without_window_rejected(self, tmp_path, margin):
         path = tmp_path / "m.csv"
         save_matrix_csv(sample_noise(2, 4, NoiseSpec(seed=9), margin=1), path)
         lines = path.read_text().splitlines(keepends=True)
-        assert lines[1] == "4,6,noise,9,1\n"
-        lines[1] = f"4,6,noise,9,{margin}\n"
+        assert lines[1] == "4,6,9,1\n"
+        lines[1] = f"4,6,9,{margin}\n"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_matrix_csv(path)
@@ -366,7 +364,14 @@ class TestCsvRoundTrip:
         path = tmp_path / "a.csv"
         save_matrix_csv(A, path)
         back = load_matrix_csv(path)
-        assert np.array_equal(back.entries, A.entries)
+        assert np.array_equal(back.entries, A)
+
+    def test_plain_array_round_trips(self, tmp_path):
+        path = tmp_path / "eye.csv"
+        save_matrix_csv(np.eye(2), path)
+        back = load_matrix_csv(path)
+        assert (back.seed, back.margin) == (0, 0)
+        assert np.array_equal(back.entries, np.eye(2))
 
     def test_golden_text(self, tmp_path):
         path = tmp_path / "g.csv"
@@ -374,7 +379,7 @@ class TestCsvRoundTrip:
                                   [1 / 3, complex(1e300, -1.0)]]), seed=7)
         save_matrix_csv(m, path)
         assert path.read_text() == (
-            "rows,cols,kind,seed,margin\n2,2,generic,7,0\nrow,col,re,im\n"
+            "rows,cols,seed,margin\n2,2,7,0\nrow,col,re,im\n"
             "0,0,-0,0.10000000000000001\n"
             "0,1,4.9406564584124654e-324,0\n"
             "1,0,0.33333333333333331,0\n"
@@ -382,7 +387,7 @@ class TestCsvRoundTrip:
         save_matrix_csv(FieldMatrix(np.array([[-0.0, 5e-324, 0.1],
                                               [1 / 3, 1e300, 2.0]])), path)
         assert path.read_text() == (
-            "rows,cols,kind,seed,margin\n2,3,generic,0,0\nrow,col,re,im\n"
+            "rows,cols,seed,margin\n2,3,0,0\nrow,col,re,im\n"
             "0,0,-0,0\n0,1,4.9406564584124654e-324,0\n"
             "0,2,0.10000000000000001,0\n1,0,0.33333333333333331,0\n"
             "1,1,1.0000000000000001e+300,0\n1,2,2,0\n")

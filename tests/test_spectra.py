@@ -242,7 +242,7 @@ class TestTraceStats:
             z = build_field(h, noise)
             zt = build_periodized_field(h, noise)
             _, beta, _ = trace_stats(z, zt, B)
-            t_z = np.sum(np.abs(z.entries) ** 2) / 20
+            t_z = np.sum(np.abs(z) ** 2) / 20
             t_b = np.sum(np.abs(B.entries) ** 2) / 20
             assert beta <= (np.sqrt(t_z) + np.sqrt(t_b)) ** 2 + 1e-12
 

@@ -60,7 +60,7 @@ class TestCongruence:
         from gramfield.matgen import FieldMatrix
         p = 6
         F = fourier_matrix(p)
-        eye = FieldMatrix(np.eye(p), kind="generic")
+        eye = FieldMatrix(np.eye(p))
         out = congruence(F, eye, F)
         assert np.abs(out - np.eye(p)).max() < 1e-12
 
@@ -215,7 +215,7 @@ class TestWhiteness:
             mats = [build_periodized_field(
                 H_TEST, sample_noise(8, 12, NoiseSpec(dist, s), margin=1))
                 for s in range(40)]
-            stacked = np.stack([m.entries for m in mats])
+            stacked = np.stack(mats)
             assert whiteness_check(mats) == whiteness_check(stacked)
 
     def test_too_few_samples(self):
