@@ -26,7 +26,6 @@ from .limit_solver import (AtomicMeasureH, KernelAxiomReport, SolverConfig,
                            measure_from_lambda, measure_from_profile,
                            solve_centered, solve_centered_many,
                            solve_noncentered, solve_noncentered_many,
-                           solve_square, solve_square_many,
                            verify_kernel_axioms, write_solver_csv)
 
 __version__ = "0.1.0"

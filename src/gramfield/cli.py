@@ -25,8 +25,8 @@ import numpy as np
 
 from . import matgen, spectra, transforms
 from .limit_solver import (SolverConfig, measure_from_lambda,
-                           solve_centered_many, solve_noncentered_many,
-                           solve_square_many, write_solver_csv)
+                           measure_from_profile, solve_centered_many,
+                           solve_noncentered_many, write_solver_csv)
 from .spectra import (EmpiricalSpectrum, bai_bound, default_inversion_grid,
                       invert_stieltjes_to_cdf, kolmogorov_distance,
                       levy_distance, read_cdf_csv, write_cdf_csv)
@@ -116,12 +116,12 @@ class ExperimentConfig:
             filter2d=filter_from_json_dict(doc["filter2d"]),
             filter1d=(filter_from_json_dict(doc["filter1d"])
                       if "filter1d" in doc else None),
-            lambda_diag=(np.array([complex(p[0], p[1]) for p in lam])
+            lambda_diag=(np.array(_complex_pairs(lam, "lambda_diag"))
                          if lam is not None else None),
             N=_integer(doc["N"], "N"),
             n=_integer(doc["n"], "n"),
             seeds=[_integer(s, "seed") for s in doc["seeds"]],
-            z_grid=[complex(p[0], p[1]) for p in doc.get("z_grid", [])],
+            z_grid=_complex_pairs(doc.get("z_grid", []), "z_grid"),
             solver=_settings(SolverConfig, doc.get("solver", {}), "solver"),
             inversion=_settings(InversionSettings, doc.get("inversion", {}),
                                 "inversion"),
@@ -138,11 +138,27 @@ def _integer(value, name):
     return int(value)
 
 
+def _is_number(value):
+    """True for a JSON number: an int or a float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _complex_pairs(pairs, name):
+    """``[re, im]`` pairs as complex numbers; raises naming the key and
+    the index of the first entry that is not a list of two numbers."""
+    for i, p in enumerate(pairs):
+        if not (isinstance(p, list) and len(p) == 2
+                and all(_is_number(x) for x in p)):
+            raise ValueError(f"{name}[{i}] must be an [re, im] pair of "
+                             f"numbers, got {p!r}")
+    return [complex(re, im) for re, im in pairs]
+
+
 def _settings(cls, doc, section):
-    """``cls(**doc)`` for the dataclass ``cls``: values are cast to int
-    where the field's default is an int and to float otherwise, null is
-    kept only where the default is None, omitted keys keep the defaults,
-    unknown keys raise."""
+    """``cls(**doc)`` for the dataclass ``cls``: values must be integers
+    where the field's default is an int and numbers, cast to float,
+    otherwise; null is kept only where the default is None, omitted keys
+    keep the defaults, unknown keys raise."""
     defaults = {f.name: f.default for f in fields(cls)}
     values = {}
     for key, value in doc.items():
@@ -154,6 +170,8 @@ def _settings(cls, doc, section):
         if isinstance(defaults[key], int):
             value = _integer(value, name)
         elif value is not None:
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             value = float(value)
         values[key] = value
     return cls(**values)
@@ -229,21 +247,20 @@ def _simulate_seed(cfg, det, seed):
 
 def _solve_batch(cfg, z_values):
     """Kernels' f-values plus residual/iteration bookkeeping per z."""
-    sym = SpectralSymbol(cfg.filter2d)
+    profile = SpectralSymbol(cfg.filter2d).profile
     c = cfg.N / cfg.n
-    profile = sym.profile
+    if cfg.mode in ("centered", "real_case"):
+        return solve_centered_many(profile, c, z_values, cfg.solver)
     if cfg.mode == "square_toeplitz":
-        sym1 = SpectralSymbol(cfg.filter1d)
-        pairs = solve_square_many(profile, sym1.profile, z_values, cfg.solver)
-        kernels = [p[0] for p in pairs]
-    elif cfg.mode == "noncentered_pseudodiag":
-        lam = matgen.build_pseudo_diagonal(cfg.lambda_diag, cfg.N, cfg.n)
-        H = measure_from_lambda(lam)
-        pairs = solve_noncentered_many(profile, c, H, z_values, cfg.solver)
-        kernels = [p[0] for p in pairs]
+        # the Toeplitz part is the pseudo-diagonal model at c = 1 with
+        # diagonal psi on the solver's midpoint nodes
+        H = measure_from_profile(SpectralSymbol(cfg.filter1d).profile,
+                                 cfg.solver.grid_size)
     else:
-        kernels = solve_centered_many(profile, c, z_values, cfg.solver)
-    return kernels
+        H = measure_from_lambda(
+            matgen.build_pseudo_diagonal(cfg.lambda_diag, cfg.N, cfg.n))
+    pairs = solve_noncentered_many(profile, c, H, z_values, cfg.solver)
+    return [p[0] for p in pairs]
 
 
 def run_experiment(cfg: ExperimentConfig):

@@ -1,6 +1,6 @@
 """Fixed-point solvers for limiting Stieltjes transforms of Gram spectra.
 
-Three characterizations are solved, each as a damped fixed-point
+Two characterizations are solved, each as a damped fixed-point
 iteration on a discretized complex measure ("Stieltjes kernel")
 evaluated at a point z of the upper half-plane.
 
@@ -18,11 +18,9 @@ diagonal measure is H(du, dlambda)): the coupled pair
             mapped (u, l) -> (c u, l))
             + (1 - c) int_c^1 du / ( -z (1 + c int P(t, u) pi(dt,dz)) )
 
-Square-Toeplitz case (noise plus Toeplitz part with symbol psi), two
-kernels on [0, 1]:
-
-    pi(du)  = du / ( -z (1 + int P(u,.) dpit) + |psi(u)|^2 / (1 + int P(.,u) dpi) )
-    pit(du) = du / ( -z (1 + int P(.,u) dpi) + |psi(u)|^2 / (1 + int P(u,.) dpit) )
+A square-Toeplitz deterministic part with symbol psi is, after the
+Fourier congruence and up to a low-rank corner, the pseudo-diagonal case
+at c = 1 with H = measure_from_profile(|psi|^2, grid_size).
 
 Integrals over [0, 1] use a midpoint rule whose nodes carry the kernel
 weights themselves, so each discrete system is exactly self-consistent.
@@ -49,8 +47,6 @@ __all__ = [
     "SolverConvergenceError",
     "solve_centered",
     "solve_centered_many",
-    "solve_square",
-    "solve_square_many",
     "solve_noncentered",
     "solve_noncentered_many",
     "measure_from_lambda",
@@ -75,8 +71,8 @@ class SolverConfig:
     """Fixed-point iteration controls.
 
     ``grid_size`` is the midpoint resolution of every solver: the [0, 1]
-    grids of the centered and square-Toeplitz kernels and the (1 - c)
-    tail grid of the non-centered pi_tilde.
+    grid of the centered kernel and the (1 - c) tail grid of the
+    non-centered pi_tilde.
 
     ``damping=None`` resolves per z to 1.0 when Im z >= 1 and 0.5
     otherwise; near-axis evaluations (eta ~ 1e-3) usually need damping
@@ -197,11 +193,12 @@ def measure_from_lambda(lam_matrix):
 
 def measure_from_profile(fn, m):
     """Atomic approximation of the image of Lebesgue measure under
-    u -> (u, fn(u)), on the m-point midpoint grid."""
+    u -> (u, fn(u)), on the m-point midpoint grid; ``fn`` is called once,
+    on the array of nodes, and must return nonnegative values."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     nodes = _midpoints(m)
-    lam = np.array([float(fn(u)) for u in nodes])
+    lam = _evaluate("measure_from_profile fn", fn, nodes)
     return AtomicMeasureH(u=nodes, lam=lam, weights=np.full(m, 1.0 / m))
 
 
@@ -341,35 +338,6 @@ def _solve_one(label, solve_many, z, cfg, *args):
 def solve_centered(profile, c, z, cfg=SolverConfig()):
     """Kernel of the centered fixed point at one z (raises if stuck)."""
     return _solve_one("centered", solve_centered_many, z, cfg, profile, c)
-
-
-def solve_square_many(profile, symbol_sq, z_values, cfg=SolverConfig()):
-    """Square-Toeplitz kernels (pi, pi_tilde) at a batch of z points."""
-    z = _check_z(z_values)
-    x = _midpoints(cfg.grid_size)
-    P = _evaluate("profile", profile, x[:, None], x[None, :])   # P[u, t]
-    P2, P2T = _real_factors(P)
-    psi2 = _evaluate("|psi|^2", symbol_sq, x)[None, :]      # |psi(u)|^2
-    m = cfg.grid_size
-
-    def update(state, zb):
-        w, wt = state
-        zc = zb[:, None]
-        i_tilde = _times_real(wt, P2T)    # int P(u, .) dpit   per u
-        i_plain = _times_real(w, P2)      # int P(., u) dpi    per u
-        new_w = (1.0 / m) / (-zc * (1.0 + i_tilde) + psi2 / (1.0 + i_plain))
-        new_wt = (1.0 / m) / (-zc * (1.0 + i_plain) + psi2 / (1.0 + i_tilde))
-        return new_w, new_wt
-
-    w = np.tile((-1.0 / z)[:, None] / m, (1, m))
-    wt = w.copy()
-    stats = _iterate(z, cfg, (w, wt), update)
-    return list(zip(_kernels(z, stats, x, w), _kernels(z, stats, x, wt)))
-
-
-def solve_square(profile, symbol_sq, z, cfg=SolverConfig()):
-    """Square-Toeplitz pair (pi, pi_tilde) at one z (raises if stuck)."""
-    return _solve_one("square", solve_square_many, z, cfg, profile, symbol_sq)
 
 
 def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,

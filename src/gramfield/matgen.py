@@ -240,7 +240,12 @@ def load_matrix_csv(path):
         header = fh.readline().strip().split(",")
         if header != ["rows", "cols", "seed", "margin"]:
             raise ValueError(f"malformed matrix CSV header in {path}")
-        rows, cols, seed, margin = map(int, fh.readline().strip().split(","))
+        meta = fh.readline().strip()
+        try:
+            rows, cols, seed, margin = map(int, meta.split(","))
+        except ValueError as err:
+            raise ValueError(f"malformed matrix CSV metadata in {path}: "
+                             f"{meta!r} is not four integers") from err
         fh.readline()  # column header
         lines = fh.readlines()
     if margin < 0 or (margin and min(rows, cols) <= 2 * margin):

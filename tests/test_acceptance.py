@@ -18,6 +18,7 @@ import numpy as np
 
 import gramfield as gf
 from oracles import mp_stieltjes
+from test_limit_solver import _square_update_reference
 
 H2 = gf.FilterSequence2D({(0, 0): 1, (1, 0): 0.5, (0, 1): 0.25})
 A1 = gf.FilterSequence1D({0: 1, 1: 0.5, -1: 0.5})
@@ -190,8 +191,10 @@ def test_criterion_5_square_toeplitz_pipeline():
     A = gf.build_toeplitz(A1, n)
     pooled = pooled_spectrum(H2, n, n, SEEDS, extra=A)
     grid = gf.default_inversion_grid(pooled)
-    pairs = gf.solve_square_many(sym.profile, sym1.profile,
-                                 grid + 1e-3j, SWEEP_CFG)
+    # the Toeplitz part is the pseudo-diagonal model at c = 1, diagonal psi
+    H_sym = gf.measure_from_profile(sym1.profile, SWEEP_CFG.grid_size)
+    pairs = gf.solve_noncentered_many(sym.profile, 1.0, H_sym,
+                                      grid + 1e-3j, SWEEP_CFG)
     f_vals = np.array([p[0].value for p in pairs])
     limit = gf.invert_stieltjes_to_cdf(f_vals, grid, eta=1e-3)
     K = gf.kolmogorov_distance(pooled.ecdf(), limit)
@@ -217,7 +220,7 @@ def test_criterion_6_noncentered_reductions():
     lam = gf.build_pseudo_diagonal(np.zeros(TIGHT_CFG.grid_size),
                                    TIGHT_CFG.grid_size, TIGHT_CFG.grid_size)
     H_zero = gf.measure_from_lambda(lam)
-    H_zero_nodes = gf.measure_from_profile(lambda u: 0.0, TIGHT_CFG.grid_size)
+    H_zero_nodes = gf.measure_from_profile(np.zeros_like, TIGHT_CFG.grid_size)
     err_a = 0.0
     for z in zs:
         pi, _ = gf.solve_noncentered(ONES, 1.0, H_zero, z, TIGHT_CFG)
@@ -240,14 +243,17 @@ def test_criterion_6_noncentered_reductions():
         direct = 0.5 / (1 - z) + 0.5 / (4 - z)
         err_b = max(err_b, abs(pi.value - direct))
 
-    # (c) c = 1 with the symbol-generated measure matches the square system
+    # (c) c = 1 with the symbol-generated measure solves the square system
     H_sym = gf.measure_from_profile(sym1.profile, TIGHT_CFG.grid_size)
+    x = (np.arange(TIGHT_CFG.grid_size) + 0.5) / TIGHT_CFG.grid_size
+    P = sym.profile(x[:, None], x[None, :])
     err_c = 0.0
     for z in zs:
         pi, pit = gf.solve_noncentered(sym.profile, 1.0, H_sym, z, TIGHT_CFG)
-        qi, qit = gf.solve_square(sym.profile, sym1.profile, z, TIGHT_CFG)
-        err_c = max(err_c, abs(pi.value - qi.value),
-                    abs(pit.value - qit.value))
+        up, up_t = _square_update_reference(P, sym1.profile(x), z,
+                                            pi.weights, pit.weights)
+        err_c = max(err_c, np.abs(up - pi.weights).max(),
+                    np.abs(up_t - pit.weights).max())
         keep_kernels("noncentered_symbol", [pi, pit])
 
     ok = err_a < 1e-8 and err_b < 1e-10 and err_c < 1e-8
@@ -336,13 +342,12 @@ def test_criterion_8_kernel_axioms():
         "mp": gf.solve_centered(ONES, 1.0, 1j * y, TIGHT_CFG).value,
         "centered": gf.solve_centered(sym.profile, 1.0, 1j * y,
                                       TIGHT_CFG).value,
-        "square": gf.solve_square(sym.profile, sym1.profile, 1j * y,
-                                  TIGHT_CFG)[0].value,
         "noncentered": gf.solve_noncentered(
             sym.profile, 1.0,
             gf.measure_from_profile(sym1.profile, 64), 1j * y,
             TIGHT_CFG)[0].value,
-        # real_case runs solve the "centered" problem, so no separate entry
+        # real_case runs solve the "centered" problem and square_toeplitz
+        # runs the "noncentered" one at c = 1, so neither has an entry
     }
     tail_errs = {name: abs(-1j * y * f - 1.0) for name, f in tails.items()}
     tail_ok = all(e < 1e-2 for e in tail_errs.values())

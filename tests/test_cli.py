@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gramfield import cli
-from gramfield.limit_solver import SolverConfig
+from gramfield.limit_solver import (SolverConfig, measure_from_profile,
+                                    solve_noncentered_many)
 from gramfield.spectra import EmpiricalSpectrum, read_cdf_csv, write_cdf_csv
+from gramfield.symbols import SpectralSymbol
 
 
 def base_config(tmp_path, **overrides):
@@ -115,6 +117,23 @@ class TestRun:
                 write_config(tmp_path, doc, name=f"{mode}.json")))
             tables[mode] = (tmp_path / mode / "stieltjes.csv").read_bytes()
         assert tables["real_case"] == tables["centered"]
+
+    def test_square_mode_solves_the_noncentered_limit(self, tmp_path):
+        # the Toeplitz part enters the limit as the pseudo-diagonal model
+        # at c = 1 with diagonal psi on the solver's midpoint nodes
+        filter1d = {"dims": 1, "entries": [[0, 1.0, 0.0], [3, 0.5, 0.0],
+                                           [-5, 0.25, 0.0]]}
+        doc = base_config(tmp_path, mode="square_toeplitz", filter1d=filter1d)
+        cfg = cli.load_config(write_config(tmp_path, doc))
+        cli.run_experiment(cfg)
+        row = np.loadtxt(tmp_path / "out" / "stieltjes.csv", delimiter=",",
+                         skiprows=1)
+        H = measure_from_profile(SpectralSymbol(cfg.filter1d).profile,
+                                 cfg.solver.grid_size)
+        pairs = solve_noncentered_many(SpectralSymbol(cfg.filter2d).profile,
+                                       1.0, H, cfg.z_grid, cfg.solver)
+        assert np.array_equal(row[:, 2] + 1j * row[:, 3],
+                              [pi.value for pi, _ in pairs])
 
     def test_nonconvergence_recorded_not_fatal(self, tmp_path):
         doc = base_config(
@@ -280,6 +299,34 @@ class TestConfigValidation:
         assert type(cfg.solver.grid_size) is int
         assert cfg.inversion == cli.InversionSettings(step=1.0)
         assert type(cfg.inversion.step) is float
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "tolerance", True), ("inversion", "step", "0.01"),
+        ("solver", "damping", "0.5")])
+    def test_non_number_setting_rejected(self, tmp_path, section, key, value):
+        # true used to load as 1.0 and numeric strings were parsed
+        doc = base_config(tmp_path)
+        doc[section] = dict(doc[section], **{key: value})
+        with pytest.raises(ValueError, match=f"^{section} {key} must be a "
+                                             "number, got"):
+            cli.ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, pair", [
+        ("z_grid", [True, 1]), ("z_grid", [0, 1, 5]), ("z_grid", ["0", 1]),
+        ("z_grid", [0]), ("z_grid", 1.0), ("lambda_diag", [1.0, False]),
+        ("lambda_diag", [1.0])],
+        ids=["z_bool", "z_three", "z_string", "z_one", "z_scalar",
+             "lambda_bool", "lambda_one"])
+    def test_bad_complex_pair_rejected(self, tmp_path, key, pair):
+        # [true, 1] used to load as 1+1j, [0, 1, 5] to drop the 5, and
+        # ["0", 1] or [0] to raise an unnamed TypeError or IndexError
+        good = [[1.0, 0.0]] * 15
+        doc = base_config(tmp_path, mode="noncentered_pseudodiag",
+                          lambda_diag=good + [[1.0, 0.0]])
+        doc[key] = good + [pair]
+        with pytest.raises(ValueError, match=rf"^{key}\[15\] must be an "
+                                             r"\[re, im\] pair of numbers"):
+            cli.ExperimentConfig.from_json_dict(doc)
 
 
 class TestCompare:

@@ -7,8 +7,7 @@ from gramfield.limit_solver import (AtomicMeasureH, SolverConfig,
                                     measure_from_profile,
                                     solve_centered, solve_centered_many,
                                     solve_noncentered, solve_noncentered_many,
-                                    solve_square, verify_kernel_axioms,
-                                    write_solver_csv)
+                                    verify_kernel_axioms, write_solver_csv)
 from gramfield.matgen import build_pseudo_diagonal
 from gramfield.spectra import invert_stieltjes_to_cdf
 from gramfield.symbols import (FilterSequence1D, FilterSequence2D,
@@ -30,7 +29,18 @@ class TestConfigAndGrid:
 
     def test_profile_measure_needs_a_node(self):
         with pytest.raises(ValueError, match="m must be positive"):
-            measure_from_profile(lambda u: 1.0, 0)
+            measure_from_profile(np.ones_like, 0)
+
+    def test_profile_measure_is_the_vectorized_profile(self):
+        # a per-node loop put |psi|^2 a few ulp off the vectorized values
+        # the solvers use
+        psi2 = SpectralSymbol(FilterSequence1D({0: 1, 3: 0.5, -5: 0.25}))
+        H = measure_from_profile(psi2.profile, 32)
+        assert np.array_equal(H.lam, psi2.profile((np.arange(32) + 0.5) / 32))
+
+    def test_scalar_profile_measure_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(8,\)"):
+            measure_from_profile(lambda u: 1.0, 8)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -163,8 +173,7 @@ class TestCentered:
 
 @pytest.mark.parametrize("solve, args", [
     (solve_centered, (ONES, 1.0)),
-    (solve_square, (ONES, lambda u: np.ones_like(u))),
-    (solve_noncentered, (ONES, 0.5, measure_from_profile(lambda u: 1.0, 8))),
+    (solve_noncentered, (ONES, 0.5, measure_from_profile(np.ones_like, 8))),
 ])
 def test_single_z_front_ends_raise_alike(solve, args):
     cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
@@ -212,6 +221,25 @@ def _noncentered_update_reference(profile, c, H, tail, z, w, wt):
     return out, out_t
 
 
+def _square_update_reference(P, psi2, z, w, wt):
+    """Independent loop-based reimplementation of one update of the
+    square-Toeplitz system on the m-point midpoint grid, with P[u, t] and
+    psi2[u] = |psi(u)|^2 on its nodes:
+
+        pi(du)  = du / (-z (1 + int P(u,.) dpit) + psi2(u) / (1 + int P(.,u) dpi))
+        pit(du) = du / (-z (1 + int P(.,u) dpi) + psi2(u) / (1 + int P(u,.) dpit))
+    """
+    m = len(w)
+    out = np.empty(m, dtype=complex)
+    out_t = np.empty(m, dtype=complex)
+    for u in range(m):
+        row = sum(P[u, t] * wt[t] for t in range(m))   # int P(u,.) dpit
+        col = sum(P[t, u] * w[t] for t in range(m))    # int P(.,u) dpi
+        out[u] = (1.0 / m) / (-z * (1 + row) + psi2[u] / (1 + col))
+        out_t[u] = (1.0 / m) / (-z * (1 + col) + psi2[u] / (1 + row))
+    return out, out_t
+
+
 class TestConjugateSymmetry:
     def test_update_map_commutes_with_conjugation(self):
         sym = SpectralSymbol(H_TEST)
@@ -240,19 +268,25 @@ class TestConjugateSymmetry:
 
 
 class TestSquare:
+    # a square-Toeplitz part with symbol psi is solved as the non-centered
+    # pair at c = 1 over H = measure_from_profile(|psi|^2, grid_size)
     def test_mp_reduction(self):
         zero1 = lambda u: np.zeros(np.shape(u))
-        pi, _ = solve_square(ONES, zero1, 1j, TIGHT)
+        H = measure_from_profile(zero1, TIGHT.grid_size)
+        pi, _ = solve_noncentered(ONES, 1.0, H, 1j, TIGHT)
         assert abs(pi.value - mp_stieltjes(1j, 1.0)) < 1e-6
 
     def test_non_finite_psi_rejected(self):
-        with pytest.raises(ValueError, match=r"\|psi\|\^2 must be finite"):
-            solve_square(ONES, lambda u: np.full(np.shape(u), np.inf), 1j)
+        with pytest.raises(ValueError,
+                           match="measure_from_profile fn must be finite"):
+            measure_from_profile(lambda u: np.full(np.shape(u), np.inf),
+                                 SolverConfig().grid_size)
 
     def test_noise_free_identity_toeplitz(self):
         one1 = lambda u: np.ones(np.shape(u))
         z = 0.5 + 1j
-        pi, pit = solve_square(ZEROS2, one1, z, TIGHT)
+        H = measure_from_profile(one1, TIGHT.grid_size)
+        pi, pit = solve_noncentered(ZEROS2, 1.0, H, z, TIGHT)
         assert abs(pi.value - 1.0 / (1.0 - z)) < 1e-10
         assert abs(pit.value - 1.0 / (1.0 - z)) < 1e-10
 
@@ -261,7 +295,8 @@ class TestSquare:
         h = FilterSequence2D({(0, 0): 1, (1, 1): 0.5})
         sym2 = SpectralSymbol(h)
         sym1 = SpectralSymbol(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
-        pi, pit = solve_square(sym2.profile, sym1.profile, 0.7 + 0.6j, TIGHT)
+        H = measure_from_profile(sym1.profile, TIGHT.grid_size)
+        pi, pit = solve_noncentered(sym2.profile, 1.0, H, 0.7 + 0.6j, TIGHT)
         assert np.abs(pi.weights - pit.weights).max() < 1e-10
 
     def test_total_masses_agree_for_square_matrices(self):
@@ -269,7 +304,8 @@ class TestSquare:
         # two kernels carry the same total mass even when they differ
         sym2 = SpectralSymbol(H_TEST)
         sym1 = SpectralSymbol(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
-        pi, pit = solve_square(sym2.profile, sym1.profile, 1j, TIGHT)
+        H = measure_from_profile(sym1.profile, TIGHT.grid_size)
+        pi, pit = solve_noncentered(sym2.profile, 1.0, H, 1j, TIGHT)
         assert abs(pi.value - pit.value) < 1e-9
         assert np.abs(pi.weights - pit.weights).max() > 1e-4  # kernels differ
 
@@ -295,27 +331,33 @@ class TestNonCentered:
         # atoms placed on the quadrature nodes make the two discretized
         # systems share their fixed point exactly
         sym = SpectralSymbol(H_TEST)
-        H = measure_from_profile(lambda u: 0.0, TIGHT.grid_size)
+        H = measure_from_profile(np.zeros_like, TIGHT.grid_size)
         for z in (1j, 0.5 + 2j):
             pi, _ = solve_noncentered(sym.profile, 1.0, H, z, TIGHT)
             k = solve_centered(sym.profile, 1.0, z, TIGHT)
             assert abs(pi.value - k.value) < 1e-8
 
     def test_symbol_measure_matches_square(self):
+        # at c = 1 the pair over the |psi|^2 measure solves the
+        # square-Toeplitz system
         sym2 = SpectralSymbol(H_TEST)
         sym1 = SpectralSymbol(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
-        H = measure_from_profile(sym1.profile, TIGHT.grid_size)
+        cfg = SolverConfig(grid_size=16, tolerance=1e-12, max_iterations=50000)
+        x = (np.arange(16) + 0.5) / 16
+        P = sym2.profile(x[:, None], x[None, :])
+        H = measure_from_profile(sym1.profile, cfg.grid_size)
         for z in (1j, -0.5 + 0.3j):
-            pi, pit = solve_noncentered(sym2.profile, 1.0, H, z, TIGHT)
-            qi, qit = solve_square(sym2.profile, sym1.profile, z, TIGHT)
-            assert abs(pi.value - qi.value) < 1e-8
-            assert abs(pit.value - qit.value) < 1e-8
+            pi, pit = solve_noncentered(sym2.profile, 1.0, H, z, cfg)
+            up, up_t = _square_update_reference(P, sym1.profile(x), z,
+                                                pi.weights, pit.weights)
+            assert np.abs(up - pi.weights).max() < 1e-10
+            assert np.abs(up_t - pit.weights).max() < 1e-10
 
     def test_zero_padding_relation_for_thin_matrices(self):
         # with lambda == 0 the tilde transform is the zero-padded one:
         # ftilde = c f + (1 - c)(-1/z)
         sym = SpectralSymbol(H_TEST)
-        H = measure_from_profile(lambda u: 0.0, 32)
+        H = measure_from_profile(np.zeros_like, 32)
         c = 0.4
         z = 0.8 + 1.2j
         pi, pit = solve_noncentered(sym.profile, c, H, z, TIGHT)

@@ -359,6 +359,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize("meta", ["2,2,0", "4,6,9,1.5"])
+    def test_malformed_metadata_names_the_file(self, tmp_path, meta):
+        # a short line used to raise "not enough values to unpack" and a
+        # non-integer field "invalid literal for int()", neither naming it
+        path = tmp_path / "m.csv"
+        save_matrix_csv(sample_noise(2, 4, NoiseSpec(seed=9), margin=1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = f"{meta}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="malformed matrix CSV metadata "
+                                             f"in {re.escape(str(path))}"):
+            load_matrix_csv(path)
+
     def test_real_matrix(self, tmp_path):
         A = build_toeplitz(FilterSequence1D({0: 1.5, 2: -0.125}), 4)
         path = tmp_path / "a.csv"
