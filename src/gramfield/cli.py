@@ -143,15 +143,28 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _to_float(value, message):
+    """``float(value)``; an integer too large for a float raises
+    ValueError(message) instead of a bare OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(message) from None
+
+
 def _complex_pairs(pairs, name):
     """``[re, im]`` pairs as complex numbers; raises naming the key and
-    the index of the first entry that is not a list of two numbers."""
+    the index of the first entry that is not a list of two numbers or
+    holds an integer too large for a float."""
+    out = []
     for i, p in enumerate(pairs):
         if not (isinstance(p, list) and len(p) == 2
                 and all(_is_number(x) for x in p)):
             raise ValueError(f"{name}[{i}] must be an [re, im] pair of "
                              f"numbers, got {p!r}")
-    return [complex(re, im) for re, im in pairs]
+        message = f"{name}[{i}] holds an integer too large for a float"
+        out.append(complex(_to_float(p[0], message), _to_float(p[1], message)))
+    return out
 
 
 def _settings(cls, doc, section):
@@ -172,7 +185,8 @@ def _settings(cls, doc, section):
         elif value is not None:
             if not _is_number(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            value = float(value)
+            value = _to_float(
+                value, f"{name} is an integer too large for a float")
         values[key] = value
     return cls(**values)
 

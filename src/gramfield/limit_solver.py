@@ -29,6 +29,20 @@ apply damping: next = (1 - d) * current + d * update.  The residual is
 the sup-norm of (update - current) and is re-evaluated once after the
 loop; f(z) is the total kernel mass.
 
+Every integral against the kernel is a product w @ P of the (B, M)
+weights with a profile matrix P (M x K) on the grid.  For a filter with
+finite support, |Phi|^2 is a trigonometric polynomial, a sum over tap
+pairs (k, l) of terms in exp(2 pi i ((k1 - l1) u + (k2 - l2) t)), so
+
+    rank P <= min(|{k1 - l1}|, |{k2 - l2}|)
+
+over all pairs of taps: 3 for the README filter at every grid size.
+Each solve factors P = A @ B (rank r) with one SVD, and each iteration
+applies (w @ A) @ B: (M + K) r multiply-adds per z instead of M K.  P
+has full rank only for a filter about K/2 taps wide in both directions
+(2 w - 1 >= K differences for w taps); there the two factors cost about
+twice the dense product.
+
 All solves at distinct z are independent; the *_many variants run them
 as one vectorized batch, equivalent to one-at-a-time solving up to
 floating-point summation order.
@@ -224,23 +238,44 @@ def _evaluate(name, fn, *args):
     return out
 
 
+def _low_rank(P):
+    """Factors (A, B) of the real matrix P, P = A @ B, from one SVD.
+
+    A has the rank r as its column count: singular values at or below
+    numpy's ``matrix_rank`` threshold s[0] * max(P.shape) * eps are
+    dropped, so the dropped part of P has 2-norm at most
+    max(P.shape) * eps * ||P||_2.
+    """
+    U, s, Vt = np.linalg.svd(P, full_matrices=False)
+    r = np.count_nonzero(s > s[0] * max(P.shape) * np.finfo(P.dtype).eps)
+    return U[:, :r] * s[:r], Vt[:r]
+
+
 def _real_factors(P):
-    """kron(P, I2) and kron(P.T, I2), both C-contiguous, for ``_times_real``."""
+    """Products w -> w @ P and w -> w @ P.T for ``_times``: each a pair of
+    C-contiguous kron(F, I2) for the two low-rank factors of P in turn."""
     eye = np.eye(2)
-    return np.kron(P, eye), np.kron(P.T, eye)
+    A2, B2 = (np.kron(f, eye) for f in _low_rank(P))
+    return (A2, B2), (np.ascontiguousarray(B2.T), np.ascontiguousarray(A2.T))
 
 
-def _times_real(w, P2):
-    """w @ P for complex w and real P, given P2 = kron(P, I2).
+def _times_real(w, F2):
+    """w @ F for complex w and real F, given F2 = kron(F, I2).
 
-    The interleaved (re, im) float view of w times kron(P, I2) is the
-    interleaved view of w @ P, so the product runs as one real product:
-    P is not cast to complex on every iteration, and single-z solves stay
-    off the complex BLAS kernels, which OpenBLAS hands to a second thread
-    from a 1 x 64 by 64 x 64 product on.
+    The interleaved (re, im) float view of w times kron(F, I2) is the
+    interleaved view of w @ F, so the product runs on the real BLAS
+    kernels: F is never cast to complex, and single-z solves stay off the
+    complex kernels, which OpenBLAS hands to a second thread from a
+    1 x 64 by 64 x 64 product on.
     """
     w = np.ascontiguousarray(w).view(np.float64)
-    return (w @ P2).view(np.complex128)
+    return (w @ F2).view(np.complex128)
+
+
+def _times(w, factors):
+    """w @ (A @ B) as (w @ A) @ B, given factors (kron(A, I2), kron(B, I2))."""
+    A2, B2 = factors
+    return _times_real(_times_real(w, A2), B2)
 
 
 def _check_z(z_values):
@@ -263,23 +298,43 @@ def _iterate(z, cfg, state, update):
     in place, under ``update(state, z)``, freezing each z once its
     residual reaches the tolerance or is not finite.
 
+    The active rows live in the first k rows of a working copy, in their
+    original order: a row that freezes is written back to ``state`` and
+    the rest are compacted forward in place, so an iteration touches
+    only the k active rows and no mask.
+
     Returns (residual, iterations, converged) per z, with the residual
     re-evaluated once at the returned state.
     """
+    work = tuple(s.copy() for s in state)
+    rows = np.arange(len(z))        # original row of each working row
+    zw = z.copy()
     damp = np.array([cfg.damping_for(zz) for zz in z])[:, None]
-    active = np.ones(len(z), dtype=bool)
-    iterations = np.zeros(len(z), dtype=np.int64)
+    iterations = np.full(len(z), cfg.max_iterations, dtype=np.int64)
+    k = len(z)
     for it in range(1, cfg.max_iterations + 1):
-        if not active.any():
+        if k == 0:
             break
-        sub = tuple(s[active] for s in state)
-        new = update(sub, z[active])
-        d = damp[active]
-        for s, s_old, s_new in zip(state, sub, new):
-            s[active] = (1.0 - d) * s_old + d * s_new
-        iterations[active] = it
-        res = _residual(sub, new)
-        active[active] = np.isfinite(res) & ~(res <= cfg.tolerance)
+        sub = tuple(w[:k] for w in work)
+        new = update(sub, zw[:k])
+        res = _residual(sub, new)   # before sub is damped in place
+        d = damp[:k]
+        for s_old, s_new in zip(sub, new):
+            s_old *= 1.0 - d
+            s_old += d * s_new
+        stop = ~np.isfinite(res) | (res <= cfg.tolerance)
+        if stop.any():
+            done = rows[:k][stop]
+            iterations[done] = it
+            for s, s_cur in zip(state, sub):
+                s[done] = s_cur[stop]
+            keep = ~stop
+            k_next = int(keep.sum())
+            for arr in (*work, rows, zw, damp):
+                arr[:k_next] = arr[:k][keep]
+            k = k_next
+    for s, w in zip(state, work):
+        s[rows[:k]] = w[:k]
     resid = _residual(state, update(state, z))
     return resid, iterations, resid <= cfg.tolerance
 
@@ -305,14 +360,18 @@ def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
     z = _check_z(z_values)
     x = _midpoints(cfg.grid_size)
     P = _evaluate("profile", profile, x[:, None], x[None, :])  # P[x or u, t]
-    P2, P2T = _real_factors(P)
+    fwd, bwd = _real_factors(P)
     m = cfg.grid_size
 
     def update(state, zb):
+        # the (B, M) steps reuse their buffers: on a sweep of thousands of
+        # points, one fresh array per step sets the process's peak RSS
         (w,) = state
-        denom_t = 1.0 + c * _times_real(w, P2)         # (B, M) over t
-        inner = _times_real(1.0 / denom_t, P2T) / m    # int P(u,t)/denom dt
-        return ((1.0 / m) / (-zb[:, None] + inner),)
+        denom_t = 1.0 + c * _times(w, fwd)             # (B, M) over t
+        inv = np.divide(1.0, denom_t, out=denom_t)
+        inner = _times(inv, bwd) / m                   # int P(u,t)/denom dt
+        np.add(-zb[:, None], inner, out=inner)
+        return (np.divide(1.0 / m, inner, out=inner),)
 
     w = np.tile((-1.0 / z)[:, None] / m, (1, m))
     stats = _iterate(z, cfg, (w,), update)
@@ -352,41 +411,35 @@ def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
         raise ValueError("aspect ratio c must lie in (0, 1]")
     z = _check_z(z_values)
     hu, hl, hw = H.u, H.lam, H.weights
+    atoms = len(hu)
     R = cfg.grid_size if c < 1 else 0
-    tail_nodes = c + (1.0 - c) * (np.arange(R) + 0.5) / R
-    tail_w = np.full(R, 1.0 - c) / R
+    # pi_tilde's nodes and masses: the atoms at c u, then the (1 - c) tail
+    tail_u = c + (1.0 - c) * (np.arange(R) + 0.5) / R
+    tilde_u = np.concatenate([c * hu, tail_u])
+    tilde_w = np.concatenate([c * hw, np.full(R, 1.0 - c) / R])
 
-    # P_at[i, j] = P(u_i, c u_j): pit atom coordinates are c*u_j, and the
-    # same matrix transposed gives int P(t, c u_i) dpi.
-    P_at2, P_at2T = _real_factors(
-        _evaluate("profile", profile, hu[:, None], c * hu[None, :]))
-    P_tail2, P_tail2T = _real_factors(
-        _evaluate("profile", profile, hu[:, None], tail_nodes[None, :]))
+    # P[i, j] = P(u_i, v_j) at the pi_tilde nodes v: w @ P gives
+    # int P(t, v_j) dpi, and pit @ P.T gives int P(u_i, t) dpit.
+    fwd, bwd = _real_factors(
+        _evaluate("profile", profile, hu[:, None], tilde_u[None, :]))
 
     def update(state, zb):
-        w, wta, wtg = state
+        w, wt = state
         zc = zb[:, None]
-        # int P(u_i, t) dpit over the atoms plus the tail
-        t_tilde = _times_real(wta, P_at2T) + _times_real(wtg, P_tail2T)
-        s_plain = _times_real(w, P_at2)          # int P(t, c u_i) dpi
-        new_w = hw / (-zc * (1.0 + t_tilde) + hl / (1.0 + c * s_plain))
-        new_wta = c * hw / (-zc * (1.0 + c * s_plain) + hl / (1.0 + t_tilde))
-        g_tail = _times_real(w, P_tail2)         # int P(t, v_r) dpi
-        new_wtg = tail_w / (-zc * (1.0 + c * g_tail))
-        return new_w, new_wta, new_wtg
+        one_t = 1.0 + _times(wt, bwd)            # (B, atoms)
+        one_s = 1.0 + c * _times(w, fwd)         # (B, atoms + R)
+        new_w = hw / (-zc * one_t + hl / one_s[:, :atoms])
+        den_t = np.multiply(-zc, one_s, out=one_s)   # one_s's buffer
+        den_t[:, :atoms] += hl / one_t           # the tail has lambda = 0
+        return new_w, np.divide(tilde_w, den_t, out=den_t)
 
     minus_inv_z = (-1.0 / z)[:, None]
     w = minus_inv_z * hw
-    wta = c * minus_inv_z * hw
-    wtg = tail_w * minus_inv_z
-    stats = _iterate(z, cfg, (w, wta, wtg), update)
-
-    tilde_nodes = np.concatenate([c * hu, tail_nodes])
-    tilde_lam = np.concatenate([hl, np.zeros(R)])
+    wt = minus_inv_z * tilde_w
+    stats = _iterate(z, cfg, (w, wt), update)
     return list(zip(
         _kernels(z, stats, hu, w, hl),
-        _kernels(z, stats, tilde_nodes, np.concatenate([wta, wtg], axis=1),
-                 tilde_lam)))
+        _kernels(z, stats, tilde_u, wt, np.concatenate([hl, np.zeros(R)]))))
 
 
 def solve_noncentered(profile, c, H, z, cfg=SolverConfig()):

@@ -328,6 +328,35 @@ class TestConfigValidation:
                                              r"\[re, im\] pair of numbers"):
             cli.ExperimentConfig.from_json_dict(doc)
 
+    @pytest.mark.parametrize("section, key", [("solver", "tolerance"),
+                                              ("inversion", "eta")])
+    def test_huge_integer_setting_rejected(self, tmp_path, section, key):
+        # float(10**400) used to raise a bare OverflowError
+        doc = base_config(tmp_path)
+        doc[section] = dict(doc[section], **{key: 10 ** 400})
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ValueError, match=f"^{section} {key} is an "
+                                             "integer too large for a float"):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize("key, pair", [
+        ("z_grid", [0, 10 ** 400]), ("lambda_diag", [-10 ** 400, 0])])
+    def test_huge_integer_pair_rejected(self, tmp_path, key, pair):
+        # complex(0, 10**400) used to raise a bare OverflowError
+        good = [[1.0, 0.0]] * 15
+        doc = base_config(tmp_path, mode="noncentered_pseudodiag",
+                          lambda_diag=good + [[1.0, 0.0]])
+        doc[key] = good + [pair]
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ValueError, match=rf"^{key}\[15\] holds an integer "
+                                             "too large for a float"):
+            cli.load_config(path)
+
+    def test_integer_pairs_load_as_floats(self, tmp_path):
+        doc = base_config(tmp_path, z_grid=[[0, 1], [-2, 3]])
+        cfg = cli.ExperimentConfig.from_json_dict(doc)
+        assert cfg.z_grid == [1j, -2 + 3j]
+
 
 class TestCompare:
     def test_file_vs_itself(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gramfield import limit_solver
 from gramfield.limit_solver import (AtomicMeasureH, SolverConfig,
                                     SolverConvergenceError,
                                     StieltjesKernel, measure_from_lambda,
@@ -240,6 +241,145 @@ def _square_update_reference(P, psi2, z, w, wt):
     return out, out_t
 
 
+def _grid_profile(h, m):
+    x = (np.arange(m) + 0.5) / m
+    return SpectralSymbol(h).profile(x[:, None], x[None, :])
+
+
+def _random_filter(rng, width):
+    """Complex taps on the width x width box {0..width-1}^2."""
+    return FilterSequence2D({
+        (k1, k2): complex(*rng.standard_normal(2))
+        for k1 in range(width) for k2 in range(width)})
+
+
+class TestLowRankProducts:
+    # a finite filter's |Phi|^2 is a trigonometric polynomial, so its
+    # matrix on the midpoint grid has rank at most
+    # min(|{k1 - l1}|, |{k2 - l2}|) over pairs of taps k, l
+
+    @pytest.mark.parametrize("m", [8, 64, 256])
+    def test_readme_filter_has_rank_three(self, m):
+        A, B = limit_solver._low_rank(_grid_profile(H_TEST, m))
+        assert A.shape == (m, 3)
+        assert B.shape == (3, m)
+
+    def test_noncentered_grid_has_rank_three(self):
+        # 256 atoms against pi_tilde's nodes at c = 1/2: the atoms at c u,
+        # then the 64-node tail on [c, 1]
+        u = (np.arange(256) + 1) / 256
+        v = np.concatenate([0.5 * u, 0.5 + 0.5 * (np.arange(64) + 0.5) / 64])
+        P = SpectralSymbol(H_TEST).profile(u[:, None], v[None, :])
+        A, B = limit_solver._low_rank(P)
+        assert A.shape == (256, 3)
+        assert B.shape == (3, 320)
+
+    def test_zero_profile_has_rank_zero(self):
+        A, B = limit_solver._low_rank(np.zeros((16, 16)))
+        assert A.shape == (16, 0)
+        assert B.shape == (0, 16)
+        fwd, bwd = limit_solver._real_factors(np.zeros((16, 16)))
+        w = np.ones((2, 16), dtype=complex)
+        assert np.array_equal(limit_solver._times(w, fwd), np.zeros((2, 16)))
+        assert np.array_equal(limit_solver._times(w, bwd), np.zeros((2, 16)))
+
+    @pytest.mark.parametrize("width, m, rank", [(3, 64, 5), (5, 8, 8)],
+                             ids=["random_3x3_taps", "full_rank_5x5_taps"])
+    def test_factored_product_matches_dense(self, width, m, rank):
+        # 5 x 5 taps give 9 differences per axis, 8 distinct on an
+        # 8-point grid: the full-rank worst case
+        rng = np.random.default_rng(11)
+        P = _grid_profile(_random_filter(rng, width), m)
+        assert np.linalg.matrix_rank(P) == rank
+        fwd, bwd = limit_solver._real_factors(P)
+        assert fwd[0].shape == (2 * m, 2 * rank)
+        w = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+        for got, want in ((limit_solver._times(w, fwd), w @ P),
+                          (limit_solver._times(w, bwd), w @ P.T)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # a single z, one row, is as accurate as a batch
+        assert np.abs(limit_solver._times(w[:1], fwd) - w[:1] @ P).max() \
+            <= 1e-13 * np.abs(w[:1] @ P).max()
+
+
+def _iterate_reference(z, cfg, state, update):
+    """Independent per-row loop of the damped iteration of ``_iterate``:
+    each z alone, stopped at the tolerance, a non-finite residual or the
+    iteration budget.  Returns the final rows, counts and residuals."""
+    rows, counts, resid = [], [], []
+    for i in range(len(z)):
+        row = tuple(s[i:i + 1].copy() for s in state)
+        zi, d = z[i:i + 1], cfg.damping_for(z[i])
+        for it in range(1, cfg.max_iterations + 1):
+            new = update(row, zi)
+            res = max(np.abs(b - a).max() for a, b in zip(row, new))
+            row = tuple((1.0 - d) * a + d * b for a, b in zip(row, new))
+            if not np.isfinite(res) or res <= cfg.tolerance:
+                break
+        rows.append(row)
+        counts.append(it)
+        resid.append(max(np.abs(b - a).max()
+                         for a, b in zip(row, update(row, zi))))
+    return ([np.concatenate(block) for block in zip(*rows)],
+            np.array(counts), np.array(resid))
+
+
+class TestCompactedIteration:
+    def test_mixed_batch_keeps_each_row(self):
+        # halving with residual |x|/2 and tolerance 0.1: damping 1 (Im z
+        # >= 1) stops x0 = 0.15 at iteration 1 and 0.3 at 2, damping 0.5
+        # (Im z < 1) stops 0.25 at 2; x0 = 4 and 9 run out the budget of
+        # 3; Re z = 1 multiplies by 1e200, so its residual overflows at 1
+        cfg = SolverConfig(tolerance=0.1, max_iterations=3)
+        x0 = np.array([0.3, 4.0, 1e200, 0.15, 0.25, 9.0, 0.3])
+        im = np.array([2.0, 0.5, 3.0, 4.0, 0.25, 5.0, 6.0])
+        z = np.where(x0 == 1e200, 1.0, 0.0) + 1j * im
+        seen = []
+
+        def update(state, zb):
+            seen.append(zb.imag.tolist())
+            factor = np.where(zb.real == 1.0, 1e200, 0.5)[:, None]
+            return tuple(s * factor for s in state)
+
+        def start():
+            return (x0[:, None] * (0.6 + 0.8j),
+                    x0[:, None] * np.array([[1.0, 0.5j, -0.25]]))
+
+        state = start()
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid, iters, conv = limit_solver._iterate(z, cfg, state, update)
+            calls = list(seen)
+            want, want_iters, want_resid = _iterate_reference(
+                z, cfg, start(), update)
+        assert iters.tolist() == [2, 3, 1, 1, 2, 3, 2]
+        assert conv.tolist() == [True, False, False, True, True, False, True]
+        assert np.array_equal(iters, want_iters)
+        for got_block, want_block in zip(state, want):
+            assert np.array_equal(got_block, want_block, equal_nan=True)
+        assert np.array_equal(resid, want_resid, equal_nan=True)
+        assert not np.isfinite(state[0][2]).any()
+        # each iteration updates only the rows still active, in order,
+        # then one call re-evaluates the residual on every row
+        assert calls == [im.tolist(), [2.0, 0.5, 0.25, 5.0, 6.0],
+                         [0.5, 5.0], im.tolist()]
+
+    def test_batch_matches_single_noncentered(self):
+        # the coupled solver on a mixed batch: early, late and
+        # budget-stopped points keep the iterate of their own solve
+        sym = SpectralSymbol(H_TEST)
+        H = measure_from_profile(np.ones_like, 16)
+        cfg = SolverConfig(grid_size=16, tolerance=1e-12, max_iterations=40)
+        zs = [3j, 0.5 + 1e-2j, 1 + 1j, -1 + 0.3j]
+        batch = solve_noncentered_many(sym.profile, 0.5, H, zs, cfg)
+        assert {pi.converged for pi, _ in batch} == {True, False}
+        for z, (pi, pit) in zip(zs, batch):
+            (one, one_t), = solve_noncentered_many(sym.profile, 0.5, H, [z],
+                                                   cfg)
+            assert one.iterations == pi.iterations
+            assert np.abs(one.weights - pi.weights).max() < 1e-14
+            assert np.abs(one_t.weights - pit.weights).max() < 1e-14
+
+
 class TestConjugateSymmetry:
     def test_update_map_commutes_with_conjugation(self):
         sym = SpectralSymbol(H_TEST)
@@ -377,6 +517,22 @@ class TestNonCentered:
         # c = 1 leaves no tail component
         _, pit1 = solve_noncentered(ONES, 1.0, H, 1j, cfg)
         assert len(pit1.nodes) == 1
+
+    @pytest.mark.parametrize("c, tail", [(1.0, 0), (0.5, 8)])
+    def test_one_profile_grid(self, c, tail):
+        # the profile is evaluated once, on the atoms against every
+        # pi_tilde node; c = 1 has no (1 - c) tail nodes
+        shapes = []
+
+        def profile(u, t):
+            shapes.append(np.broadcast_shapes(np.shape(u), np.shape(t)))
+            return SpectralSymbol(H_TEST).profile(u, t)
+
+        H = measure_from_profile(np.ones_like, 16)
+        pi, pit = solve_noncentered(profile, c, H, 1j,
+                                    SolverConfig(grid_size=8))
+        assert shapes == [(16, 16 + tail)]
+        assert len(pit.nodes) == 16 + tail
 
     def test_fixed_point_of_reference_update_with_tail(self):
         # c < 1, nonzero lambda and a non-constant profile: the returned
