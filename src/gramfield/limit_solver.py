@@ -1,8 +1,8 @@
 """Fixed-point solvers for limiting Stieltjes transforms of Gram spectra.
 
-Two characterizations are solved, each as a damped fixed-point
-iteration on a discretized complex measure ("Stieltjes kernel")
-evaluated at a point z of the upper half-plane.
+Two characterizations are solved, each as a fixed point of an update
+of a discretized complex measure ("Stieltjes kernel") evaluated at a
+point z of the upper half-plane.
 
 Centered case (noise only), with profile P(u, t) = |Phi(u, t)|^2 and
 aspect ratio c:
@@ -24,10 +24,7 @@ at c = 1 with H = measure_from_profile(|psi|^2, grid_size).
 
 Integrals over [0, 1] use a midpoint rule whose nodes carry the kernel
 weights themselves, so each discrete system is exactly self-consistent.
-Iterations start from the zero-coupling value -1/z per unit weight and
-apply damping: next = (1 - d) * current + d * update.  The residual is
-the sup-norm of (update - current) and is re-evaluated once after the
-loop; f(z) is the total kernel mass.
+f(z) is the total kernel mass.
 
 Every integral against the kernel is a product w @ P of the (B, M)
 weights with a profile matrix P (M x K) on the grid.  For a filter with
@@ -37,11 +34,36 @@ pairs (k, l) of terms in exp(2 pi i ((k1 - l1) u + (k2 - l2) t)), so
     rank P <= min(|{k1 - l1}|, |{k2 - l2}|)
 
 over all pairs of taps: 3 for the README filter at every grid size.
-Each solve factors P = A @ B (rank r) with one SVD, and each iteration
-applies (w @ A) @ B: (M + K) r multiply-adds per z instead of M K.  P
-has full rank only for a filter about K/2 taps wide in both directions
+Each solve factors P = A @ B (rank r) with one SVD and applies
+(w @ A) @ B: (M + K) r multiply-adds per z instead of M K.  P has full
+rank only for a filter about K/2 taps wide in both directions
 (2 w - 1 >= K differences for w taps); there the two factors cost about
 twice the dense product.
+
+The update g therefore reads the weights only through r numbers per z,
+y = w @ A (coupled: y = (w @ A, w~ @ B.T), 2 r numbers), and the fixed
+point is the root of F(y) = proj(g(y)) - y with proj(w) = w @ A.  Each
+iteration takes the Newton step, solving (I - J) step = F with the
+analytic r x r (coupled: 2r x 2r) Jacobian J of y -> proj(g(y)), built
+from weighted Gram products of the factors.  Safeguard: a z keeps its
+Newton step only if sup|F| falls and the new weights are still a
+Stieltjes kernel (Im w >= 0 and Im(z w) >= 0 at every node, and
+Im(1 + int P dpi) >= 0 for every denominator); otherwise it takes the
+damped step y + d F, which is the classical damped iteration
+next = (1 - d) current + d update seen through proj.  The iteration
+starts from the zero-coupling value -1/z per unit weight.
+
+Stop rule: a z stops once its weights g(y) moved by at most the
+tolerance (or by a non-finite amount) between successive iterates.  The
+residual is the sup-norm of g(w) - w, re-evaluated once at the returned
+weights w, and a z has converged when it is at most the tolerance.
+Near the root the steps converge quadratically, so the returned f is
+usually far closer to the fixed point than the tolerance.
+
+Cost per iteration and z: (M + K) r for the update, (M + K) r^2 for the
+Jacobian, and O(r^3) for the solve, which is negligible at r = 3 but
+M^3 when P has full rank (r = M).  The z points run in blocks of at
+most ``_BLOCK`` weights, which bounds the working set of a long sweep.
 
 All solves at distinct z are independent; the *_many variants run them
 as one vectorized batch, equivalent to one-at-a-time solving up to
@@ -51,6 +73,7 @@ floating-point summation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,6 +95,7 @@ __all__ = [
 
 _HAT_COUNT = 8  # hat test functions used by verify_kernel_axioms
 _AXIOM_SLACK = 1e-10  # its tolerance, relative to 1/Im z
+_BLOCK = 1 << 15  # weights (z points x nodes) iterated together
 
 
 def _midpoints(m):
@@ -88,9 +112,11 @@ class SolverConfig:
     grid of the centered kernel and the (1 - c) tail grid of the
     non-centered pi_tilde.
 
-    ``damping=None`` resolves per z to 1.0 when Im z >= 1 and 0.5
-    otherwise; near-axis evaluations (eta ~ 1e-3) usually need damping
-    and a generous iteration budget.
+    ``tolerance`` bounds how far the weights may move in the last
+    iteration, and the residual of a converged kernel.  ``damping`` is
+    the fallback step d, taken by a z whose Newton step the safeguard
+    rejects; ``damping=None`` resolves per z to 1.0 when Im z >= 1 and
+    0.5 otherwise.
     """
 
     grid_size: int = 64
@@ -148,7 +174,7 @@ class StieltjesKernel:
 
 
 class SolverConvergenceError(RuntimeError):
-    """Raised when the damped iteration fails to reach tolerance."""
+    """Raised when the iteration fails to reach tolerance."""
 
     def __init__(self, message, kernel=None, kernel_tilde=None):
         super().__init__(message)
@@ -251,11 +277,12 @@ def _low_rank(P):
     return U[:, :r] * s[:r], Vt[:r]
 
 
-def _real_factors(P):
-    """Products w -> w @ P and w -> w @ P.T for ``_times``: each a pair of
-    C-contiguous kron(F, I2) for the two low-rank factors of P in turn."""
+def _real_factors(A, B):
+    """Products w -> w @ P and w -> w @ P.T for ``_times``, given the
+    factors P = A @ B of ``_low_rank``: each a pair of C-contiguous
+    kron(F, I2) for the two factors in turn."""
     eye = np.eye(2)
-    A2, B2 = (np.kron(f, eye) for f in _low_rank(P))
+    A2, B2 = np.kron(A, eye), np.kron(B, eye)
     return (A2, B2), (np.ascontiguousarray(B2.T), np.ascontiguousarray(A2.T))
 
 
@@ -293,50 +320,138 @@ def _residual(old, new):
                    for a, b in zip(old, new)], axis=0)
 
 
-def _iterate(z, cfg, state, update):
-    """Damped iteration of ``state``, a tuple of (B, K_i) arrays updated
-    in place, under ``update(state, z)``, freezing each z once its
-    residual reaches the tolerance or is not finite.
+def _gram(F, G):
+    """kron(Q, I2) for the (n, r * r) matrix Q[i, k r + l] = F[i, k] G[i, l]:
+    row v of ``_times_real(v, _gram(F, G))``, reshaped to (r, r), is
+    F.T @ diag(v) @ G."""
+    n, r = F.shape
+    return np.kron((F[:, :, None] * G[:, None, :]).reshape(n, r * r),
+                   np.eye(2))
 
-    The active rows live in the first k rows of a working copy, in their
-    original order: a row that freezes is written back to ``state`` and
-    the rest are compacted forward in place, so an iteration touches
-    only the k active rows and no mask.
 
-    Returns (residual, iterations, converged) per z, with the residual
-    re-evaluated once at the returned state.
+def _weighted_gram(v, FG2, r):
+    """F.T @ diag(v_b) @ G for every row v_b of v, as a (B, r, r) array,
+    given FG2 = _gram(F, G) for factors of r columns."""
+    return _times_real(v, FG2).reshape(len(v), r, r)
+
+
+class _FixedPointMap(NamedTuple):
+    """A solver's update g in the coordinates y it reads, y = proj(w).
+
+    ``evaluate(y, z)`` returns (weights, invs): g(y) as a tuple of
+    (B, K_i) weight arrays, one per kernel, and the (B, K_j) reciprocals
+    1 / (1 + int P dpi) of the denominators it divides by.
+    ``project(weights)`` returns the (B, n) coordinates, and
+    ``jacobian(z, weights, invs)`` the (B, n, n) derivative of
+    y -> proj(g(y)) at the point that ``evaluate`` returned them for.
     """
-    work = tuple(s.copy() for s in state)
-    rows = np.arange(len(z))        # original row of each working row
-    zw = z.copy()
+
+    evaluate: Callable
+    project: Callable
+    jacobian: Callable
+
+
+class _Point(NamedTuple):
+    """The iterate: coordinates y, the reduced step F = proj(g(y)) - y and
+    ``evaluate``'s weights and reciprocal denominators at y."""
+
+    y: np.ndarray
+    F: np.ndarray
+    weights: tuple
+    invs: tuple
+
+    def arrays(self):
+        return (self.y, self.F, *self.weights, *self.invs)
+
+    def take(self, sel):
+        return _Point(self.y[sel], self.F[sel],
+                      tuple(a[sel] for a in self.weights),
+                      tuple(a[sel] for a in self.invs))
+
+
+def _point(fmap, y, z):
+    weights, invs = fmap.evaluate(y, z)
+    return _Point(y, fmap.project(weights) - y, weights, invs)
+
+
+def _sup(F):
+    return np.abs(F).max(axis=1, initial=0.0)
+
+
+def _is_kernel(z, weights, invs):
+    """Per z: Im w >= 0 and Im(z w) >= 0 at every node of every kernel,
+    and Im d >= 0 for every denominator d = 1 + int P dpi, tested as
+    Im(1 / d) <= 0."""
+    zc = z[:, None]
+    ok = np.ones(len(z), dtype=bool)
+    for w in weights:
+        ok &= ((w.imag >= 0) & ((zc * w).imag >= 0)).all(axis=1)
+    for inv in invs:
+        ok &= (inv.imag <= 0).all(axis=1)
+    return ok
+
+
+def _iterate(z, cfg, state, fmap):
+    """Safeguarded Newton iteration of every z on the coordinates of
+    ``fmap``, from the weights ``state`` (a tuple of (B, K_i) arrays),
+    which receive the final weights in place.  The z points run in
+    blocks of at most ``_BLOCK`` weights (or one z).
+
+    Returns (residual, iterations, converged) per z: the residual is the
+    sup-norm of g(w) - w re-evaluated once at the returned weights w.
+    """
+    resid = np.empty(len(z))
+    iterations = np.empty(len(z), dtype=np.int64)
+    rows = max(1, _BLOCK // sum(s.shape[1] for s in state))
+    for lo in range(0, len(z), rows):
+        blk = slice(lo, lo + rows)
+        sub = tuple(s[blk] for s in state)      # views: written in place
+        iterations[blk] = _newton(z[blk], cfg, sub, fmap)
+        resid[blk] = _residual(sub, fmap.evaluate(fmap.project(sub),
+                                                  z[blk])[0])
+    return resid, iterations, resid <= cfg.tolerance
+
+
+def _newton(z, cfg, state, fmap):
+    """Iterate the rows of one block; returns the iteration count per z.
+
+    Each iteration solves (I - J) step = F for the Newton step.  A row
+    keeps it only if the reduced residual sup|F| falls and the weights
+    there pass ``_is_kernel``; every other row takes the damped step
+    y + d F instead.  A z stops once its weights moved by at most
+    ``cfg.tolerance``, or by a non-finite amount, in one iteration.
+    Stopped rows are written back to ``state`` and dropped.
+    """
+    rows = np.arange(len(z))        # row of ``state`` of each active row
     damp = np.array([cfg.damping_for(zz) for zz in z])[:, None]
     iterations = np.full(len(z), cfg.max_iterations, dtype=np.int64)
-    k = len(z)
+    cur = _point(fmap, fmap.project(state), z)
+    eye = np.eye(cur.y.shape[1])
     for it in range(1, cfg.max_iterations + 1):
-        if k == 0:
+        if len(rows) == 0:
             break
-        sub = tuple(w[:k] for w in work)
-        new = update(sub, zw[:k])
-        res = _residual(sub, new)   # before sub is damped in place
-        d = damp[:k]
-        for s_old, s_new in zip(sub, new):
-            s_old *= 1.0 - d
-            s_old += d * s_new
-        stop = ~np.isfinite(res) | (res <= cfg.tolerance)
+        step = np.linalg.solve(eye - fmap.jacobian(z, cur.weights, cur.invs),
+                               cur.F[..., None])[..., 0]
+        new = _point(fmap, cur.y + step, z)
+        bad = ~((_sup(new.F) < _sup(cur.F))
+                & _is_kernel(z, new.weights, new.invs))
+        if bad.any():
+            damped = _point(fmap, cur.y[bad] + damp[bad] * cur.F[bad], z[bad])
+            for a, b in zip(new.arrays(), damped.arrays()):
+                a[bad] = b
+        moved = _residual(cur.weights, new.weights)
+        cur = new
+        stop = ~np.isfinite(moved) | (moved <= cfg.tolerance)
         if stop.any():
-            done = rows[:k][stop]
-            iterations[done] = it
-            for s, s_cur in zip(state, sub):
-                s[done] = s_cur[stop]
+            iterations[rows[stop]] = it
+            for s, w in zip(state, cur.weights):
+                s[rows[stop]] = w[stop]
             keep = ~stop
-            k_next = int(keep.sum())
-            for arr in (*work, rows, zw, damp):
-                arr[:k_next] = arr[:k][keep]
-            k = k_next
-    for s, w in zip(state, work):
-        s[rows[:k]] = w[:k]
-    resid = _residual(state, update(state, z))
-    return resid, iterations, resid <= cfg.tolerance
+            rows, z, damp = rows[keep], z[keep], damp[keep]
+            cur = cur.take(keep)
+    for s, w in zip(state, cur.weights):
+        s[rows] = w
+    return iterations
 
 
 def _kernels(z, stats, nodes, weights, lambdas=None):
@@ -347,6 +462,35 @@ def _kernels(z, stats, nodes, weights, lambdas=None):
                             lambdas=lambdas, residual=float(resid[i]),
                             iterations=int(iters[i]), converged=bool(conv[i]))
             for i in range(len(z))]
+
+
+def _centered_map(P, c):
+    """The centered update on the m-point grid with profile matrix P, in
+    the coordinates y = w @ A of P = A @ B:
+
+        s = 1 + c y @ B,   g = (1/m) / (-z + (1/s) @ P.T / m),
+
+    with Jacobian c (A.T diag(g^2) A) (B diag(1/s^2) B.T)."""
+    m = P.shape[0]
+    A, B = _low_rank(P)
+    r = A.shape[1]
+    fwd, bwd = _real_factors(A, B)
+    AA, BB = _gram(A, A), _gram(B.T, B.T)
+
+    def evaluate(y, z):
+        inv = 1.0 / (1.0 + c * _times_real(y, fwd[1]))   # (B, M) over t
+        inner = _times(inv, bwd) * (1.0 / m)             # int P(u,t)/s dt
+        return ((1.0 / m) / (-z[:, None] + inner),), (inv,)
+
+    def project(weights):
+        return _times_real(weights[0], fwd[0])
+
+    def jacobian(z, weights, invs):
+        (g,), (inv,) = weights, invs
+        return c * (_weighted_gram(g * g, AA, r)
+                    @ _weighted_gram(inv * inv, BB, r))
+
+    return _FixedPointMap(evaluate, project, jacobian)
 
 
 def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
@@ -360,21 +504,8 @@ def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
     z = _check_z(z_values)
     x = _midpoints(cfg.grid_size)
     P = _evaluate("profile", profile, x[:, None], x[None, :])  # P[x or u, t]
-    fwd, bwd = _real_factors(P)
-    m = cfg.grid_size
-
-    def update(state, zb):
-        # the (B, M) steps reuse their buffers: on a sweep of thousands of
-        # points, one fresh array per step sets the process's peak RSS
-        (w,) = state
-        denom_t = 1.0 + c * _times(w, fwd)             # (B, M) over t
-        inv = np.divide(1.0, denom_t, out=denom_t)
-        inner = _times(inv, bwd) / m                   # int P(u,t)/denom dt
-        np.add(-zb[:, None], inner, out=inner)
-        return (np.divide(1.0 / m, inner, out=inner),)
-
-    w = np.tile((-1.0 / z)[:, None] / m, (1, m))
-    stats = _iterate(z, cfg, (w,), update)
+    w = np.tile((-1.0 / z)[:, None] / cfg.grid_size, (1, cfg.grid_size))
+    stats = _iterate(z, cfg, (w,), _centered_map(P, c))
     return _kernels(z, stats, x, w)
 
 
@@ -399,6 +530,61 @@ def solve_centered(profile, c, z, cfg=SolverConfig()):
     return _solve_one("centered", solve_centered_many, z, cfg, profile, c)
 
 
+def _noncentered_map(P, c, hw, hl, tilde_w):
+    """The coupled update with P[i, j] = P(u_i, v_j) between the atoms u
+    (masses hw, lambdas hl) and pi_tilde's nodes v (masses tilde_w), in
+    the coordinates (y, yt) = (w @ A, wt @ B.T) of P = A @ B:
+
+        a = 1 + yt @ A.T                      (atoms)
+        b = 1 + c y @ B                       (pi_tilde nodes)
+        w  = hw / (-z a + hl / b[:atoms])
+        wt = tilde_w / (-z b + [hl / a, 0 on the tail])
+
+    The Jacobian blocks follow from dw/da = z w^2 / hw,
+    dw/db = hl w^2 / (hw b^2), dwt/db = z wt^2 / tilde_w and
+    dwt/da = hl wt^2 / (tilde_w a^2).
+    """
+    atoms = len(hw)
+    A, B = _low_rank(P)
+    r = A.shape[1]
+    fwd, bwd = _real_factors(A, B)
+    AA, BB, AB = _gram(A, A), _gram(B.T, B.T), _gram(A, B[:, :atoms].T)
+    inv_hw, inv_tilde_w = 1.0 / hw, 1.0 / tilde_w
+
+    def evaluate(y, z):
+        zc = z[:, None]
+        a = 1.0 + _times_real(y[:, r:], bwd[1])       # (B, atoms)
+        b = 1.0 + c * _times_real(y[:, :r], fwd[1])   # (B, atoms + R)
+        inv_a, inv_b = 1.0 / a, 1.0 / b
+        new_w = hw / (-zc * a + hl * inv_b[:, :atoms])
+        den_t = -zc * b
+        den_t[:, :atoms] += hl * inv_a                # the tail has lambda = 0
+        return (new_w, tilde_w / den_t), (inv_a, inv_b)
+
+    def project(weights):
+        w, wt = weights
+        return np.concatenate([_times_real(w, fwd[0]),
+                               _times_real(wt, bwd[0])], axis=1)
+
+    def jacobian(z, weights, invs):
+        (w, wt), (inv_a, inv_b) = weights, invs
+        zc = z[:, None, None]
+        J = np.empty((len(z), 2 * r, 2 * r), dtype=np.complex128)
+        # w^2 / hw and wt^2 / tilde_w, by multiplication: a complex
+        # division costs several times as much
+        q, qt = w * w * inv_hw, wt * wt * inv_tilde_w
+        J[:, :r, :r] = c * _weighted_gram(
+            hl * q * inv_b[:, :atoms] * inv_b[:, :atoms], AB, r)
+        J[:, :r, r:] = zc * _weighted_gram(q, AA, r)
+        J[:, r:, :r] = (c * zc) * _weighted_gram(qt, BB, r)
+        # B[:, :atoms] diag(.) A, the transpose of A.T diag(.) B[:, :atoms].T
+        J[:, r:, r:] = _weighted_gram(
+            hl * qt[:, :atoms] * inv_a * inv_a, AB, r).transpose(0, 2, 1)
+        return J
+
+    return _FixedPointMap(evaluate, project, jacobian)
+
+
 def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
                            cfg=SolverConfig()):
     """Non-centered kernels (pi, pi_tilde) at a batch of z points.
@@ -411,7 +597,6 @@ def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
         raise ValueError("aspect ratio c must lie in (0, 1]")
     z = _check_z(z_values)
     hu, hl, hw = H.u, H.lam, H.weights
-    atoms = len(hu)
     R = cfg.grid_size if c < 1 else 0
     # pi_tilde's nodes and masses: the atoms at c u, then the (1 - c) tail
     tail_u = c + (1.0 - c) * (np.arange(R) + 0.5) / R
@@ -420,23 +605,11 @@ def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
 
     # P[i, j] = P(u_i, v_j) at the pi_tilde nodes v: w @ P gives
     # int P(t, v_j) dpi, and pit @ P.T gives int P(u_i, t) dpit.
-    fwd, bwd = _real_factors(
-        _evaluate("profile", profile, hu[:, None], tilde_u[None, :]))
-
-    def update(state, zb):
-        w, wt = state
-        zc = zb[:, None]
-        one_t = 1.0 + _times(wt, bwd)            # (B, atoms)
-        one_s = 1.0 + c * _times(w, fwd)         # (B, atoms + R)
-        new_w = hw / (-zc * one_t + hl / one_s[:, :atoms])
-        den_t = np.multiply(-zc, one_s, out=one_s)   # one_s's buffer
-        den_t[:, :atoms] += hl / one_t           # the tail has lambda = 0
-        return new_w, np.divide(tilde_w, den_t, out=den_t)
-
+    P = _evaluate("profile", profile, hu[:, None], tilde_u[None, :])
     minus_inv_z = (-1.0 / z)[:, None]
     w = minus_inv_z * hw
     wt = minus_inv_z * tilde_w
-    stats = _iterate(z, cfg, (w, wt), update)
+    stats = _iterate(z, cfg, (w, wt), _noncentered_map(P, c, hw, hl, tilde_w))
     return list(zip(
         _kernels(z, stats, hu, w, hl),
         _kernels(z, stats, tilde_u, wt, np.concatenate([hl, np.zeros(R)]))))

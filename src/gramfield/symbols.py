@@ -192,12 +192,38 @@ def filter_to_json_dict(filt):
 
 
 def filter_from_json_dict(doc):
+    """Filter from its JSON document (``filter_to_json_dict``'s format).
+
+    Raises ValueError naming the index of the first entry that is not
+    [*k, re, im] with integer tap indices k and numbers re, im, that
+    repeats an earlier tap, or that holds an integer too large for a
+    float or a tap index outside int64.
+    """
     dims = doc.get("dims")
     if dims not in (1, 2):
         raise ValueError(f"unsupported filter dims: {dims!r}")
+    coeffs = {}
+    for i, e in enumerate(doc.get("entries", [])):
+        name = f"filter entries[{i}]"
+        if not (isinstance(e, list) and len(e) == dims + 2
+                and all(isinstance(x, (int, float))
+                        and not isinstance(x, bool) for x in e)):
+            raise ValueError(f"{name} must be [{', '.join(['k'] * dims)}, "
+                             f"re, im] of numbers, got {e!r}")
+        for k in e[:dims]:
+            if not (abs(k) < 2 ** 63 and float(k).is_integer()):
+                raise ValueError(f"{name} has tap index {k!r}, which is "
+                                 "not an int64 integer")
+        key = tuple(int(k) for k in e[:dims])
+        if key in coeffs:
+            raise ValueError(f"{name} repeats tap {key}")
+        try:
+            coeffs[key] = complex(float(e[dims]), float(e[dims + 1]))
+        except OverflowError:
+            raise ValueError(f"{name} holds an integer too large for a "
+                             "float") from None
     cls = FilterSequence2D if dims == 2 else FilterSequence1D
-    return cls({tuple(int(k) for k in e[:dims]): complex(e[dims], e[dims + 1])
-                for e in doc.get("entries", [])})
+    return cls(coeffs)
 
 
 def save_filter(filt, path):

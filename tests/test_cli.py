@@ -278,9 +278,12 @@ class TestConfigValidation:
         ({"lambda_diag": [[1.0, 0.0]] * 17},
          r"diagonal length \(17,\) does not match min\(16, 16\)"),
         ({"seeds": [0, -1]}, r"seed -1 is outside \[0, 2\*\*64\)"),
-        ({"seeds": [2 ** 64]}, r"seed 18446744073709551616 is outside")],
+        ({"seeds": [2 ** 64]}, r"seed 18446744073709551616 is outside"),
+        ({"filter2d": {"dims": 2, "entries": [[0, 0, 1.0, 0.0],
+                                              [0, 0, 0.5, 0.0]]}},
+         r"filter entries\[1\] repeats tap \(0, 0\)")],
         ids=["lambda_diag_short", "lambda_diag_long", "seed_negative",
-             "seed_too_large"])
+             "seed_too_large", "filter_repeated_tap"])
     def test_bad_config_fails_before_output_dir(self, tmp_path, override,
                                                message):
         # used to create the output directory (and, for a bad seed, to

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -278,7 +280,8 @@ class TestLowRankProducts:
         A, B = limit_solver._low_rank(np.zeros((16, 16)))
         assert A.shape == (16, 0)
         assert B.shape == (0, 16)
-        fwd, bwd = limit_solver._real_factors(np.zeros((16, 16)))
+        fwd, bwd = limit_solver._real_factors(
+            *limit_solver._low_rank(np.zeros((16, 16))))
         w = np.ones((2, 16), dtype=complex)
         assert np.array_equal(limit_solver._times(w, fwd), np.zeros((2, 16)))
         assert np.array_equal(limit_solver._times(w, bwd), np.zeros((2, 16)))
@@ -291,7 +294,7 @@ class TestLowRankProducts:
         rng = np.random.default_rng(11)
         P = _grid_profile(_random_filter(rng, width), m)
         assert np.linalg.matrix_rank(P) == rank
-        fwd, bwd = limit_solver._real_factors(P)
+        fwd, bwd = limit_solver._real_factors(*limit_solver._low_rank(P))
         assert fwd[0].shape == (2 * m, 2 * rank)
         w = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
         for got, want in ((limit_solver._times(w, fwd), w @ P),
@@ -302,73 +305,115 @@ class TestLowRankProducts:
             <= 1e-13 * np.abs(w[:1] @ P).max()
 
 
-def _iterate_reference(z, cfg, state, update):
-    """Independent per-row loop of the damped iteration of ``_iterate``:
-    each z alone, stopped at the tolerance, a non-finite residual or the
-    iteration budget.  Returns the final rows, counts and residuals."""
+def _iterate_reference(z, cfg, state, fmap):
+    """Independent per-row loop of the safeguarded Newton iteration of
+    ``_iterate``: each z alone, stopped when its weights move by at most
+    the tolerance or by a non-finite amount, or at the iteration budget.
+    Returns the final rows, counts and residuals."""
     rows, counts, resid = [], [], []
     for i in range(len(z)):
-        row = tuple(s[i:i + 1].copy() for s in state)
         zi, d = z[i:i + 1], cfg.damping_for(z[i])
+
+        def at(y):
+            w, invs = fmap.evaluate(y, zi)
+            return y, fmap.project(w) - y, w, invs
+
+        y, F, w, invs = at(fmap.project(tuple(s[i:i + 1] for s in state)))
         for it in range(1, cfg.max_iterations + 1):
-            new = update(row, zi)
-            res = max(np.abs(b - a).max() for a, b in zip(row, new))
-            row = tuple((1.0 - d) * a + d * b for a, b in zip(row, new))
-            if not np.isfinite(res) or res <= cfg.tolerance:
+            J = fmap.jacobian(zi, w, invs)
+            step = np.linalg.solve(np.eye(y.shape[1]) - J, F[..., None])
+            y_n, F_n, w_n, invs_n = at(y + step[..., 0])
+            # a Stieltjes kernel: Im w >= 0, Im(z w) >= 0, Im(1/d) <= 0
+            kernel = (all(np.all(v.imag >= 0) and np.all((zi * v).imag >= 0)
+                          for v in w_n)
+                      and all(np.all(iv.imag <= 0) for iv in invs_n))
+            if not (np.abs(F_n).max() < np.abs(F).max() and kernel):
+                y_n, F_n, w_n, invs_n = at(y + d * F)
+            moved = max(np.abs(b - a).max() for a, b in zip(w, w_n))
+            y, F, w, invs = y_n, F_n, w_n, invs_n
+            if not np.isfinite(moved) or moved <= cfg.tolerance:
                 break
-        rows.append(row)
+        rows.append(w)
         counts.append(it)
-        resid.append(max(np.abs(b - a).max()
-                         for a, b in zip(row, update(row, zi))))
+        g, _ = fmap.evaluate(fmap.project(w), zi)
+        resid.append(max(np.abs(b - a).max() for a, b in zip(w, g)))
     return ([np.concatenate(block) for block in zip(*rows)],
             np.array(counts), np.array(resid))
 
 
+def _mp_map(calls):
+    """The Marchenko-Pastur equation g = 1 / (-z + 1 / (1 + g)) as an
+    elementwise fixed-point map in y = g, so that every row's arithmetic
+    is the same alone and in a batch.  Its Jacobian is inflated fourfold
+    at Re z = 2, which makes Newton's steps there poor."""
+
+    def evaluate(y, z):
+        calls.append(z.tolist())
+        inv = 1.0 / (1.0 + y)
+        return (1.0 / (-z[:, None] + inv),), (inv,)
+
+    def jacobian(z, weights, invs):
+        (g,), (inv,) = weights, invs
+        skew = np.where(z.real == 2.0, 4.0, 1.0)[:, None]
+        return (skew * g * g * inv * inv)[:, :, None]
+
+    return limit_solver._FixedPointMap(evaluate, lambda w: w[0].copy(),
+                                       jacobian)
+
+
 class TestCompactedIteration:
     def test_mixed_batch_keeps_each_row(self):
-        # halving with residual |x|/2 and tolerance 0.1: damping 1 (Im z
-        # >= 1) stops x0 = 0.15 at iteration 1 and 0.3 at 2, damping 0.5
-        # (Im z < 1) stops 0.25 at 2; x0 = 4 and 9 run out the budget of
-        # 3; Re z = 1 multiplies by 1e200, so its residual overflows at 1
-        cfg = SolverConfig(tolerance=0.1, max_iterations=3)
-        x0 = np.array([0.3, 4.0, 1e200, 0.15, 0.25, 9.0, 0.3])
-        im = np.array([2.0, 0.5, 3.0, 4.0, 0.25, 5.0, 6.0])
-        z = np.where(x0 == 1e200, 1.0, 0.0) + 1j * im
-        seen = []
-
-        def update(state, zb):
-            seen.append(zb.imag.tolist())
-            factor = np.where(zb.real == 1.0, 1e200, 0.5)[:, None]
-            return tuple(s * factor for s in state)
-
-        def start():
-            return (x0[:, None] * (0.6 + 0.8j),
-                    x0[:, None] * np.array([[1.0, 0.5j, -0.25]]))
-
-        state = start()
+        # tolerance 1e-10 with a budget of 6: 5j, 0.3 + 2j and -1 + 0.1j
+        # stop early; 0.5 + 0.01j (inside the support, Newton rejected
+        # and damped steps taken) and 2 + 0.5j (skewed Jacobian) run out
+        # the budget; -1/z overflows at 1e-310j, so that row stops at 1
+        cfg = SolverConfig(tolerance=1e-10, max_iterations=6)
+        z = np.array([5j, 0.5 + 0.01j, 1e-310j, 2 + 0.5j, 0.3 + 2j,
+                      -1 + 0.1j])
+        calls = []
         with np.errstate(over="ignore", invalid="ignore"):
-            resid, iters, conv = limit_solver._iterate(z, cfg, state, update)
-            calls = list(seen)
+            state = ((-1.0 / z)[:, None],)
             want, want_iters, want_resid = _iterate_reference(
-                z, cfg, start(), update)
-        assert iters.tolist() == [2, 3, 1, 1, 2, 3, 2]
-        assert conv.tolist() == [True, False, False, True, True, False, True]
+                z, cfg, (state[0].copy(),), _mp_map([]))
+            resid, iters, conv = limit_solver._iterate(z, cfg, state,
+                                                       _mp_map(calls))
+        assert iters.tolist() == [3, 6, 1, 6, 4, 4]
+        assert conv.tolist() == [True, False, False, False, True, True]
         assert np.array_equal(iters, want_iters)
-        for got_block, want_block in zip(state, want):
-            assert np.array_equal(got_block, want_block, equal_nan=True)
+        assert np.array_equal(state[0], want[0], equal_nan=True)
         assert np.array_equal(resid, want_resid, equal_nan=True)
         assert not np.isfinite(state[0][2]).any()
-        # each iteration updates only the rows still active, in order,
-        # then one call re-evaluates the residual on every row
-        assert calls == [im.tolist(), [2.0, 0.5, 0.25, 5.0, 6.0],
-                         [0.5, 5.0], im.tolist()]
+        # per iteration: the Newton candidates of the active rows, then the
+        # damped steps of the rows that rejected theirs; first the start
+        # point of every row, last the residual re-evaluated on every row
+        every = z.tolist()
+        finite = every[:2] + every[3:]
+        assert calls == [every, every, [0.5 + 0.01j, 1e-310j],
+                         finite, [0.5 + 0.01j],
+                         finite, [0.5 + 0.01j],
+                         [0.5 + 0.01j, 2 + 0.5j, 0.3 + 2j, -1 + 0.1j],
+                         [0.5 + 0.01j, 2 + 0.5j], [0.5 + 0.01j],
+                         [0.5 + 0.01j, 2 + 0.5j], [0.5 + 0.01j], every]
+
+    def test_blocks_keep_each_row(self, monkeypatch):
+        # blocks of 3 z points (the last one short) against one block,
+        # equal up to the summation order of the batched products
+        sym = SpectralSymbol(H_TEST)
+        cfg = SolverConfig(grid_size=16, tolerance=1e-12)
+        zs = [3j, 0.5 + 1e-2j, 1 + 1j, -1 + 0.3j, 2 + 1e-3j, 4j, 0.1 + 0.1j]
+        whole = solve_centered_many(sym.profile, 0.5, zs, cfg)
+        monkeypatch.setattr(limit_solver, "_BLOCK", 3 * cfg.grid_size)
+        blocked = solve_centered_many(sym.profile, 0.5, zs, cfg)
+        for a, b in zip(whole, blocked):
+            assert a.iterations == b.iterations
+            assert np.abs(a.weights - b.weights).max() < 1e-14
 
     def test_batch_matches_single_noncentered(self):
         # the coupled solver on a mixed batch: early, late and
         # budget-stopped points keep the iterate of their own solve
         sym = SpectralSymbol(H_TEST)
         H = measure_from_profile(np.ones_like, 16)
-        cfg = SolverConfig(grid_size=16, tolerance=1e-12, max_iterations=40)
+        cfg = SolverConfig(grid_size=16, tolerance=1e-12, max_iterations=6)
         zs = [3j, 0.5 + 1e-2j, 1 + 1j, -1 + 0.3j]
         batch = solve_noncentered_many(sym.profile, 0.5, H, zs, cfg)
         assert {pi.converged for pi, _ in batch} == {True, False}
@@ -378,6 +423,115 @@ class TestCompactedIteration:
             assert one.iterations == pi.iterations
             assert np.abs(one.weights - pi.weights).max() < 1e-14
             assert np.abs(one_t.weights - pit.weights).max() < 1e-14
+
+
+def _fd_jacobian(fmap, y, z, h=1e-5):
+    """Central differences of y -> proj(g(y)); G is holomorphic in y, so
+    a real step gives its complex derivative."""
+    cols = []
+    for k in range(y.shape[1]):
+        e = np.zeros_like(y)
+        e[:, k] = h
+        up, down = (fmap.project(fmap.evaluate(y + s * e, z)[0])
+                    for s in (1, -1))
+        cols.append((up - down) / (2 * h))
+    return np.stack(cols, axis=2)
+
+
+class TestNewtonJacobian:
+    # the analytic Jacobian of y -> proj(g(y)) against central differences
+    # at random kernel-like weights (Im w > 0): the README filter (rank 3)
+    # and the full-rank 5 x 5 taps at grid 8 (rank 8)
+
+    FILTERS = [(H_TEST, 64, 3), (_random_filter(np.random.default_rng(11), 5),
+                                 8, 8)]
+
+    @staticmethod
+    def _weights(rng, shape):
+        return (rng.standard_normal(shape)
+                + 1j * rng.uniform(0.1, 1.0, shape)) / shape[1]
+
+    def _check(self, fmap, state, z):
+        y = fmap.project(state)
+        J = fmap.jacobian(z, *fmap.evaluate(y, z))
+        fd = _fd_jacobian(fmap, y, z)
+        assert np.abs(J - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("c", [1.0, 0.5])
+    @pytest.mark.parametrize("h, m, rank", FILTERS,
+                             ids=["readme", "full_rank"])
+    def test_centered(self, h, m, rank, c):
+        rng = np.random.default_rng(5)
+        P = _grid_profile(h, m)
+        fmap = limit_solver._centered_map(P, c)
+        z = np.array([0.5 + 0.01j, 2.0 + 0.3j, -1.0 + 1.0j])
+        state = (self._weights(rng, (3, m)),)
+        assert fmap.project(state).shape == (3, rank)
+        self._check(fmap, state, z)
+
+    @pytest.mark.parametrize("c", [1.0, 0.5])
+    @pytest.mark.parametrize("h, m, rank", FILTERS,
+                             ids=["readme", "full_rank"])
+    def test_noncentered(self, h, m, rank, c):
+        # atoms at (u_i, lambda_i) against pi_tilde's nodes: the atoms at
+        # c u, then an m-node tail on [c, 1] when c < 1
+        rng = np.random.default_rng(6)
+        u = (np.arange(m) + 1) / m
+        R = m if c < 1 else 0
+        v = np.concatenate([c * u, c + (1 - c) * (np.arange(R) + 0.5) / R])
+        P = SpectralSymbol(h).profile(u[:, None], v[None, :])
+        hw = np.full(m, 1.0 / m)
+        hl = rng.uniform(0.0, 2.0, m)
+        tilde_w = np.concatenate([c * hw, np.full(R, 1 - c) / R])
+        fmap = limit_solver._noncentered_map(P, c, hw, hl, tilde_w)
+        z = np.array([0.5 + 0.01j, 2.0 + 0.3j, -1.0 + 1.0j])
+        state = (self._weights(rng, (3, m)), self._weights(rng, (3, m + R)))
+        assert fmap.project(state).shape == (3, 2 * rank)
+        self._check(fmap, state, z)
+
+
+class TestErrorBound:
+    # 600 points at eta = 1e-3 across the README spectrum, README solver
+    # settings: each f is within the tolerance of a tolerance-1e-13 solve,
+    # and each returned kernel passes the axioms
+    Z = np.linspace(-0.5, 6.5, 600) + 1e-3j
+    CFG = SolverConfig(grid_size=64, tolerance=1e-7, max_iterations=100000,
+                       damping=0.5)
+    REF = dataclasses.replace(CFG, tolerance=1e-13)
+
+    @staticmethod
+    def _solve(setting, cfg):
+        profile = SpectralSymbol(H_TEST).profile
+        if setting.startswith("centered"):
+            kernels = solve_centered_many(profile, float(setting[9:]),
+                                          TestErrorBound.Z, cfg)
+            return np.array([k.value for k in kernels]), kernels
+        if setting == "coupled":
+            H = measure_from_profile(
+                lambda u: (1 + 0.5 * np.cos(2 * np.pi * u)) ** 2, 32)
+            c = 0.5
+        else:       # square-Toeplitz: the pseudo-diagonal system at c = 1
+            psi = SpectralSymbol(FilterSequence1D({0: 1, 1: .5, -1: .5}))
+            H, c = measure_from_profile(psi.profile, cfg.grid_size), 1.0
+        pairs = solve_noncentered_many(profile, c, H, TestErrorBound.Z, cfg)
+        return (np.array([k.value for k, _ in pairs]),
+                [k for pair in pairs for k in pair])
+
+    @pytest.mark.parametrize("setting", ["centered 1", "centered 0.5",
+                                         "coupled", "square"])
+    def test_error_within_tolerance(self, setting):
+        f, kernels = self._solve(setting, self.CFG)
+        f_ref, _ = self._solve(setting, self.REF)
+        assert all(k.converged for k in kernels)
+        assert np.abs(f - f_ref).max() <= self.CFG.tolerance
+        assert all(verify_kernel_axioms(k).passed for k in kernels)
+
+    def test_marchenko_pastur_hard_edge(self):
+        # the damped iteration took 5408 iterations here
+        z = 1e-4 + 1e-4j
+        k = solve_centered(ONES, 1.0, z, self.CFG)
+        assert k.iterations <= 50
+        assert abs(k.value - mp_stieltjes(z, 1.0)) <= 1e-10
 
 
 class TestConjugateSymmetry:

@@ -142,6 +142,24 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             filter_from_json_dict({"dims": 3, "entries": []})
 
+    @pytest.mark.parametrize("entries, message", [
+        ([[0, 0, 1.0, 0.0], [1.7, 0, 0.5, 0.0]],
+         r"entries\[1\] has tap index 1\.7, which is not an int64 integer"),
+        ([[2 ** 63, 0, 1.0, 0.0]], r"entries\[0\] has tap index 9223372036"),
+        ([[0, 0, 1.0, 0.0], [0, 1, 0.5, 0.0], [0, 0, 2.0, 0.0]],
+         r"entries\[2\] repeats tap \(0, 0\)"),
+        ([[0, 0, 1.0, 0.0], [1, 0, 0.5]],
+         r"entries\[1\] must be \[k, k, re, im\] of numbers"),
+        ([[0, 0, 10 ** 400, 0.0]],
+         r"entries\[0\] holds an integer too large for a float")],
+        ids=["non_integral_index", "index_beyond_int64", "repeated_tap",
+             "short_entry", "huge_integer_coefficient"])
+    def test_bad_entry_rejected(self, entries, message):
+        # used to truncate the index to tap (1, 0), keep the last of two
+        # coefficients, or raise a bare IndexError / OverflowError
+        with pytest.raises(ValueError, match=f"^filter {message}"):
+            filter_from_json_dict({"dims": 2, "entries": entries})
+
 
 def test_empty_filter_is_zero():
     h = FilterSequence2D({})
