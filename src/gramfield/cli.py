@@ -72,13 +72,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.filter2d, FilterSequence2D):
-            raise ValueError("filter2d must be a 2-d filter, got "
-                             f"dims={getattr(self.filter2d, 'dims', None)!r}")
-        if self.filter1d is not None and \
-                not isinstance(self.filter1d, FilterSequence1D):
-            raise ValueError("filter1d must be a 1-d filter, got "
-                             f"dims={getattr(self.filter1d, 'dims', None)!r}")
+        _check_filter(self.filter2d, "filter2d", 2)
+        if self.filter1d is not None:
+            _check_filter(self.filter1d, "filter1d", 1)
         if self.N < 1 or self.n < 1:
             raise ValueError("N and n must be positive")
         if self.mode == "square_toeplitz":
@@ -107,9 +103,14 @@ class ExperimentConfig:
                 raise ValueError(
                     f"z grid point {z} is not a finite point of the upper "
                     "half-plane")
+        if self.output_dir is not None and \
+                not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ValueError(
+                f"output_dir must be a string, got {self.output_dir!r}")
 
     @classmethod
     def from_json_dict(cls, doc):
+        _require(doc, ("mode", "filter2d", "N", "n", "seeds"), "run config")
         lam = doc.get("lambda_diag")
         return cls(
             mode=doc["mode"],
@@ -120,12 +121,36 @@ class ExperimentConfig:
                          if lam is not None else None),
             N=_integer(doc["N"], "N"),
             n=_integer(doc["n"], "n"),
-            seeds=[_integer(s, "seed") for s in doc["seeds"]],
+            seeds=[_integer(s, "seed")
+                   for s in _list(doc["seeds"], "seeds")],
             z_grid=_complex_pairs(doc.get("z_grid", []), "z_grid"),
             solver=_settings(SolverConfig, doc.get("solver", {}), "solver"),
             inversion=_settings(InversionSettings, doc.get("inversion", {}),
                                 "inversion"),
             output_dir=doc.get("output_dir"))
+
+
+def _require(doc, keys, what):
+    """Raise unless ``doc`` is a JSON object holding every one of ``keys``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {doc!r}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
+def _list(value, name):
+    """``value`` itself; raises naming the key unless it is a list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _check_filter(filt, name, dims):
+    """Raise unless ``filt`` is a ``dims``-d filter sequence."""
+    if not isinstance(filt, (FilterSequence1D, FilterSequence2D)[dims - 1]):
+        raise ValueError(f"{name} must be a {dims}-d filter, got "
+                         f"dims={getattr(filt, 'dims', None)!r}")
 
 
 def _integer(value, name):
@@ -157,7 +182,7 @@ def _complex_pairs(pairs, name):
     the index of the first entry that is not a list of two numbers or
     holds an integer too large for a float."""
     out = []
-    for i, p in enumerate(pairs):
+    for i, p in enumerate(_list(pairs, name)):
         if not (isinstance(p, list) and len(p) == 2
                 and all(_is_number(x) for x in p)):
             raise ValueError(f"{name}[{i}] must be an [re, im] pair of "
@@ -171,7 +196,10 @@ def _settings(cls, doc, section):
     """``cls(**doc)`` for the dataclass ``cls``: values must be integers
     where the field's default is an int and numbers, cast to float,
     otherwise; null is kept only where the default is None, omitted keys
-    keep the defaults, unknown keys raise."""
+    keep the defaults, unknown keys raise, and so does a ``doc`` that is
+    not an object."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{section} must be an object, got {doc!r}")
     defaults = {f.name: f.default for f in fields(cls)}
     values = {}
     for key, value in doc.items():
@@ -381,9 +409,17 @@ def _cmd_compare(args):
 def _cmd_sweep_alpha(args):
     with open(args.config) as fh:
         doc = json.load(fh)
+    _require(doc, ("filter2d", "sizes", "seeds"), "sweep-alpha config")
     h = filter_from_json_dict(doc["filter2d"])
-    sizes = [(_integer(p[0], "N"), _integer(p[1], "n")) for p in doc["sizes"]]
-    seeds = [_integer(s, "seed") for s in doc["seeds"]]
+    _check_filter(h, "filter2d", 2)
+    sizes = []
+    for i, p in enumerate(_list(doc["sizes"], "sizes")):
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ValueError(f"sizes[{i}] must be an [N, n] pair of "
+                             f"integers, got {p!r}")
+        sizes.append(tuple(_integer(x, f"sizes[{i}][{j}]")
+                           for j, x in enumerate(p)))
+    seeds = [_integer(s, "seed") for s in _list(doc["seeds"], "seeds")]
     rows = sweep_alpha(h, sizes, seeds)
     print("N,n,mean_alpha")
     for N, n, alpha in rows:

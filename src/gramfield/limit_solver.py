@@ -72,6 +72,7 @@ floating-point summation order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -125,6 +126,16 @@ class SolverConfig:
     damping: float | None = None
 
     def __post_init__(self):
+        for name, kind in (("grid_size", numbers.Integral),
+                           ("max_iterations", numbers.Integral),
+                           ("tolerance", numbers.Real),
+                           ("damping", numbers.Real)):
+            value = getattr(self, name)
+            if name == "damping" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is numbers.Integral else "a number"
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
         if self.grid_size < 8:
             raise ValueError("grid_size must be at least 8")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):

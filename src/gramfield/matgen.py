@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import FilterSequence1D, FilterSequence2D, SpectralSymbol
+from .symbols import FilterSequence1D, FilterSequence2D
 
 __all__ = [
     "FieldMatrix",
@@ -152,56 +152,45 @@ def build_toeplitz(a: FilterSequence1D, n):
     """Toeplitz matrix A[j1, j2] = a(j1 - j2)."""
     if n < 1:
         raise ValueError("n must be positive")
-    table = np.zeros(2 * n - 1, dtype=np.complex128)  # index j + n - 1
     js, coeffs = a.arrays()
-    for j, c in zip(js, coeffs):
-        if -n < j < n:
-            table[j + n - 1] = c
+    inside = np.abs(js) < n
+    table = np.zeros(2 * n - 1, dtype=np.complex128)  # index j + n - 1
+    table[js[inside] + n - 1] = coeffs[inside]
     idx = np.arange(n)
     entries = table[(idx[:, None] - idx[None, :]) + n - 1]
-    if a.is_real:
-        entries = entries.real
-    return entries
+    return entries.real if a.is_real else entries
 
 
-def circulant_coefficients(a: FilterSequence1D, n):
-    """Wrapped diagonal values atilde(j) of the circulant approximant.
-
-    atilde(0) = a(0) + a(n) + a(-n), atilde(j) = a(j) + a(j - n) for
-    0 < j <= n-1 and atilde(j) = a(j) + a(j + n) for -n+1 <= j < 0.
-    Returned as an array indexed by j + n - 1 for j in (-n, n).
-    """
-    table = np.zeros(2 * n - 1, dtype=np.complex128)
-    table[n - 1] = a[0] + a[n] + a[-n]
-    for j in range(1, n):
-        table[j + n - 1] = a[j] + a[j - n]
-        table[-j + n - 1] = a[-j] + a[-j + n]
-    return table
+def _circulant_column(a: FilterSequence1D, n):
+    """First column atilde(j), j = 0..n-1, of the circulant approximant:
+    the taps with |k| <= n summed at k mod n, so atilde(0) = a(0) + a(n)
+    + a(-n) and atilde(j) = a(j) + a(j - n) otherwise."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    js, coeffs = a.arrays()
+    inside = np.abs(js) <= n
+    column = np.zeros(n, dtype=np.complex128)
+    np.add.at(column, js[inside] % n, coeffs[inside])
+    return column
 
 
 def build_circulant(a: FilterSequence1D, n):
     """Circulant approximant of the Toeplitz matrix of ``a``.
 
-    Entries are atilde(j1 - j2) from :func:`circulant_coefficients`,
-    which is the exact closed form of the Fourier sum
-    (1/n) sum_k psi_n(k/n) e^{-2 pi i k (j1-j2)/n} with psi_n the symbol
-    truncated to |j| <= n.  The Fourier matrix diagonalizes the result
-    with eigenvalues psi_n(k/n).
+    Entries are atilde((j1 - j2) mod n), the exact closed form of the
+    Fourier sum (1/n) sum_k psi_n(k/n) e^{-2 pi i k (j1-j2)/n} with psi_n
+    the symbol truncated to |j| <= n.  The Fourier matrix diagonalizes
+    the result with eigenvalues psi_n(k/n).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    table = circulant_coefficients(a, n)
     idx = np.arange(n)
-    entries = table[(idx[:, None] - idx[None, :]) + n - 1]
-    if a.is_real:
-        entries = entries.real
-    return entries
+    entries = _circulant_column(a, n)[(idx[:, None] - idx[None, :]) % n]
+    return entries.real if a.is_real else entries
 
 
 def circulant_eigenvalues(a: FilterSequence1D, n):
-    """Diagonal psi_n(k/n), k = 0..n-1, of the Fourier-conjugated circulant."""
-    sym = SpectralSymbol(a, truncation=n)
-    return np.asarray(sym.eval(np.arange(n) / n), dtype=np.complex128)
+    """Diagonal psi_n(k/n), k = 0..n-1, of the Fourier-conjugated
+    circulant: the discrete Fourier sum of its first column."""
+    return n * np.fft.ifft(_circulant_column(a, n))
 
 
 def build_pseudo_diagonal(diag, N, n):

@@ -141,29 +141,18 @@ class SpectralSymbol:
     absolute coefficient sum and the symbol is 1-periodic in each
     argument.  Evaluation broadcasts over numpy arrays; nothing is
     tabulated here (grids are the caller's concern).
-
-    With ``truncation=n`` set, only terms with every |l_i| <= n are
-    summed; this agrees with the full symbol whenever the support fits
-    in [-n, n]^dims.
     """
 
-    def __init__(self, source: FilterSequence, truncation=None):
-        if truncation is not None and truncation < 0:
-            raise ValueError("truncation must be nonnegative")
+    def __init__(self, source: FilterSequence):
         self.source = source
-        self.truncation = truncation
 
     def eval(self, *t):
         if len(t) != self.source.dims:
             raise TypeError(f"a {self.source.dims}-d symbol takes "
                             f"{self.source.dims} arguments, got {len(t)}")
         t = [np.asarray(x, dtype=np.float64) for x in t]
-        k, c = self.source._k, self.source._c
-        if self.truncation is not None:
-            keep = np.abs(k).max(axis=1, initial=0) <= self.truncation
-            k, c = k[keep], c[keep]
         out = np.zeros(np.broadcast(*t).shape, dtype=np.complex128)
-        for idx, coeff in zip(k, c):
+        for idx, coeff in zip(self.source._k, self.source._c):
             phase = idx[0] * t[0]
             for kd, td in zip(idx[1:], t[1:]):
                 phase = phase - kd * td
@@ -194,16 +183,22 @@ def filter_to_json_dict(filt):
 def filter_from_json_dict(doc):
     """Filter from its JSON document (``filter_to_json_dict``'s format).
 
-    Raises ValueError naming the index of the first entry that is not
+    Raises ValueError when the document is not an object or its entries
+    not a list, and names the index of the first entry that is not
     [*k, re, im] with integer tap indices k and numbers re, im, that
     repeats an earlier tap, or that holds an integer too large for a
     float or a tap index outside int64.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"filter document must be an object, got {doc!r}")
     dims = doc.get("dims")
     if dims not in (1, 2):
         raise ValueError(f"unsupported filter dims: {dims!r}")
+    entries = doc.get("entries", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"filter entries must be a list, got {entries!r}")
     coeffs = {}
-    for i, e in enumerate(doc.get("entries", [])):
+    for i, e in enumerate(entries):
         name = f"filter entries[{i}]"
         if not (isinstance(e, list) and len(e) == dims + 2
                 and all(isinstance(x, (int, float))

@@ -56,12 +56,11 @@ def real_orthogonal_matrix(p):
     q = np.zeros((p, p), dtype=np.float64)
     j2 = np.arange(p)
     q[0, :] = 1.0 / np.sqrt(p)
-    pairs = p // 2 - 1 if p % 2 == 0 else (p - 1) // 2
-    for j1 in range(1, pairs + 1):
-        angle = 2.0 * np.pi * j1 * j2 / p
-        q[2 * j1 - 1, :] = np.sqrt(2.0 / p) * np.cos(angle)
-        q[2 * j1, :] = np.sqrt(2.0 / p) * np.sin(angle)
-    if p % 2 == 0 and p > 1:
+    pairs = (p - 1) // 2
+    angle = 2.0 * np.pi * np.arange(1, pairs + 1)[:, None] * j2 / p
+    q[1:2 * pairs:2] = np.sqrt(2.0 / p) * np.cos(angle)
+    q[2:2 * pairs + 1:2] = np.sqrt(2.0 / p) * np.sin(angle)
+    if p % 2 == 0:
         q[p - 1, :] = (-1.0) ** j2 / np.sqrt(p)
     return q
 

@@ -29,6 +29,9 @@ def base_config(tmp_path, **overrides):
     return doc
 
 
+MISSING = object()  # an override that deletes the key
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -281,14 +284,35 @@ class TestConfigValidation:
         ({"seeds": [2 ** 64]}, r"seed 18446744073709551616 is outside"),
         ({"filter2d": {"dims": 2, "entries": [[0, 0, 1.0, 0.0],
                                               [0, 0, 0.5, 0.0]]}},
-         r"filter entries\[1\] repeats tap \(0, 0\)")],
+         r"filter entries\[1\] repeats tap \(0, 0\)"),
+        ([1, 2], r"^run config must be an object, got \[1, 2\]"),
+        *[({key: MISSING}, f"^run config lacks '{key}'")
+          for key in ("mode", "filter2d", "N", "n", "seeds")],
+        ({"seeds": 5}, "^seeds must be a list, got 5"),
+        ({"z_grid": 1.0}, "^z_grid must be a list, got 1.0"),
+        ({"mode": "noncentered_pseudodiag", "lambda_diag": {"re": 1.0}},
+         r"^lambda_diag must be a list, got \{'re': 1.0\}"),
+        ({"solver": [16]}, r"^solver must be an object, got \[16\]"),
+        ({"inversion": "fine"}, "^inversion must be an object, got 'fine'"),
+        ({"output_dir": 5}, "^output_dir must be a string, got 5")],
         ids=["lambda_diag_short", "lambda_diag_long", "seed_negative",
-             "seed_too_large", "filter_repeated_tap"])
+             "seed_too_large", "filter_repeated_tap", "document_not_object",
+             "missing_mode", "missing_filter2d", "missing_N", "missing_n",
+             "missing_seeds", "seeds_not_list", "z_grid_not_list",
+             "lambda_diag_not_list", "solver_not_object",
+             "inversion_not_object", "output_dir_not_string"])
     def test_bad_config_fails_before_output_dir(self, tmp_path, override,
                                                message):
         # used to create the output directory (and, for a bad seed, to
-        # simulate every earlier seed) before failing
-        path = write_config(tmp_path, base_config(tmp_path, **override))
+        # simulate every earlier seed) before failing; the document shape
+        # errors used to be bare KeyError / TypeError / AttributeError, or
+        # (output_dir 5) a TypeError inside run_experiment
+        doc = override
+        if isinstance(override, dict):
+            doc = {key: value for key, value in
+                   base_config(tmp_path, **override).items()
+                   if value is not MISSING}
+        path = write_config(tmp_path, doc)
         with pytest.raises(ValueError, match=message):
             cli.main(["run", str(path)])
         assert not (tmp_path / "out").exists()
@@ -406,6 +430,51 @@ class TestSweepAlpha:
         h = FilterSequence2D({(0, 0): 1})
         with pytest.raises(ValueError, match="seed 0 is listed more than"):
             cli.sweep_alpha(h, [(8, 8), (16, 16)], [0, 1, 0])
+
+
+class TestSweepAlphaDocument:
+    def run(self, tmp_path, **overrides):
+        doc = {
+            "filter2d": {"dims": 2, "entries": [[0, 0, 1.0, 0.0],
+                                                [1, 1, 1.0, 0.0]]},
+            "sizes": [[8, 8], [16, 16]],
+            "seeds": [0, 1],
+        }
+        doc.update(overrides)
+        doc = {key: value for key, value in doc.items()
+               if value is not MISSING}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        return cli.main(["sweep-alpha", str(path)])
+
+    @pytest.mark.parametrize("key", ["filter2d", "sizes", "seeds"])
+    def test_missing_key(self, tmp_path, key):
+        # a missing seeds used to raise a bare KeyError
+        with pytest.raises(ValueError,
+                           match=f"^sweep-alpha config lacks '{key}'"):
+            self.run(tmp_path, **{key: MISSING})
+
+    @pytest.mark.parametrize("size, message", [
+        (5, r"^sizes\[1\] must be an \[N, n\] pair of integers, got 5"),
+        ([16], r"^sizes\[1\] must be an \[N, n\] pair of integers, got "
+               r"\[16\]"),
+        ([16, 8.5], r"^sizes\[1\]\[1\] must be an integer, got 8.5")],
+        ids=["scalar", "single", "non_integer"])
+    def test_bad_size(self, tmp_path, size, message):
+        # 5 used to raise a bare TypeError and [16] an IndexError
+        with pytest.raises(ValueError, match=message):
+            self.run(tmp_path, sizes=[[8, 8], size])
+
+    def test_sizes_not_list(self, tmp_path):
+        with pytest.raises(ValueError, match="^sizes must be a list, got 8"):
+            self.run(tmp_path, sizes=8)
+
+    def test_filter2d_must_be_2d(self, tmp_path):
+        # used to fail with "not enough values to unpack"
+        with pytest.raises(ValueError,
+                           match="^filter2d must be a 2-d filter, got dims=1"):
+            self.run(tmp_path,
+                     filter2d={"dims": 1, "entries": [[0, 1.0, 0.0]]})
 
 
 class TestMainEntry:

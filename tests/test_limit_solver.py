@@ -53,6 +53,24 @@ class TestConfigAndGrid:
         with pytest.raises(ValueError):
             SolverConfig(damping=1.5)
 
+    @pytest.mark.parametrize("setting, value, message", [
+        ("grid_size", 8.5, "an integer"), ("grid_size", True, "an integer"),
+        ("max_iterations", True, "an integer"),
+        ("max_iterations", 100.0, "an integer"),
+        ("tolerance", "1e-8", "a number"), ("tolerance", True, "a number"),
+        ("damping", True, "a number"), ("damping", "0.5", "a number")])
+    def test_wrong_type_rejected(self, setting, value, message):
+        # max_iterations=True ran one iteration, damping=True loaded as
+        # 1.0 and grid_size=8.5 failed inside the solve
+        with pytest.raises(ValueError,
+                           match=f"^{setting} must be {message}, got"):
+            SolverConfig(**{setting: value})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = SolverConfig(grid_size=np.int64(16), tolerance=np.float64(1e-8),
+                           max_iterations=np.int32(50), damping=np.float32(1))
+        assert cfg.grid_size == 16 and cfg.damping == 1.0
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_non_finite_tolerance_rejected(self, tol):
         # NaN ran every iteration and reported residual 0.0 unconverged;

@@ -245,7 +245,7 @@ class TestCirculant:
         a = FilterSequence1D({0: 1, 1: 0.5 - 0.25j, -2: 0.3, 5: 0.1j})
         n = 8
         C = build_circulant(a, n)
-        sym = SpectralSymbol(a, truncation=n)
+        sym = SpectralSymbol(a)  # the taps fit in |j| <= n
         k = np.arange(n)
         psi_vals = sym.eval(k / n)
         d = np.subtract.outer(np.arange(n), np.arange(n))
@@ -253,6 +253,29 @@ class TestCirculant:
                    np.exp(-2j * np.pi * k[None, None, :] * d[:, :, None] / n)
                    ).sum(axis=2) / n
         assert np.abs(C - fourier).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_wrapped_sums_match_loop_reference(self, n):
+        # taps at |k| = n wrap onto the diagonal, taps at |k| > n are
+        # dropped; reference: the wrapped sums and psi_n(k/n) entry by entry
+        a = FilterSequence1D({k: complex(1 + k % 3, 0.5 * k)
+                              for k in (-n - 2, -n, -1, 0, 1, n, n + 1)})
+        C = build_circulant(a, n)
+        expect = np.zeros((n, n), dtype=complex)
+        for j1 in range(n):
+            for j2 in range(n):
+                d = j1 - j2
+                if d == 0:
+                    expect[j1, j2] = a[0] + a[n] + a[-n]
+                elif d > 0:
+                    expect[j1, j2] = a[d] + a[d - n]
+                else:
+                    expect[j1, j2] = a[d] + a[d + n]
+        assert np.abs(C - expect).max() <= 1e-15 * a.coeff_abs_sum
+        psi_n = [sum(a[j] * np.exp(2j * np.pi * j * k / n)
+                     for j in range(-n, n + 1)) for k in range(n)]
+        assert np.abs(circulant_eigenvalues(a, n) - psi_n).max() <= \
+            1e-12 * a.coeff_abs_sum
 
     def test_no_wrap_matches_toeplitz(self):
         a = FilterSequence1D({0: 1, 1: 0.5, -1: 0.25})

@@ -75,18 +75,6 @@ class TestPsi:
         t = np.linspace(0, 1, 11)
         assert np.allclose(sym.eval(t), 2 * np.cos(2 * np.pi * t))
 
-    def test_truncation_drops_terms(self):
-        sym = SpectralSymbol(FilterSequence1D({0: 1, 2: 1}), truncation=1)
-        for t in (0.0, 0.2, 0.9):
-            assert sym.eval(t) == pytest.approx(1.0)
-
-    def test_truncation_noop_when_support_covered(self):
-        a = FilterSequence1D({0: 1, 2: 0.5, -1: 0.25j})
-        full = SpectralSymbol(a)
-        trunc = SpectralSymbol(a, truncation=2)
-        t = np.linspace(0, 1, 17)
-        assert np.allclose(full.eval(t), trunc.eval(t))
-
 
 class TestCovariance:
     def test_identity_filter(self):
@@ -141,6 +129,15 @@ class TestJsonRoundTrip:
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
             filter_from_json_dict({"dims": 3, "entries": []})
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], r"filter document must be an object, got \[1, 2\]"),
+        ({"dims": 2, "entries": 5}, "filter entries must be a list, got 5")],
+        ids=["document_not_object", "entries_not_list"])
+    def test_bad_document_rejected(self, doc, message):
+        # used to raise a bare AttributeError / TypeError
+        with pytest.raises(ValueError, match=f"^{message}"):
+            filter_from_json_dict(doc)
 
     @pytest.mark.parametrize("entries, message", [
         ([[0, 0, 1.0, 0.0], [1.7, 0, 0.5, 0.0]],
