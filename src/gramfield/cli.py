@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matgen, spectra, transforms
-from .limit_solver import (SolverConfig, measure_from_lambda,
+from .limit_solver import (SolverConfig, _check_types, measure_from_lambda,
                            measure_from_profile, solve_centered_many,
                            solve_noncentered_many, write_solver_csv)
 from .spectra import (EmpiricalSpectrum, bai_bound, default_inversion_grid,
@@ -45,6 +46,8 @@ class InversionSettings:
     pad: float = 1.0
 
     def __post_init__(self):
+        _check_types(self, [(name, numbers.Real)
+                            for name in ("eta", "step", "pad")], "inversion ")
         for name in ("eta", "step"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
@@ -72,6 +75,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        for key, mode in (("filter1d", "square_toeplitz"),
+                          ("lambda_diag", "noncentered_pseudodiag")):
+            if (getattr(self, key) is None) == (self.mode == mode):
+                raise ValueError(f"{key} is required in {mode} mode and "
+                                 "not read in any other; the mode is "
+                                 f"{self.mode!r}")
         _check_filter(self.filter2d, "filter2d", 2)
         if self.filter1d is not None:
             _check_filter(self.filter1d, "filter1d", 1)
@@ -80,12 +89,8 @@ class ExperimentConfig:
         if self.mode == "square_toeplitz":
             if self.N != self.n:
                 raise ValueError("square_toeplitz mode requires N == n")
-            if self.filter1d is None:
-                raise ValueError("square_toeplitz mode requires filter1d")
         elif self.N > self.n:
             raise ValueError("rectangular modes require N <= n")
-        if self.mode == "noncentered_pseudodiag" and self.lambda_diag is None:
-            raise ValueError("noncentered_pseudodiag mode requires lambda_diag")
         if self.lambda_diag is not None:
             if not np.all(np.isfinite(self.lambda_diag)):
                 raise ValueError("lambda_diag entries must be finite")
@@ -110,7 +115,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc):
-        _require(doc, ("mode", "filter2d", "N", "n", "seeds"), "run config")
+        _require(doc, ("mode", "filter2d", "N", "n", "seeds"), "run config",
+                 tuple(f.name for f in fields(cls)))
         lam = doc.get("lambda_diag")
         return cls(
             mode=doc["mode"],
@@ -118,7 +124,7 @@ class ExperimentConfig:
             filter1d=(filter_from_json_dict(doc["filter1d"])
                       if "filter1d" in doc else None),
             lambda_diag=(np.array(_complex_pairs(lam, "lambda_diag"))
-                         if lam is not None else None),
+                         if "lambda_diag" in doc else None),
             N=_integer(doc["N"], "N"),
             n=_integer(doc["n"], "n"),
             seeds=[_integer(s, "seed")
@@ -130,13 +136,17 @@ class ExperimentConfig:
             output_dir=doc.get("output_dir"))
 
 
-def _require(doc, keys, what):
-    """Raise unless ``doc`` is a JSON object holding every one of ``keys``."""
+def _require(doc, keys, what, optional=()):
+    """Raise unless ``doc`` is a JSON object holding every one of ``keys``
+    and no key outside ``keys`` and ``optional``."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be an object, got {doc!r}")
     missing = [key for key in keys if key not in doc]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    unknown = [key for key in doc if key not in keys + optional]
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}")
 
 
 def _list(value, name):
@@ -195,9 +205,8 @@ def _complex_pairs(pairs, name):
 def _settings(cls, doc, section):
     """``cls(**doc)`` for the dataclass ``cls``: values must be integers
     where the field's default is an int and numbers, cast to float,
-    otherwise; null is kept only where the default is None, omitted keys
-    keep the defaults, unknown keys raise, and so does a ``doc`` that is
-    not an object."""
+    otherwise; null raises, omitted keys keep the defaults, unknown keys
+    raise, and so does a ``doc`` that is not an object."""
     if not isinstance(doc, dict):
         raise ValueError(f"{section} must be an object, got {doc!r}")
     defaults = {f.name: f.default for f in fields(cls)}
@@ -206,13 +215,13 @@ def _settings(cls, doc, section):
         if key not in defaults:
             raise ValueError(f"unknown {section} setting {key!r}")
         name = f"{section} {key}"
-        if value is None and defaults[key] is not None:
+        if value is None:
             raise ValueError(f"{name} must not be null")
         if isinstance(defaults[key], int):
             value = _integer(value, name)
-        elif value is not None:
-            if not _is_number(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        elif not _is_number(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        else:
             value = _to_float(
                 value, f"{name} is an integer too large for a float")
         values[key] = value
@@ -244,9 +253,9 @@ def _deterministic_part(cfg):
         return matgen.build_toeplitz(cfg.filter1d, cfg.n)
     if cfg.mode == "noncentered_pseudodiag":
         lam = matgen.build_pseudo_diagonal(cfg.lambda_diag, cfg.N, cfg.n)
-        f_left = transforms.fourier_matrix(cfg.N)
-        f_right = transforms.fourier_matrix(cfg.n)
-        return f_left.conj().T @ lam @ f_right
+        return transforms.congruence(
+            transforms.fourier_matrix(cfg.N).conj().T, lam,
+            transforms.fourier_matrix(cfg.n).conj().T)
     return None
 
 

@@ -105,6 +105,22 @@ def _midpoints(m):
     return (np.arange(m) + 0.5) / m
 
 
+def _check_types(settings, kinds, prefix=""):
+    """Raise a ValueError naming the first setting of ``kinds``, pairs of
+    (name, numbers.Integral or numbers.Real), that is a boolean, not of
+    its kind (numpy scalars are), or an integer too large for a float."""
+    for name, kind in kinds:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if kind is numbers.Integral else "a number"
+            raise ValueError(f"{prefix}{name} must be {noun}, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{prefix}{name} is an integer too large for a "
+                             "float") from None
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Fixed-point iteration controls.
@@ -115,27 +131,20 @@ class SolverConfig:
 
     ``tolerance`` bounds how far the weights may move in the last
     iteration, and the residual of a converged kernel.  ``damping`` is
-    the fallback step d, taken by a z whose Newton step the safeguard
-    rejects; ``damping=None`` resolves per z to 1.0 when Im z >= 1 and
-    0.5 otherwise.
+    the fallback step d in (0, 1], taken by a z whose Newton step the
+    safeguard rejects.
     """
 
     grid_size: int = 64
     tolerance: float = 1e-10
     max_iterations: int = 10000
-    damping: float | None = None
+    damping: float = 0.5
 
     def __post_init__(self):
-        for name, kind in (("grid_size", numbers.Integral),
-                           ("max_iterations", numbers.Integral),
-                           ("tolerance", numbers.Real),
-                           ("damping", numbers.Real)):
-            value = getattr(self, name)
-            if name == "damping" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if kind is numbers.Integral else "a number"
-                raise ValueError(f"{name} must be {noun}, got {value!r}")
+        _check_types(self, (("grid_size", numbers.Integral),
+                            ("max_iterations", numbers.Integral),
+                            ("tolerance", numbers.Real),
+                            ("damping", numbers.Real)))
         if self.grid_size < 8:
             raise ValueError("grid_size must be at least 8")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
@@ -143,13 +152,8 @@ class SolverConfig:
                 f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.damping is not None and not 0 < self.damping <= 1:
+        if not 0 < self.damping <= 1:
             raise ValueError("damping must lie in (0, 1]")
-
-    def damping_for(self, z):
-        if self.damping is not None:
-            return self.damping
-        return 1.0 if complex(z).imag >= 1.0 else 0.5
 
 
 @dataclass(frozen=True)
@@ -434,7 +438,6 @@ def _newton(z, cfg, state, fmap):
     Stopped rows are written back to ``state`` and dropped.
     """
     rows = np.arange(len(z))        # row of ``state`` of each active row
-    damp = np.array([cfg.damping_for(zz) for zz in z])[:, None]
     iterations = np.full(len(z), cfg.max_iterations, dtype=np.int64)
     cur = _point(fmap, fmap.project(state), z)
     eye = np.eye(cur.y.shape[1])
@@ -447,7 +450,7 @@ def _newton(z, cfg, state, fmap):
         bad = ~((_sup(new.F) < _sup(cur.F))
                 & _is_kernel(z, new.weights, new.invs))
         if bad.any():
-            damped = _point(fmap, cur.y[bad] + damp[bad] * cur.F[bad], z[bad])
+            damped = _point(fmap, cur.y[bad] + cfg.damping * cur.F[bad], z[bad])
             for a, b in zip(new.arrays(), damped.arrays()):
                 a[bad] = b
         moved = _residual(cur.weights, new.weights)
@@ -458,7 +461,7 @@ def _newton(z, cfg, state, fmap):
             for s, w in zip(state, cur.weights):
                 s[rows[stop]] = w[stop]
             keep = ~stop
-            rows, z, damp = rows[keep], z[keep], damp[keep]
+            rows, z = rows[keep], z[keep]
             cur = cur.take(keep)
     for s, w in zip(state, cur.weights):
         s[rows] = w

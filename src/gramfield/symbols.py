@@ -183,18 +183,21 @@ def filter_to_json_dict(filt):
 def filter_from_json_dict(doc):
     """Filter from its JSON document (``filter_to_json_dict``'s format).
 
-    Raises ValueError when the document is not an object or its entries
-    not a list, and names the index of the first entry that is not
-    [*k, re, im] with integer tap indices k and numbers re, im, that
-    repeats an earlier tap, or that holds an integer too large for a
-    float or a tap index outside int64.
+    Raises ValueError when the document is not an object holding exactly
+    ``dims`` and ``entries`` or its entries not a list, and names the
+    index of the first entry that is not [*k, re, im] with integer tap
+    indices k and numbers re, im, that repeats an earlier tap, or that
+    holds an integer too large for a float or a tap index outside int64.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"filter document must be an object, got {doc!r}")
-    dims = doc.get("dims")
+    if set(doc) != {"dims", "entries"}:
+        raise ValueError("filter document must hold exactly 'dims' and "
+                         f"'entries', got keys {list(doc)}")
+    dims = doc["dims"]
     if dims not in (1, 2):
         raise ValueError(f"unsupported filter dims: {dims!r}")
-    entries = doc.get("entries", [])
+    entries = doc["entries"]
     if not isinstance(entries, list):
         raise ValueError(f"filter entries must be a list, got {entries!r}")
     coeffs = {}

@@ -30,6 +30,7 @@ def base_config(tmp_path, **overrides):
 
 
 MISSING = object()  # an override that deletes the key
+FILTER1D = {"dims": 1, "entries": [[0, 1.0, 0.0]]}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -250,9 +251,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section, key", [
         ("solver", "tolerance"), ("solver", "grid_size"),
-        ("inversion", "step")])
+        ("solver", "damping"), ("inversion", "step")])
     def test_null_setting_rejected(self, tmp_path, section, key):
-        # used to fail with a TypeError that did not name the setting
+        # used to fail with a TypeError that did not name the setting, or
+        # (damping) to select a per-z step
         doc = base_config(tmp_path)
         doc[section] = dict(doc[section], **{key: None})
         with pytest.raises(ValueError, match=f"{section} {key} must not be "
@@ -278,7 +280,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("override, message", [
         ({"mode": "noncentered_pseudodiag", "lambda_diag": [[1.0, 0.0]] * 15},
          r"diagonal length \(15,\) does not match min\(16, 16\)"),
-        ({"lambda_diag": [[1.0, 0.0]] * 17},
+        ({"mode": "noncentered_pseudodiag", "lambda_diag": [[1.0, 0.0]] * 17},
          r"diagonal length \(17,\) does not match min\(16, 16\)"),
         ({"seeds": [0, -1]}, r"seed -1 is outside \[0, 2\*\*64\)"),
         ({"seeds": [2 ** 64]}, r"seed 18446744073709551616 is outside"),
@@ -294,19 +296,44 @@ class TestConfigValidation:
          r"^lambda_diag must be a list, got \{'re': 1.0\}"),
         ({"solver": [16]}, r"^solver must be an object, got \[16\]"),
         ({"inversion": "fine"}, "^inversion must be an object, got 'fine'"),
-        ({"output_dir": 5}, "^output_dir must be a string, got 5")],
+        ({"output_dir": 5}, "^output_dir must be a string, got 5"),
+        ({"zgrid": [[0.0, 1.0]]}, "^run config has unknown key 'zgrid'"),
+        ({"filter1d": FILTER1D},
+         "^filter1d is required in square_toeplitz mode and not read in any "
+         "other; the mode is 'centered'"),
+        ({"lambda_diag": [[1.0, 0.0]] * 16},
+         "^lambda_diag is required in noncentered_pseudodiag mode and not "
+         "read in any other; the mode is 'centered'"),
+        ({"mode": "square_toeplitz", "filter1d": FILTER1D,
+          "lambda_diag": [[1.0, 0.0]] * 16},
+         "^lambda_diag is required in noncentered_pseudodiag mode and not "
+         "read in any other; the mode is 'square_toeplitz'"),
+        ({"lambda_diag": None}, "^lambda_diag must be a list, got None"),
+        ({"mode": "square_toeplitz"},
+         "^filter1d is required in square_toeplitz mode"),
+        ({"mode": "noncentered_pseudodiag"},
+         "^lambda_diag is required in noncentered_pseudodiag mode"),
+        ({"filter2d": {"dims": 2, "entires": [[0, 0, 1.0, 0.0]]}},
+         r"^filter document must hold exactly 'dims' and 'entries', got "
+         r"keys \['dims', 'entires'\]")],
         ids=["lambda_diag_short", "lambda_diag_long", "seed_negative",
              "seed_too_large", "filter_repeated_tap", "document_not_object",
              "missing_mode", "missing_filter2d", "missing_N", "missing_n",
              "missing_seeds", "seeds_not_list", "z_grid_not_list",
              "lambda_diag_not_list", "solver_not_object",
-             "inversion_not_object", "output_dir_not_string"])
+             "inversion_not_object", "output_dir_not_string",
+             "unknown_key", "filter1d_centered", "lambda_diag_centered",
+             "lambda_diag_square", "lambda_diag_null",
+             "square_without_filter1d", "noncentered_without_lambda_diag",
+             "filter_entires"])
     def test_bad_config_fails_before_output_dir(self, tmp_path, override,
                                                message):
         # used to create the output directory (and, for a bad seed, to
         # simulate every earlier seed) before failing; the document shape
         # errors used to be bare KeyError / TypeError / AttributeError, or
-        # (output_dir 5) a TypeError inside run_experiment
+        # (output_dir 5) a TypeError inside run_experiment; an unknown key,
+        # a key the mode does not read (null too) and a misspelt filter
+        # key used to be dropped: "entires" loaded as h = 0
         doc = override
         if isinstance(override, dict):
             doc = {key: value for key, value in
@@ -318,8 +345,7 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
     def test_settings_defaults_and_casts(self, tmp_path):
-        doc = base_config(tmp_path, solver={"grid_size": 16.0,
-                                            "damping": None},
+        doc = base_config(tmp_path, solver={"grid_size": 16.0},
                           inversion={"step": 1})
         cfg = cli.load_config(write_config(tmp_path, doc))
         assert cfg.solver == SolverConfig(grid_size=16)
@@ -337,6 +363,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{section} {key} must be a "
                                              "number, got"):
             cli.ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("eta", 10 ** 400, "is an integer too large for a float"),
+        ("step", "x", "must be a number, got 'x'"),
+        ("pad", True, "must be a number, got True")],
+        ids=["eta_huge", "step_string", "pad_bool"])
+    def test_bad_inversion_settings_rejected(self, key, value, message):
+        # library callers skip the config reader: 10**400 and "x" used to
+        # raise a bare TypeError from np.isfinite, and pad=True loaded
+        with pytest.raises(ValueError, match=f"^inversion {key} {message}"):
+            cli.InversionSettings(**{key: value})
+
+    def test_inversion_numpy_scalars_accepted(self):
+        inv = cli.InversionSettings(eta=np.float64(1e-3), step=np.float32(1),
+                                    pad=np.int64(2))
+        assert (inv.eta, inv.step, inv.pad) == (1e-3, 1.0, 2)
 
     @pytest.mark.parametrize("key, pair", [
         ("z_grid", [True, 1]), ("z_grid", [0, 1, 5]), ("z_grid", ["0", 1]),
@@ -464,6 +506,13 @@ class TestSweepAlphaDocument:
         # 5 used to raise a bare TypeError and [16] an IndexError
         with pytest.raises(ValueError, match=message):
             self.run(tmp_path, sizes=[[8, 8], size])
+
+    def test_unknown_key(self, tmp_path, capsys):
+        # an extra key used to be ignored without a word
+        with pytest.raises(ValueError,
+                           match="^sweep-alpha config has unknown key 'size'"):
+            self.run(tmp_path, size=[[32, 32]])
+        assert capsys.readouterr().out == ""
 
     def test_sizes_not_list(self, tmp_path):
         with pytest.raises(ValueError, match="^sizes must be a list, got 8"):

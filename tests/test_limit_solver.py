@@ -58,10 +58,12 @@ class TestConfigAndGrid:
         ("max_iterations", True, "an integer"),
         ("max_iterations", 100.0, "an integer"),
         ("tolerance", "1e-8", "a number"), ("tolerance", True, "a number"),
-        ("damping", True, "a number"), ("damping", "0.5", "a number")])
+        ("damping", True, "a number"), ("damping", "0.5", "a number"),
+        ("damping", None, "a number")])
     def test_wrong_type_rejected(self, setting, value, message):
         # max_iterations=True ran one iteration, damping=True loaded as
-        # 1.0 and grid_size=8.5 failed inside the solve
+        # 1.0, grid_size=8.5 failed inside the solve and damping=None
+        # selected a per-z step
         with pytest.raises(ValueError,
                            match=f"^{setting} must be {message}, got"):
             SolverConfig(**{setting: value})
@@ -78,11 +80,16 @@ class TestConfigAndGrid:
         with pytest.raises(ValueError, match="tolerance must be finite"):
             SolverConfig(tolerance=tol)
 
-    def test_damping_rule(self):
-        cfg = SolverConfig()
-        assert cfg.damping_for(2j) == 1.0
-        assert cfg.damping_for(0.1j) == 0.5
-        assert SolverConfig(damping=0.3).damping_for(5j) == 0.3
+    @pytest.mark.parametrize("setting", ["tolerance", "damping"])
+    def test_huge_integer_rejected(self, setting):
+        # tolerance=10**400 used to raise a bare TypeError from np.isfinite
+        with pytest.raises(ValueError, match=f"^{setting} is an integer too "
+                                             "large for a float"):
+            SolverConfig(**{setting: 10 ** 400})
+
+    def test_default_damping(self):
+        assert SolverConfig().damping == 0.5
+        assert not hasattr(SolverConfig, "damping_for")
 
 
 class TestCentered:
@@ -330,7 +337,7 @@ def _iterate_reference(z, cfg, state, fmap):
     Returns the final rows, counts and residuals."""
     rows, counts, resid = [], [], []
     for i in range(len(z)):
-        zi, d = z[i:i + 1], cfg.damping_for(z[i])
+        zi, d = z[i:i + 1], cfg.damping
 
         def at(y):
             w, invs = fmap.evaluate(y, zi)

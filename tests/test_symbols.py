@@ -132,10 +132,20 @@ class TestJsonRoundTrip:
 
     @pytest.mark.parametrize("doc, message", [
         ([1, 2], r"filter document must be an object, got \[1, 2\]"),
-        ({"dims": 2, "entries": 5}, "filter entries must be a list, got 5")],
-        ids=["document_not_object", "entries_not_list"])
+        ({"dims": 2, "entries": 5}, "filter entries must be a list, got 5"),
+        ({"dims": 2, "entires": [[0, 0, 1.0, 0.0]]},
+         r"filter document must hold exactly 'dims' and 'entries', got keys "
+         r"\['dims', 'entires'\]"),
+        ({"dims": 1}, r"filter document must hold exactly 'dims' and "
+                      r"'entries', got keys \['dims'\]"),
+        ({"dims": 1, "entries": [], "name": "a"},
+         r"filter document must hold exactly 'dims' and 'entries', got keys "
+         r"\['dims', 'entries', 'name'\]")],
+        ids=["document_not_object", "entries_not_list", "misspelt_entries",
+             "no_entries", "extra_key"])
     def test_bad_document_rejected(self, doc, message):
-        # used to raise a bare AttributeError / TypeError
+        # used to raise a bare AttributeError / TypeError, or to load a
+        # document without "entries" (misspelt or not) as h = 0
         with pytest.raises(ValueError, match=f"^{message}"):
             filter_from_json_dict(doc)
 
