@@ -13,9 +13,9 @@ from .matgen import (FieldMatrix, NoiseSpec, build_circulant, build_field,
                      build_periodized_field, build_pseudo_diagonal,
                      build_toeplitz, circulant_eigenvalues, load_matrix_csv,
                      sample_noise, save_matrix_csv)
-from .transforms import (congruence, fourier_matrix, real_orthogonal_matrix,
-                         symmetrized_variance_grid, variance_profile_grid,
-                         whiteness_check)
+from .transforms import (WhitenessReport, congruence, fourier_matrix,
+                         real_orthogonal_matrix, symmetrized_variance_grid,
+                         variance_profile_grid, whiteness_check)
 from .spectra import (DistributionFunction, EmpiricalSpectrum, bai_bound,
                       default_inversion_grid, empirical_stieltjes,
                       gram_spectrum, invert_stieltjes_to_cdf,

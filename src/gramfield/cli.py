@@ -31,8 +31,7 @@ from .limit_solver import (SolverConfig, _check_types, measure_from_lambda,
 from .spectra import (EmpiricalSpectrum, bai_bound, default_inversion_grid,
                       invert_stieltjes_to_cdf, kolmogorov_distance,
                       levy_distance, read_cdf_csv, write_cdf_csv)
-from .symbols import (FilterSequence1D, FilterSequence2D, SpectralSymbol,
-                      filter_from_json_dict)
+from .symbols import SpectralSymbol, filter_from_json_dict
 
 OUTPUT_DIR_ENV = "GRAMFIELD_OUTPUT_DIR"
 
@@ -81,9 +80,6 @@ class ExperimentConfig:
                 raise ValueError(f"{key} is required in {mode} mode and "
                                  "not read in any other; the mode is "
                                  f"{self.mode!r}")
-        _check_filter(self.filter2d, "filter2d", 2)
-        if self.filter1d is not None:
-            _check_filter(self.filter1d, "filter1d", 1)
         if self.N < 1 or self.n < 1:
             raise ValueError("N and n must be positive")
         if self.mode == "square_toeplitz":
@@ -120,8 +116,8 @@ class ExperimentConfig:
         lam = doc.get("lambda_diag")
         return cls(
             mode=doc["mode"],
-            filter2d=filter_from_json_dict(doc["filter2d"]),
-            filter1d=(filter_from_json_dict(doc["filter1d"])
+            filter2d=_read_filter(doc, "filter2d", 2),
+            filter1d=(_read_filter(doc, "filter1d", 1)
                       if "filter1d" in doc else None),
             lambda_diag=(np.array(_complex_pairs(lam, "lambda_diag"))
                          if "lambda_diag" in doc else None),
@@ -156,11 +152,17 @@ def _list(value, name):
     return value
 
 
-def _check_filter(filt, name, dims):
-    """Raise unless ``filt`` is a ``dims``-d filter sequence."""
-    if not isinstance(filt, (FilterSequence1D, FilterSequence2D)[dims - 1]):
-        raise ValueError(f"{name} must be a {dims}-d filter, got "
-                         f"dims={getattr(filt, 'dims', None)!r}")
+def _read_filter(doc, key, dims):
+    """The ``dims``-d filter of the filter document ``doc[key]``; every
+    error names the key."""
+    try:
+        filt = filter_from_json_dict(doc[key])
+    except ValueError as err:
+        raise ValueError(f"{key}: {err}") from None
+    if filt.dims != dims:
+        raise ValueError(f"{key} must be a {dims}-d filter, got "
+                         f"dims={filt.dims!r}")
+    return filt
 
 
 def _integer(value, name):
@@ -308,8 +310,7 @@ def _solve_batch(cfg, z_values):
         H = measure_from_profile(SpectralSymbol(cfg.filter1d).profile,
                                  cfg.solver.grid_size)
     else:
-        H = measure_from_lambda(
-            matgen.build_pseudo_diagonal(cfg.lambda_diag, cfg.N, cfg.n))
+        H = measure_from_lambda(cfg.lambda_diag)
     pairs = solve_noncentered_many(profile, c, H, z_values, cfg.solver)
     return [p[0] for p in pairs]
 
@@ -419,8 +420,7 @@ def _cmd_sweep_alpha(args):
     with open(args.config) as fh:
         doc = json.load(fh)
     _require(doc, ("filter2d", "sizes", "seeds"), "sweep-alpha config")
-    h = filter_from_json_dict(doc["filter2d"])
-    _check_filter(h, "filter2d", 2)
+    h = _read_filter(doc, "filter2d", 2)
     sizes = []
     for i, p in enumerate(_list(doc["sizes"], "sizes")):
         if not (isinstance(p, list) and len(p) == 2):

@@ -232,18 +232,13 @@ class AtomicMeasureH:
         object.__setattr__(self, "weights", w)
 
 
-def measure_from_lambda(lam_matrix):
-    """Diagonal measure (1/N) sum_i delta_{(i/N, |diag_i|^2)} of a
-    pseudo-diagonal N x n array; raises on a nonzero off-diagonal entry."""
-    lam = np.asarray(lam_matrix)
-    N, n = lam.shape
-    if np.any(lam[~np.eye(N, n, dtype=bool)]):
-        raise ValueError("measure_from_lambda needs a pseudo-diagonal matrix, "
-                         "but an off-diagonal entry is nonzero")
-    d = np.zeros(N, dtype=np.complex128)
-    d[:min(N, n)] = np.diagonal(lam)
+def measure_from_lambda(diag):
+    """Diagonal measure (1/N) sum_i delta_{(i/N, |diag_i|^2)}, N = len(diag),
+    of an N x n pseudo-diagonal matrix (N <= n) with diagonal ``diag``."""
+    N = len(diag)
     i = np.arange(1, N + 1)
-    return AtomicMeasureH(u=i / N, lam=np.abs(d) ** 2, weights=np.full(N, 1.0 / N))
+    return AtomicMeasureH(u=i / N, lam=np.abs(diag) ** 2,
+                          weights=np.full(N, 1.0 / N))
 
 
 def measure_from_profile(fn, m):
@@ -292,13 +287,9 @@ def _low_rank(P):
     return U[:, :r] * s[:r], Vt[:r]
 
 
-def _real_factors(A, B):
-    """Products w -> w @ P and w -> w @ P.T for ``_times``, given the
-    factors P = A @ B of ``_low_rank``: each a pair of C-contiguous
-    kron(F, I2) for the two factors in turn."""
-    eye = np.eye(2)
-    A2, B2 = np.kron(A, eye), np.kron(B, eye)
-    return (A2, B2), (np.ascontiguousarray(B2.T), np.ascontiguousarray(A2.T))
+def _real(F):
+    """kron(F, I2), the operand of ``_times_real`` for the real matrix F."""
+    return np.kron(F, np.eye(2))
 
 
 def _times_real(w, F2):
@@ -312,12 +303,6 @@ def _times_real(w, F2):
     """
     w = np.ascontiguousarray(w).view(np.float64)
     return (w @ F2).view(np.complex128)
-
-
-def _times(w, factors):
-    """w @ (A @ B) as (w @ A) @ B, given factors (kron(A, I2), kron(B, I2))."""
-    A2, B2 = factors
-    return _times_real(_times_real(w, A2), B2)
 
 
 def _check_z(z_values):
@@ -340,8 +325,7 @@ def _gram(F, G):
     row v of ``_times_real(v, _gram(F, G))``, reshaped to (r, r), is
     F.T @ diag(v) @ G."""
     n, r = F.shape
-    return np.kron((F[:, :, None] * G[:, None, :]).reshape(n, r * r),
-                   np.eye(2))
+    return _real((F[:, :, None] * G[:, None, :]).reshape(n, r * r))
 
 
 def _weighted_gram(v, FG2, r):
@@ -488,16 +472,17 @@ def _centered_map(P, c):
     m = P.shape[0]
     A, B = _low_rank(P)
     r = A.shape[1]
-    fwd, bwd = _real_factors(A, B)
+    A2, B2, At2, Bt2 = _real(A), _real(B), _real(A.T), _real(B.T)
     AA, BB = _gram(A, A), _gram(B.T, B.T)
 
     def evaluate(y, z):
-        inv = 1.0 / (1.0 + c * _times_real(y, fwd[1]))   # (B, M) over t
-        inner = _times(inv, bwd) * (1.0 / m)             # int P(u,t)/s dt
+        inv = 1.0 / (1.0 + c * _times_real(y, B2))         # (B, M) over t
+        # int P(u, t) / s dt, as (inv @ B.T) @ A.T
+        inner = _times_real(_times_real(inv, Bt2), At2) * (1.0 / m)
         return ((1.0 / m) / (-z[:, None] + inner),), (inv,)
 
     def project(weights):
-        return _times_real(weights[0], fwd[0])
+        return _times_real(weights[0], A2)
 
     def jacobian(z, weights, invs):
         (g,), (inv,) = weights, invs
@@ -534,7 +519,8 @@ def _solve_one(label, solve_many, z, cfg, *args):
         raise SolverConvergenceError(
             f"{label} solve at z={z} stopped at residual "
             f"{kernel.residual:.3e} after {kernel.iterations} iterations "
-            f"(tolerance {cfg.tolerance:.1e}); consider lowering damping",
+            f"(tolerance {cfg.tolerance:.1e}); consider raising "
+            "max_iterations",
             kernel=kernel, kernel_tilde=kernel_tilde)
     return result
 
@@ -561,14 +547,14 @@ def _noncentered_map(P, c, hw, hl, tilde_w):
     atoms = len(hw)
     A, B = _low_rank(P)
     r = A.shape[1]
-    fwd, bwd = _real_factors(A, B)
+    A2, B2, At2, Bt2 = _real(A), _real(B), _real(A.T), _real(B.T)
     AA, BB, AB = _gram(A, A), _gram(B.T, B.T), _gram(A, B[:, :atoms].T)
     inv_hw, inv_tilde_w = 1.0 / hw, 1.0 / tilde_w
 
     def evaluate(y, z):
         zc = z[:, None]
-        a = 1.0 + _times_real(y[:, r:], bwd[1])       # (B, atoms)
-        b = 1.0 + c * _times_real(y[:, :r], fwd[1])   # (B, atoms + R)
+        a = 1.0 + _times_real(y[:, r:], At2)          # (B, atoms)
+        b = 1.0 + c * _times_real(y[:, :r], B2)       # (B, atoms + R)
         inv_a, inv_b = 1.0 / a, 1.0 / b
         new_w = hw / (-zc * a + hl * inv_b[:, :atoms])
         den_t = -zc * b
@@ -577,8 +563,8 @@ def _noncentered_map(P, c, hw, hl, tilde_w):
 
     def project(weights):
         w, wt = weights
-        return np.concatenate([_times_real(w, fwd[0]),
-                               _times_real(wt, bwd[0])], axis=1)
+        return np.concatenate([_times_real(w, A2),
+                               _times_real(wt, Bt2)], axis=1)
 
     def jacobian(z, weights, invs):
         (w, wt), (inv_a, inv_b) = weights, invs

@@ -34,6 +34,7 @@ __all__ = [
     "build_periodized_field",
     "build_toeplitz",
     "build_circulant",
+    "circulant_eigenvalues",
     "build_pseudo_diagonal",
     "save_matrix_csv",
     "load_matrix_csv",

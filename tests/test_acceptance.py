@@ -217,9 +217,7 @@ def test_criterion_6_noncentered_reductions():
     zs = [1j, 2j, 0.5 + 0.3j]
 
     # (a) lambda = 0, c = 1 degenerates to the centered equation
-    lam = gf.build_pseudo_diagonal(np.zeros(TIGHT_CFG.grid_size),
-                                   TIGHT_CFG.grid_size, TIGHT_CFG.grid_size)
-    H_zero = gf.measure_from_lambda(lam)
+    H_zero = gf.measure_from_lambda(np.zeros(TIGHT_CFG.grid_size))
     H_zero_nodes = gf.measure_from_profile(np.zeros_like, TIGHT_CFG.grid_size)
     err_a = 0.0
     for z in zs:

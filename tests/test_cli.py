@@ -314,8 +314,16 @@ class TestConfigValidation:
         ({"mode": "noncentered_pseudodiag"},
          "^lambda_diag is required in noncentered_pseudodiag mode"),
         ({"filter2d": {"dims": 2, "entires": [[0, 0, 1.0, 0.0]]}},
-         r"^filter document must hold exactly 'dims' and 'entries', got "
-         r"keys \['dims', 'entires'\]")],
+         r"^filter2d: filter document must hold exactly 'dims' and "
+         r"'entries', got keys \['dims', 'entires'\]"),
+        ({"filter2d": None},
+         "^filter2d: filter document must be an object, got None$"),
+        ({"mode": "square_toeplitz",
+          "filter1d": {"dims": 1, "entries": [[0, 1.0, 0.0],
+                                              [0.5, 1.0, 0.0]]}},
+         r"^filter1d: filter entries\[1\] has tap index 0.5, which is not "
+         "an int64 integer$"),
+        ({"N": 0}, "^N and n must be positive$")],
         ids=["lambda_diag_short", "lambda_diag_long", "seed_negative",
              "seed_too_large", "filter_repeated_tap", "document_not_object",
              "missing_mode", "missing_filter2d", "missing_N", "missing_n",
@@ -325,7 +333,7 @@ class TestConfigValidation:
              "unknown_key", "filter1d_centered", "lambda_diag_centered",
              "lambda_diag_square", "lambda_diag_null",
              "square_without_filter1d", "noncentered_without_lambda_diag",
-             "filter_entires"])
+             "filter_entires", "filter2d_null", "filter1d_bad_tap", "N_zero"])
     def test_bad_config_fails_before_output_dir(self, tmp_path, override,
                                                message):
         # used to create the output directory (and, for a bad seed, to
@@ -333,7 +341,8 @@ class TestConfigValidation:
         # errors used to be bare KeyError / TypeError / AttributeError, or
         # (output_dir 5) a TypeError inside run_experiment; an unknown key,
         # a key the mode does not read (null too) and a misspelt filter
-        # key used to be dropped: "entires" loaded as h = 0
+        # key used to be dropped: "entires" loaded as h = 0; a filter
+        # document's errors did not say which key holds it
         doc = override
         if isinstance(override, dict):
             doc = {key: value for key, value in
@@ -517,6 +526,12 @@ class TestSweepAlphaDocument:
     def test_sizes_not_list(self, tmp_path):
         with pytest.raises(ValueError, match="^sizes must be a list, got 8"):
             self.run(tmp_path, sizes=8)
+
+    def test_bad_filter_names_its_key(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^filter2d: filter entries\[0\] "
+                                             r"must be \[k, k, re, im\] of "
+                                             "numbers, got"):
+            self.run(tmp_path, filter2d={"dims": 2, "entries": [[0, 0, 1.0]]})
 
     def test_filter2d_must_be_2d(self, tmp_path):
         # used to fail with "not enough values to unpack"

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramfield import symbols
+import gramfield
+from gramfield import limit_solver, matgen, spectra, symbols, transforms
 from gramfield.symbols import (FilterSequence1D, FilterSequence2D,
                                SpectralSymbol, filter_from_json_dict,
                                filter_to_json_dict, load_filter, save_filter)
@@ -241,10 +243,24 @@ def test_non_finite_coefficients_rejected(bad):
 
 def test_generic_symbol_owns_profile_methods():
     # the benchmark tracer wraps the profile method in each exported class's
-    # own namespace, so it must exist once and each class be exported once
-    objs = [getattr(symbols, name) for name in symbols.__all__]
-    assert len({id(o) for o in objs}) == len(objs)
+    # own namespace, so it must exist once
     assert "profile" in vars(SpectralSymbol)
+
+
+def test_module_lists_match_package_exports():
+    # the benchmark tracer wraps what each module's __all__ lists: every
+    # name there must be a distinct object, and the package must export
+    # exactly the names its modules list
+    modules = (symbols, matgen, transforms, spectra, limit_solver)
+    exported = {}
+    for name, obj in vars(gramfield).items():
+        if not name.startswith("_") and not inspect.ismodule(obj):
+            exported.setdefault(obj.__module__, set()).add(name)
+    assert set(exported) == {mod.__name__ for mod in modules}
+    for mod in modules:
+        objs = [getattr(mod, name) for name in mod.__all__]
+        assert len({id(o) for o in objs}) == len(objs), mod.__name__
+        assert set(mod.__all__) == exported[mod.__name__], mod.__name__
 
 
 def test_symbol_takes_one_argument_per_dimension():
