@@ -78,6 +78,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .symbols import _number
+
 __all__ = [
     "SolverConfig",
     "StieltjesKernel",
@@ -105,22 +107,6 @@ def _midpoints(m):
     return (np.arange(m) + 0.5) / m
 
 
-def _check_types(settings, kinds, prefix=""):
-    """Raise a ValueError naming the first setting of ``kinds``, pairs of
-    (name, numbers.Integral or numbers.Real), that is a boolean, not of
-    its kind (numpy scalars are), or an integer too large for a float."""
-    for name, kind in kinds:
-        value = getattr(settings, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            noun = "an integer" if kind is numbers.Integral else "a number"
-            raise ValueError(f"{prefix}{name} must be {noun}, got {value!r}")
-        try:
-            float(value)
-        except OverflowError:
-            raise ValueError(f"{prefix}{name} is an integer too large for a "
-                             "float") from None
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Fixed-point iteration controls.
@@ -141,10 +127,11 @@ class SolverConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        _check_types(self, (("grid_size", numbers.Integral),
-                            ("max_iterations", numbers.Integral),
-                            ("tolerance", numbers.Real),
-                            ("damping", numbers.Real)))
+        for name, kind in (("grid_size", numbers.Integral),
+                           ("max_iterations", numbers.Integral),
+                           ("tolerance", numbers.Real),
+                           ("damping", numbers.Real)):
+            _number(getattr(self, name), name, kind)
         if self.grid_size < 8:
             raise ValueError("grid_size must be at least 8")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
@@ -234,7 +221,12 @@ class AtomicMeasureH:
 
 def measure_from_lambda(diag):
     """Diagonal measure (1/N) sum_i delta_{(i/N, |diag_i|^2)}, N = len(diag),
-    of an N x n pseudo-diagonal matrix (N <= n) with diagonal ``diag``."""
+    of an N x n pseudo-diagonal matrix (N <= n) with diagonal ``diag``.
+
+    The 0-based entry ``diag[k]`` sits at u = (k+1)/N, while
+    ``transforms.fourier_matrix`` numbers its frequencies from 0.  Moving
+    u alone to k/N is worse: for the README filter at c = 0.5 and z = i,
+    f is 7.4 standard errors from Monte Carlo at N = 32, against 2.1."""
     N = len(diag)
     i = np.arange(1, N + 1)
     return AtomicMeasureH(u=i / N, lam=np.abs(diag) ** 2,

@@ -24,6 +24,7 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
@@ -180,14 +181,52 @@ def filter_to_json_dict(filt):
     return {"dims": filt.dims, "entries": entries}
 
 
+def _list(value, name):
+    """``value`` itself; raises naming the key unless it is a list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _is_number(value, kind=numbers.Real):
+    """True for a ``kind`` (numbers.Real or numbers.Integral; numpy
+    scalars are) that is not a boolean."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _number(value, name, kind=numbers.Real, verb="is"):
+    """``float(value)``; raises a ValueError naming ``name`` unless
+    ``value`` is a number of ``kind``, or when it is an integer too large
+    for a float (the message says ``name`` ``verb`` one)."""
+    if not _is_number(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} {verb} an integer too large for a "
+                         "float") from None
+
+
+def _complex_row(row, length, name, what):
+    """``complex(re, im)`` of ``row = [..., re, im]``; raises a ValueError
+    naming ``name`` unless ``row`` is ``what``, a list of ``length``
+    numbers, or when it holds an integer too large for a float."""
+    if not (isinstance(row, list) and len(row) == length
+            and all(map(_is_number, row))):
+        raise ValueError(f"{name} must be {what}, got {row!r}")
+    return complex(*(_number(x, name, verb="holds") for x in row[-2:]))
+
+
 def filter_from_json_dict(doc):
     """Filter from its JSON document (``filter_to_json_dict``'s format).
 
     Raises ValueError when the document is not an object holding exactly
     ``dims`` and ``entries`` or its entries not a list, and names the
     index of the first entry that is not [*k, re, im] with integer tap
-    indices k and numbers re, im, that repeats an earlier tap, or that
-    holds an integer too large for a float or a tap index outside int64.
+    indices k and numbers re, im, that holds an integer too large for a
+    float in re or im, or that has a tap index outside int64 or repeats
+    an earlier tap.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"filter document must be an object, got {doc!r}")
@@ -197,17 +236,11 @@ def filter_from_json_dict(doc):
     dims = doc["dims"]
     if dims not in (1, 2):
         raise ValueError(f"unsupported filter dims: {dims!r}")
-    entries = doc["entries"]
-    if not isinstance(entries, list):
-        raise ValueError(f"filter entries must be a list, got {entries!r}")
+    what = f"[{', '.join(['k'] * dims)}, re, im] of numbers"
     coeffs = {}
-    for i, e in enumerate(entries):
+    for i, e in enumerate(_list(doc["entries"], "filter entries")):
         name = f"filter entries[{i}]"
-        if not (isinstance(e, list) and len(e) == dims + 2
-                and all(isinstance(x, (int, float))
-                        and not isinstance(x, bool) for x in e)):
-            raise ValueError(f"{name} must be [{', '.join(['k'] * dims)}, "
-                             f"re, im] of numbers, got {e!r}")
+        coeff = _complex_row(e, dims + 2, name, what)
         for k in e[:dims]:
             if not (abs(k) < 2 ** 63 and float(k).is_integer()):
                 raise ValueError(f"{name} has tap index {k!r}, which is "
@@ -215,11 +248,7 @@ def filter_from_json_dict(doc):
         key = tuple(int(k) for k in e[:dims])
         if key in coeffs:
             raise ValueError(f"{name} repeats tap {key}")
-        try:
-            coeffs[key] = complex(float(e[dims]), float(e[dims + 1]))
-        except OverflowError:
-            raise ValueError(f"{name} holds an integer too large for a "
-                             "float") from None
+        coeffs[key] = coeff
     cls = FilterSequence2D if dims == 2 else FilterSequence1D
     return cls(coeffs)
 

@@ -323,6 +323,10 @@ class TestConfigValidation:
                                               [0.5, 1.0, 0.0]]}},
          r"^filter1d: filter entries\[1\] has tap index 0.5, which is not "
          "an int64 integer$"),
+        ({"mode": "square_toeplitz",
+          "filter1d": {"dims": 1, "entries": [[0, 1.0, 10 ** 400]]}},
+         r"^filter1d: filter entries\[0\] holds an integer too large for a "
+         "float$"),
         ({"N": 0}, "^N and n must be positive$")],
         ids=["lambda_diag_short", "lambda_diag_long", "seed_negative",
              "seed_too_large", "filter_repeated_tap", "document_not_object",
@@ -333,7 +337,8 @@ class TestConfigValidation:
              "unknown_key", "filter1d_centered", "lambda_diag_centered",
              "lambda_diag_square", "lambda_diag_null",
              "square_without_filter1d", "noncentered_without_lambda_diag",
-             "filter_entires", "filter2d_null", "filter1d_bad_tap", "N_zero"])
+             "filter_entires", "filter2d_null", "filter1d_bad_tap",
+             "filter1d_huge_coefficient", "N_zero"])
     def test_bad_config_fails_before_output_dir(self, tmp_path, override,
                                                message):
         # used to create the output directory (and, for a bad seed, to
@@ -429,6 +434,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=rf"^{key}\[15\] holds an integer "
                                              "too large for a float"):
             cli.load_config(path)
+
+    @pytest.mark.parametrize("value", [True, "x", 10 ** 400],
+                             ids=["bool", "string", "huge"])
+    @pytest.mark.parametrize("section, key, settings, prefix", [
+        ("solver", "tolerance", SolverConfig, "solver "),
+        ("inversion", "eta", cli.InversionSettings, "")],
+        ids=["solver_tolerance", "inversion_eta"])
+    def test_reader_and_library_share_number_rule(self, tmp_path, value,
+                                                  section, key, settings,
+                                                  prefix):
+        # a config value and a library argument pass one number check;
+        # SolverConfig's messages name the setting without its section
+        with pytest.raises(ValueError) as library:
+            settings(**{key: value})
+        doc = base_config(tmp_path)
+        doc[section] = dict(doc[section], **{key: value})
+        with pytest.raises(ValueError) as reader:
+            cli.ExperimentConfig.from_json_dict(doc)
+        assert str(reader.value) == prefix + str(library.value)
 
     def test_integer_pairs_load_as_floats(self, tmp_path):
         doc = base_config(tmp_path, z_grid=[[0, 1], [-2, 3]])

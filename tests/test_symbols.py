@@ -160,14 +160,25 @@ class TestJsonRoundTrip:
         ([[0, 0, 1.0, 0.0], [1, 0, 0.5]],
          r"entries\[1\] must be \[k, k, re, im\] of numbers"),
         ([[0, 0, 10 ** 400, 0.0]],
-         r"entries\[0\] holds an integer too large for a float")],
+         r"entries\[0\] holds an integer too large for a float"),
+        ([[0, 0, 1.0, 0.0], [1, 0, 0.5, -10 ** 400]],
+         r"entries\[1\] holds an integer too large for a float")],
         ids=["non_integral_index", "index_beyond_int64", "repeated_tap",
-             "short_entry", "huge_integer_coefficient"])
+             "short_entry", "huge_integer_coefficient",
+             "huge_integer_imaginary_part"])
     def test_bad_entry_rejected(self, entries, message):
         # used to truncate the index to tap (1, 0), keep the last of two
         # coefficients, or raise a bare IndexError / OverflowError
         with pytest.raises(ValueError, match=f"^filter {message}"):
             filter_from_json_dict({"dims": 2, "entries": entries})
+
+
+def test_numpy_scalar_entries_accepted():
+    # numpy scalars are numbers here as in SolverConfig; an np.int64 tap
+    # index used to be rejected as not a number
+    h = filter_from_json_dict({"dims": 2, "entries": [
+        [np.int64(1), np.int32(-2), np.float32(0.5), np.int64(3)]]})
+    assert h.support == [(1, -2)] and h[1, -2] == 0.5 + 3j
 
 
 def test_empty_filter_is_zero():

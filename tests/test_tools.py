@@ -1,19 +1,54 @@
 """The artifact hash script runs configs that the CLI accepts, one or
-more in every mode."""
+more in every mode, and hashes them the same whatever BLAS thread count
+the calling shell sets."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from gramfield import cli
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_hashes.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "artifact_hashes.py"
 
 
-def test_artifact_hash_configs_cover_every_mode():
+@pytest.fixture(scope="module")
+def tool():
     spec = importlib.util.spec_from_file_location("artifact_hashes", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_artifact_hash_configs_cover_every_mode(tool):
     docs = tool.configs()
     assert len(docs) == 7
     assert {cli.ExperimentConfig.from_json_dict(doc).mode
             for doc in docs.values()} == set(cli.MODES)
+
+
+def test_child_env_pins_blas_threads(tool, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    env = tool.child_env(ROOT)
+    assert tool.THREADS == 1
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS"):
+        assert env[variable] == "1"
+    assert env["PYTHONPATH"] == str(ROOT / "src")
+
+
+@pytest.mark.parametrize("name", ["square_toeplitz_wrap", "readme_256"])
+def test_hash_ignores_caller_thread_setting(tool, monkeypatch, tmp_path,
+                                            name):
+    # readme_256's eigenvalues differ in the last bits between 1 and 2
+    # BLAS threads; the configs at N <= 64 agree either way
+    doc = tool.configs()[name]
+    hashes = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        workdir = tmp_path / threads
+        workdir.mkdir()
+        hashes.append(tool.artifact_hash(ROOT, name, doc, workdir))
+    assert hashes[0] == hashes[1]

@@ -13,6 +13,12 @@ is hashed, and three that reach the other code paths: ``square_toeplitz``
 with a tap at n, where the circulant wraps, ``real_case``, and a
 rectangular ``noncentered_pseudodiag`` with a complex ``lambda_diag``.
 Run it on two trees and diff the output.
+
+The eigenvalues LAPACK returns differ in the last bits between BLAS
+thread counts, so every child runs with the BLAS thread variables set to
+``THREADS``, whatever the calling shell sets, and the first output line
+``threads <THREADS>`` records it.  Two lists compare only when that line
+and the numpy/BLAS build agree.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+THREADS = 1
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 # imports gramfield from the tree on PYTHONPATH, refuses any other copy,
 # and runs the CLI on the remaining arguments
@@ -64,16 +74,22 @@ def configs():
     return docs
 
 
+def child_env(tree):
+    """The caller's environment with ``tree``'s sources on PYTHONPATH and
+    every BLAS thread variable set to ``THREADS``."""
+    return dict(os.environ, PYTHONPATH=str(tree / "src"),
+                **dict.fromkeys(THREAD_VARIABLES, str(THREADS)))
+
+
 def artifact_hash(tree, name, doc, workdir):
     """sha256 over the stdout and the artifacts of one run."""
     out = workdir / name
     path = workdir / f"{name}.json"
     path.write_text(json.dumps(dict(doc, output_dir=str(out))))
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _RUN, str(tree / "src") + os.sep, "run",
          str(path)],
-        env=env, cwd=workdir, capture_output=True, check=False)
+        env=child_env(tree), cwd=workdir, capture_output=True, check=False)
     if proc.returncode != 0:
         sys.exit(f"{name}: gramfield run failed\n{proc.stderr.decode()}")
     digest = hashlib.sha256(proc.stdout)
@@ -90,6 +106,7 @@ def main(argv=None):
     tree = parser.parse_args(argv).tree.resolve()
     if not (tree / "src" / "gramfield" / "__init__.py").is_file():
         parser.error(f"{tree} holds no src/gramfield")
+    print("threads", THREADS, flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in configs().items():
             print(name, artifact_hash(tree, name, doc, Path(tmp)), flush=True)
