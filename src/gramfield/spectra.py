@@ -194,8 +194,8 @@ def levy_distance(f, g):
 def empirical_stieltjes(spectrum: EmpiricalSpectrum, z):
     """f(z) = (1/N) sum 1/(lambda_i - z) for Im z > 0."""
     z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("Stieltjes transform requires Im z > 0")
+    if not (np.isfinite(z) and z.imag > 0):
+        raise ValueError(f"z must be finite with Im z > 0, got {z}")
     return complex(np.mean(1.0 / (spectrum.eigenvalues - z)))
 
 
@@ -249,8 +249,8 @@ def invert_stieltjes_to_cdf(f, grid, eta=1e-3):
     ``f`` is the array of transform values f(xi + i eta) at the points
     xi of ``grid``.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     grid = np.asarray(grid, dtype=np.float64)
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
@@ -266,6 +266,8 @@ def invert_stieltjes_to_cdf(f, grid, eta=1e-3):
 
 def default_inversion_grid(spectrum: EmpiricalSpectrum, step=1e-3, pad=1.0):
     """Inversion grid covering [min eig - pad, max eig + pad] at ``step``."""
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     lo = float(spectrum.eigenvalues.min()) - pad
     hi = float(spectrum.eigenvalues.max()) + pad
     return lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)

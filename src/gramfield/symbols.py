@@ -40,10 +40,16 @@ __all__ = [
 ]
 
 
+def _is_tap_index(k):
+    """True for a number, not a boolean, that is an integer of int64
+    range other than -2**63 (|k| < 2**63)."""
+    return _is_number(k) and abs(k) < 2 ** 63 and float(k).is_integer()
+
+
 def _index(key, dims):
     """A support point as a tuple of ``dims`` ints; a 1-d key may be bare."""
     ks = key if isinstance(key, tuple) else (key,)
-    if len(ks) != dims or any(k != int(k) for k in ks):
+    if len(ks) != dims or not all(map(_is_tap_index, ks)):
         raise ValueError(f"support point {key!r} is not a point of Z^{dims}")
     return tuple(int(k) for k in ks)
 
@@ -242,7 +248,7 @@ def filter_from_json_dict(doc):
         name = f"filter entries[{i}]"
         coeff = _complex_row(e, dims + 2, name, what)
         for k in e[:dims]:
-            if not (abs(k) < 2 ** 63 and float(k).is_integer()):
+            if not _is_tap_index(k):
                 raise ValueError(f"{name} has tap index {k!r}, which is "
                                  "not an int64 integer")
         key = tuple(int(k) for k in e[:dims])

@@ -840,6 +840,36 @@ class TestKernelAxioms:
         assert rep.passed
         assert rep.max_bound_excess == pytest.approx(0.0, abs=1e-12)
 
+    def test_one_negative_node_fails(self):
+        # a point mass at z = i with one node pushed below the axis: the
+        # sum over all nodes stays positive and within the bound
+        w = np.full(64, 1j / 64)
+        w[5] -= 0.05j
+        k = StieltjesKernel(z=1j, nodes=(np.arange(64) + 0.5) / 64,
+                            weights=w)
+        rep = verify_kernel_axioms(k)
+        assert not rep.positive_imag_ok
+        assert not rep.bound_ok
+        assert rep.min_imag == pytest.approx(1 / 64 - 0.05)
+        assert rep.max_bound_excess == pytest.approx(0.05 - 2 / 64)
+
+    def test_extremes_are_exact(self):
+        rng = np.random.default_rng(24)
+        m, z = 40, 0.7 + 0.4j
+        w = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / m
+        k = StieltjesKernel(z=z, nodes=(np.arange(m) + 0.5) / m, weights=w)
+        rep = verify_kernel_axioms(k)
+        g = rng.random((2000, m))
+        assert rep.min_imag == pytest.approx(((w.imag < 0) * w).sum().imag)
+        assert ((g @ w).imag >= rep.min_imag).all()
+        assert rep.min_imag_z == pytest.approx(
+            ((z * w).imag < 0) @ (z * w).imag)
+        assert ((z * (g @ w)).imag >= rep.min_imag_z).all()
+        total = rep.max_bound_excess + 1 / z.imag
+        assert total == pytest.approx(abs(np.conj(w) / np.abs(w) @ w))
+        unit = g * np.exp(2j * np.pi * rng.random((2000, m)))
+        assert (np.abs(unit @ w) <= total).all()
+
 
 class TestMonteCarloAgreement:
     def test_empirical_transform_approaches_solution(self):

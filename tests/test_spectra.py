@@ -4,7 +4,8 @@ import pytest
 from gramfield.matgen import (FieldMatrix, NoiseSpec, build_field,
                               build_periodized_field, sample_noise)
 from gramfield.spectra import (DistributionFunction, EmpiricalSpectrum,
-                               bai_bound, empirical_stieltjes, gram_spectrum,
+                               bai_bound, default_inversion_grid,
+                               empirical_stieltjes, gram_spectrum,
                                invert_stieltjes_to_cdf, kolmogorov_distance,
                                levy_distance, read_cdf_csv, trace_stats,
                                write_cdf_csv)
@@ -181,9 +182,15 @@ class TestEmpiricalStieltjes:
             assert f.imag > 0
             assert (z * f).imag >= -1e-12
 
-    def test_real_axis_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_stieltjes(spectrum_of([1.0]), 1.0 + 0j)
+    @pytest.mark.parametrize("z", [
+        1.0 + 0j, -0.5j, complex(0, np.nan), complex(np.nan, 1),
+        complex(0, np.inf), complex(np.inf, 1)],
+        ids=["real_axis", "lower_half", "nan_imag", "nan_real", "inf_imag",
+             "inf_real"])
+    def test_bad_z_rejected(self, z):
+        # a NaN passed the old Im z <= 0 check and returned NaN
+        with pytest.raises(ValueError, match="z must be finite"):
+            empirical_stieltjes(spectrum_of([1.0]), z)
 
 
 class TestBaiBound:
@@ -273,10 +280,19 @@ class TestInversion:
         assert kolmogorov_distance(s, cdf) < 0.02
         assert 0.98 <= cdf.total_mass <= 1.0
 
-    def test_bad_eta(self):
+    @pytest.mark.parametrize("eta", [0.0, -1e-3, np.nan, np.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_bad_eta(self, eta):
         grid = np.array([0.0, 1.0])
-        with pytest.raises(ValueError):
-            invert_stieltjes_to_cdf(-1.0 / (grid + 1e-3j), grid, eta=0.0)
+        with pytest.raises(ValueError, match="eta must be finite"):
+            invert_stieltjes_to_cdf(-1.0 / (grid + 1e-3j), grid, eta=eta)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_bad_grid_step_rejected(self, step):
+        # a negative step gave an empty grid, 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match="step must be finite"):
+            default_inversion_grid(spectrum_of([0.5, 1.0]), step=step)
 
 
 class TestCdfCsv:

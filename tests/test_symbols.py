@@ -155,6 +155,9 @@ class TestJsonRoundTrip:
         ([[0, 0, 1.0, 0.0], [1.7, 0, 0.5, 0.0]],
          r"entries\[1\] has tap index 1\.7, which is not an int64 integer"),
         ([[2 ** 63, 0, 1.0, 0.0]], r"entries\[0\] has tap index 9223372036"),
+        ([[0, -2 ** 63, 1.0, 0.0]],
+         r"entries\[0\] has tap index -9223372036"),
+        ([[float("nan"), 0, 1.0, 0.0]], r"entries\[0\] has tap index nan"),
         ([[0, 0, 1.0, 0.0], [0, 1, 0.5, 0.0], [0, 0, 2.0, 0.0]],
          r"entries\[2\] repeats tap \(0, 0\)"),
         ([[0, 0, 1.0, 0.0], [1, 0, 0.5]],
@@ -163,7 +166,8 @@ class TestJsonRoundTrip:
          r"entries\[0\] holds an integer too large for a float"),
         ([[0, 0, 1.0, 0.0], [1, 0, 0.5, -10 ** 400]],
          r"entries\[1\] holds an integer too large for a float")],
-        ids=["non_integral_index", "index_beyond_int64", "repeated_tap",
+        ids=["non_integral_index", "index_beyond_int64", "index_int64_min",
+             "nan_index", "repeated_tap",
              "short_entry", "huge_integer_coefficient",
              "huge_integer_imaginary_part"])
     def test_bad_entry_rejected(self, entries, message):
@@ -250,6 +254,16 @@ def test_non_finite_coefficients_rejected(bad):
         FilterSequence2D({(0, 0): 1.0, (1, 0): bad})
     with pytest.raises(ValueError, match="not finite"):
         FilterSequence1D({0: 1.0, 1: bad})
+
+
+@pytest.mark.parametrize("key", [(2 ** 63, 0), (np.inf, 0), (np.nan, 0),
+                                 (-2 ** 63, 0), (True, 0)])
+def test_bad_support_point_rejected(key):
+    # the constructor reads tap indices by the JSON reader's rule; the
+    # first three used to raise OverflowError or a bare NaN error, the
+    # last two were accepted, -2**63 with radius 0
+    with pytest.raises(ValueError, match=r"is not a point of Z\^2"):
+        FilterSequence2D({key: 1.0})
 
 
 def test_generic_symbol_owns_profile_methods():

@@ -1,10 +1,12 @@
 """The artifact hash script runs configs that the CLI accepts, one or
-more in every mode, and hashes them the same whatever BLAS thread count
-the calling shell sets."""
+more in every mode, hashes them the same whatever BLAS thread count the
+calling shell sets, and heads its output with the thread count and the
+numpy/BLAS build."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gramfield import cli
@@ -37,6 +39,15 @@ def test_child_env_pins_blas_threads(tool, monkeypatch):
                      "MKL_NUM_THREADS"):
         assert env[variable] == "1"
     assert env["PYTHONPATH"] == str(ROOT / "src")
+
+
+def test_header_names_threads_and_numpy_build(tool, monkeypatch, capsys):
+    monkeypatch.setattr(tool, "configs", dict)     # no config to run
+    assert tool.main([str(ROOT)]) == 0
+    threads, build = capsys.readouterr().out.splitlines()
+    assert threads == "threads 1"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert build == f"numpy {np.__version__} {blas['name']} {blas['version']}"
 
 
 @pytest.mark.parametrize("name", ["square_toeplitz_wrap", "readme_256"])

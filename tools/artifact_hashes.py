@@ -16,9 +16,11 @@ Run it on two trees and diff the output.
 
 The eigenvalues LAPACK returns differ in the last bits between BLAS
 thread counts, so every child runs with the BLAS thread variables set to
-``THREADS``, whatever the calling shell sets, and the first output line
-``threads <THREADS>`` records it.  Two lists compare only when that line
-and the numpy/BLAS build agree.
+``THREADS``, whatever the calling shell sets.  The first two output
+lines, ``threads <THREADS>`` and ``numpy <version> <BLAS name> <BLAS
+version>``, record that and the numpy/BLAS build every child imports
+(read with ``np.show_config(mode="dicts")``, numpy 1.25 or later).  Two
+lists compare only when both lines agree.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,6 +85,14 @@ def child_env(tree):
                 **dict.fromkeys(THREAD_VARIABLES, str(THREADS)))
 
 
+def header():
+    """The lines printed before the hashes: the BLAS thread count of
+    every child, then the numpy version and BLAS build they import."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"threads {THREADS}",
+            f"numpy {np.__version__} {blas['name']} {blas['version']}"]
+
+
 def artifact_hash(tree, name, doc, workdir):
     """sha256 over the stdout and the artifacts of one run."""
     out = workdir / name
@@ -106,7 +118,7 @@ def main(argv=None):
     tree = parser.parse_args(argv).tree.resolve()
     if not (tree / "src" / "gramfield" / "__init__.py").is_file():
         parser.error(f"{tree} holds no src/gramfield")
-    print("threads", THREADS, flush=True)
+    print(*header(), sep="\n", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in configs().items():
             print(name, artifact_hash(tree, name, doc, Path(tmp)), flush=True)
