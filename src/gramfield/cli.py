@@ -32,8 +32,8 @@ from .limit_solver import (SolverConfig, measure_from_lambda,
 from .spectra import (EmpiricalSpectrum, bai_bound, default_inversion_grid,
                       invert_stieltjes_to_cdf, kolmogorov_distance,
                       levy_distance, read_cdf_csv, write_cdf_csv)
-from .symbols import (SpectralSymbol, _complex_row, _list, _number,
-                      filter_from_json_dict)
+from .symbols import (SpectralSymbol, _complex_row, _integer, _list,
+                      _positive, filter_from_json_dict)
 
 OUTPUT_DIR_ENV = "GRAMFIELD_OUTPUT_DIR"
 
@@ -47,16 +47,9 @@ class InversionSettings:
     pad: float = 1.0
 
     def __post_init__(self):
-        for name in ("eta", "step", "pad"):
-            _number(getattr(self, name), f"inversion {name}")
-        for name in ("eta", "step"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"inversion {name} must be finite and "
-                                 f"positive, got {value}")
-        if not (np.isfinite(self.pad) and self.pad >= 0):
-            raise ValueError("inversion pad must be finite and nonnegative, "
-                             f"got {self.pad}")
+        self.eta = _positive(self.eta, "eta")
+        self.step = _positive(self.step, "step")
+        self.pad = _positive(self.pad, "pad", zero=True)
 
 
 @dataclass
@@ -74,6 +67,8 @@ class ExperimentConfig:
     output_dir: str = None
 
     def __post_init__(self):
+        self.N, self.n = _integer(self.N, "N"), _integer(self.n, "n")
+        self.seeds = _distinct_seeds(self.seeds)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         for key, mode in (("filter1d", "square_toeplitz"),
@@ -98,9 +93,6 @@ class ExperimentConfig:
             raise ValueError("real_case mode requires a real filter")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        _check_distinct(self.seeds)
-        for seed in self.seeds:
-            matgen.NoiseSpec(seed=seed)  # raises outside [0, 2**64)
         for z in self.z_grid:
             if not (np.isfinite(z) and complex(z).imag > 0):
                 raise ValueError(
@@ -123,10 +115,8 @@ class ExperimentConfig:
                       if "filter1d" in doc else None),
             lambda_diag=(np.array(_complex_pairs(lam, "lambda_diag"))
                          if "lambda_diag" in doc else None),
-            N=_integer(doc["N"], "N"),
-            n=_integer(doc["n"], "n"),
-            seeds=[_integer(s, "seed")
-                   for s in _list(doc["seeds"], "seeds")],
+            N=doc["N"], n=doc["n"],
+            seeds=_list(doc["seeds"], "seeds"),
             z_grid=_complex_pairs(doc.get("z_grid", []), "z_grid"),
             solver=_settings(SolverConfig, doc.get("solver", {}), "solver"),
             inversion=_settings(InversionSettings, doc.get("inversion", {}),
@@ -160,16 +150,6 @@ def _read_filter(doc, key, dims):
     return filt
 
 
-def _integer(value, name):
-    """``value`` as an int: ints and integral floats pass, anything else
-    (booleans too) raises naming the setting.  An int is never routed
-    through float, so seeds up to 2**64 - 1 stay exact."""
-    if isinstance(value, bool) or not (isinstance(value, int) or (
-            isinstance(value, float) and value.is_integer())):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _complex_pairs(pairs, name):
     """``[re, im]`` pairs as complex numbers; raises naming the key and
     the index of the first entry that is not a list of two numbers or
@@ -179,34 +159,36 @@ def _complex_pairs(pairs, name):
 
 
 def _settings(cls, doc, section):
-    """``cls(**doc)`` for the dataclass ``cls``: values must be integers
-    where the field's default is an int and numbers, cast to float,
-    otherwise; null raises, omitted keys keep the defaults, unknown keys
-    raise, and so does a ``doc`` that is not an object."""
+    """``cls(**doc)`` for the settings dataclass ``cls``, which casts and
+    checks its own fields; omitted keys keep the defaults.  Raises when
+    ``doc`` is not an object or holds an unknown key or a null, and
+    starts every error, ``cls``'s own too, with ``section``."""
     if not isinstance(doc, dict):
         raise ValueError(f"{section} must be an object, got {doc!r}")
-    defaults = {f.name: f.default for f in fields(cls)}
-    values = {}
+    names = {f.name for f in fields(cls)}
     for key, value in doc.items():
-        if key not in defaults:
+        if key not in names:
             raise ValueError(f"unknown {section} setting {key!r}")
-        name = f"{section} {key}"
         if value is None:
-            raise ValueError(f"{name} must not be null")
-        values[key] = (_integer(value, name)
-                       if isinstance(defaults[key], int)
-                       else _number(value, name))
-    return cls(**values)
+            raise ValueError(f"{section} {key} must not be null")
+    try:
+        return cls(**doc)
+    except ValueError as err:
+        raise ValueError(f"{section} {err}") from None
 
 
-def _check_distinct(seeds):
-    """Raise on a repeated seed, which would be simulated and counted
-    twice in every mean and pooled spectrum."""
+def _distinct_seeds(seeds):
+    """``seeds`` as ints, cast by ``NoiseSpec``, which raises on a
+    non-integer or a seed outside [0, 2**64); raises on a repeated seed,
+    which would be simulated and counted twice in every mean and pooled
+    spectrum."""
+    seeds = [matgen.NoiseSpec(seed=seed).seed for seed in seeds]
     seen = set()
     for seed in seeds:
         if seed in seen:
             raise ValueError(f"seed {seed} is listed more than once")
         seen.add(seed)
+    return seeds
 
 
 def load_config(path):
@@ -362,7 +344,7 @@ def sweep_alpha(h, sizes, seeds):
         raise ValueError("sweep_alpha needs at least two sizes")
     if not seeds:
         raise ValueError("sweep_alpha needs a nonempty seed list")
-    _check_distinct(seeds)
+    seeds = _distinct_seeds(seeds)
     rows = []
     for N, n in sizes:
         alphas = [spectra.trace_stats(*_coupled_fields(
@@ -397,8 +379,7 @@ def _cmd_sweep_alpha(args):
                              f"integers, got {p!r}")
         sizes.append(tuple(_integer(x, f"sizes[{i}][{j}]")
                            for j, x in enumerate(p)))
-    seeds = [_integer(s, "seed") for s in _list(doc["seeds"], "seeds")]
-    rows = sweep_alpha(h, sizes, seeds)
+    rows = sweep_alpha(h, sizes, _list(doc["seeds"], "seeds"))
     print("N,n,mean_alpha")
     for N, n, alpha in rows:
         print(f"{N},{n},{_g17(alpha)}")

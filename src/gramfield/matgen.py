@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import FilterSequence1D, FilterSequence2D
+from .symbols import FilterSequence1D, FilterSequence2D, _integer
 
 __all__ = [
     "FieldMatrix",
@@ -80,6 +80,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.distribution not in ("complex_standard", "real_standard"):
             raise ValueError(f"unknown distribution: {self.distribution!r}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed {self.seed} is outside [0, 2**64)")
 

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .symbols import _positive
+
 __all__ = [
     "EmpiricalSpectrum",
     "DistributionFunction",
@@ -249,8 +251,7 @@ def invert_stieltjes_to_cdf(f, grid, eta=1e-3):
     ``f`` is the array of transform values f(xi + i eta) at the points
     xi of ``grid``.
     """
-    if not (np.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be finite and positive, got {eta}")
+    eta = _positive(eta, "eta")
     grid = np.asarray(grid, dtype=np.float64)
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
@@ -266,8 +267,8 @@ def invert_stieltjes_to_cdf(f, grid, eta=1e-3):
 
 def default_inversion_grid(spectrum: EmpiricalSpectrum, step=1e-3, pad=1.0):
     """Inversion grid covering [min eig - pad, max eig + pad] at ``step``."""
-    if not (np.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and positive, got {step}")
+    step = _positive(step, "step")
+    pad = _positive(pad, "pad", zero=True)
     lo = float(spectrum.eigenvalues.min()) - pad
     hi = float(spectrum.eigenvalues.max()) + pad
     return lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)

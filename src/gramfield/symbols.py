@@ -41,9 +41,11 @@ __all__ = [
 
 
 def _is_tap_index(k):
-    """True for a number, not a boolean, that is an integer of int64
-    range other than -2**63 (|k| < 2**63)."""
-    return _is_number(k) and abs(k) < 2 ** 63 and float(k).is_integer()
+    """True for an integer (by ``_integer``'s rule) with |k| < 2**63."""
+    try:
+        return abs(_integer(k, "tap index")) < 2 ** 63
+    except ValueError:
+        return False
 
 
 def _index(key, dims):
@@ -194,24 +196,43 @@ def _list(value, name):
     return value
 
 
-def _is_number(value, kind=numbers.Real):
-    """True for a ``kind`` (numbers.Real or numbers.Integral; numpy
-    scalars are) that is not a boolean."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _is_number(value):
+    """True for a real number (numpy scalars are) that is not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _number(value, name, kind=numbers.Real, verb="is"):
+def _number(value, name, verb="is"):
     """``float(value)``; raises a ValueError naming ``name`` unless
-    ``value`` is a number of ``kind``, or when it is an integer too large
-    for a float (the message says ``name`` ``verb`` one)."""
-    if not _is_number(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a number"
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    ``value`` is a number, or when it is an integer too large for a float
+    (the message says ``name`` ``verb`` one)."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} {verb} an integer too large for a "
                          "float") from None
+
+
+def _integer(value, name):
+    """``value`` as an int: ints (numpy ints too) and integral floats
+    pass, anything else (booleans too) raises a ValueError naming
+    ``name``.  An int is never routed through float, so seeds up to
+    2**64 - 1 stay exact."""
+    if not (_is_number(value) and (isinstance(value, numbers.Integral)
+                                   or float(value).is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name, zero=False):
+    """``_number(value, name)``; raises a ValueError naming ``name``
+    unless it is finite and positive (nonnegative when ``zero``)."""
+    x = _number(value, name)
+    if not (np.isfinite(x) and (x >= 0 if zero else x > 0)):
+        sign = "nonnegative" if zero else "positive"
+        raise ValueError(f"{name} must be finite and {sign}, got {x}")
+    return x
 
 
 def _complex_row(row, length, name, what):

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .symbols import _integer
+
 __all__ = [
     "fourier_matrix",
     "real_orthogonal_matrix",
@@ -37,6 +39,7 @@ _SUBSAMPLE_SEED = 20200405  # Philox key of that subsample
 
 def fourier_matrix(p):
     """Unitary Fourier matrix with entries p^{-1/2} e^{2 pi i j1 j2 / p}."""
+    p = _integer(p, "p")
     if p < 1:
         raise ValueError("p must be >= 1")
     j = np.arange(p)
@@ -51,6 +54,7 @@ def real_orthogonal_matrix(p):
     j2/p) and sqrt(2/p) sin(2 pi j1 j2/p).  Even p appends the
     alternating row (-1)^{j2}/sqrt(p); odd p stops at the sin row.
     """
+    p = _integer(p, "p")
     if p < 1:
         raise ValueError("p must be >= 1")
     q = np.zeros((p, p), dtype=np.float64)

@@ -272,6 +272,35 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             cli.ExperimentConfig.from_json_dict(doc)
 
+    @pytest.mark.parametrize("override, message", [
+        ({"N": 2.5}, "^N must be an integer, got 2.5$"),
+        ({"n": np.float64(16.5)}, "^n must be an integer, got "),
+        ({"seeds": [1, 1.5]}, "^seed must be an integer, got 1.5$"),
+        ({"seeds": [1, True]}, "^seed must be an integer, got True$"),
+        ({"seeds": [1, 1.0]}, "^seed 1 is listed more than once$")],
+        ids=["N", "n", "seed_fraction", "seed_bool", "seed_repeated_float"])
+    def test_library_config_checks_integers(self, tmp_path, override,
+                                            message):
+        # a library-built config skipped the reader's integer check: N=2.5
+        # created the output directory and then raised an unnamed
+        # TypeError, and seeds [1, 1.5] simulated seed 1 twice
+        doc = base_config(tmp_path, **override)
+        kwargs = {key: doc[key] for key in ("mode", "N", "n", "seeds")}
+        with pytest.raises(ValueError, match=message):
+            cli.run_experiment(cli.ExperimentConfig(
+                filter2d=cli._read_filter(doc, "filter2d", 2), z_grid=[],
+                output_dir=doc["output_dir"], **kwargs))
+        assert not (tmp_path / "out").exists()
+
+    def test_library_config_casts_integers(self, tmp_path):
+        doc = base_config(tmp_path)
+        cfg = cli.ExperimentConfig(
+            mode="centered", filter2d=cli._read_filter(doc, "filter2d", 2),
+            N=16.0, n=np.int64(16), seeds=[np.uint64(2 ** 64 - 1), 3.0],
+            z_grid=[])
+        assert (cfg.N, cfg.n, cfg.seeds) == (16, 16, [2 ** 64 - 1, 3])
+        assert {type(x) for x in (cfg.N, cfg.n, *cfg.seeds)} == {int}
+
     def test_largest_seed_kept_exactly(self, tmp_path):
         doc = base_config(tmp_path, seeds=[2 ** 64 - 1, 0])
         cfg = cli.ExperimentConfig.from_json_dict(doc)
@@ -327,7 +356,9 @@ class TestConfigValidation:
           "filter1d": {"dims": 1, "entries": [[0, 1.0, 10 ** 400]]}},
          r"^filter1d: filter entries\[0\] holds an integer too large for a "
          "float$"),
-        ({"N": 0}, "^N and n must be positive$")],
+        ({"N": 0}, "^N and n must be positive$"),
+        ({"solver": {"tolerance": -1}},
+         r"^solver tolerance must be finite and positive, got -1.0$")],
         ids=["lambda_diag_short", "lambda_diag_long", "seed_negative",
              "seed_too_large", "filter_repeated_tap", "document_not_object",
              "missing_mode", "missing_filter2d", "missing_N", "missing_n",
@@ -338,7 +369,8 @@ class TestConfigValidation:
              "lambda_diag_square", "lambda_diag_null",
              "square_without_filter1d", "noncentered_without_lambda_diag",
              "filter_entires", "filter2d_null", "filter1d_bad_tap",
-             "filter1d_huge_coefficient", "N_zero"])
+             "filter1d_huge_coefficient", "N_zero",
+             "solver_tolerance_negative"])
     def test_bad_config_fails_before_output_dir(self, tmp_path, override,
                                                message):
         # used to create the output directory (and, for a bad seed, to
@@ -386,7 +418,7 @@ class TestConfigValidation:
     def test_bad_inversion_settings_rejected(self, key, value, message):
         # library callers skip the config reader: 10**400 and "x" used to
         # raise a bare TypeError from np.isfinite, and pad=True loaded
-        with pytest.raises(ValueError, match=f"^inversion {key} {message}"):
+        with pytest.raises(ValueError, match=f"^{key} {message}"):
             cli.InversionSettings(**{key: value})
 
     def test_inversion_numpy_scalars_accepted(self):
@@ -435,24 +467,38 @@ class TestConfigValidation:
                                              "too large for a float"):
             cli.load_config(path)
 
-    @pytest.mark.parametrize("value", [True, "x", 10 ** 400],
-                             ids=["bool", "string", "huge"])
-    @pytest.mark.parametrize("section, key, settings, prefix", [
-        ("solver", "tolerance", SolverConfig, "solver "),
-        ("inversion", "eta", cli.InversionSettings, "")],
-        ids=["solver_tolerance", "inversion_eta"])
-    def test_reader_and_library_share_number_rule(self, tmp_path, value,
-                                                  section, key, settings,
-                                                  prefix):
-        # a config value and a library argument pass one number check;
-        # SolverConfig's messages name the setting without its section
+    @pytest.mark.parametrize("section, key, settings, value", [
+        pytest.param(section, key, settings, value,
+                     id=f"{section}_{key}-{label}")
+        for section, key, settings, values in [
+            ("solver", "tolerance", SolverConfig,
+             {"bool": True, "string": "x", "huge": 10 ** 400}),
+            ("inversion", "eta", cli.InversionSettings,
+             {"bool": True, "string": "x", "huge": 10 ** 400}),
+            ("solver", "grid_size", SolverConfig,
+             {"fraction": 64.5, "bool": True, "string": "64"})]
+        for label, value in values.items()])
+    def test_reader_and_library_share_number_rule(self, tmp_path, section,
+                                                  key, settings, value):
+        # a config value and a library argument pass one check, the
+        # settings class's own; the reader starts its message with the
+        # section (inversion errors used to carry it from the class)
         with pytest.raises(ValueError) as library:
             settings(**{key: value})
         doc = base_config(tmp_path)
         doc[section] = dict(doc[section], **{key: value})
         with pytest.raises(ValueError) as reader:
             cli.ExperimentConfig.from_json_dict(doc)
-        assert str(reader.value) == prefix + str(library.value)
+        assert str(reader.value) == f"{section} {library.value}"
+
+    def test_reader_and_library_share_integer_cast(self, tmp_path):
+        # SolverConfig(grid_size=64.0) used to raise, while a config with
+        # the same value loaded
+        library = SolverConfig(grid_size=64.0)
+        doc = base_config(tmp_path, solver={"grid_size": 64.0})
+        reader = cli.ExperimentConfig.from_json_dict(doc).solver
+        assert reader == library == SolverConfig(grid_size=64)
+        assert type(reader.grid_size) is type(library.grid_size) is int
 
     def test_integer_pairs_load_as_floats(self, tmp_path):
         doc = base_config(tmp_path, z_grid=[[0, 1], [-2, 3]])
@@ -505,6 +551,18 @@ class TestSweepAlpha:
         h = FilterSequence2D({(0, 0): 1})
         with pytest.raises(ValueError, match="seed 0 is listed more than"):
             cli.sweep_alpha(h, [(8, 8), (16, 16)], [0, 1, 0])
+
+    @pytest.mark.parametrize("seeds, message", [
+        ([1, 1.5], "^seed must be an integer, got 1.5$"),
+        ([1, True], "^seed must be an integer, got True$"),
+        ([1, 1.0], "^seed 1 is listed more than once$")],
+        ids=["fraction", "bool", "repeated_float"])
+    def test_non_integer_seed_rejected(self, seeds, message):
+        # [1, 1.5] used to average seed 1's noise twice
+        from gramfield.symbols import FilterSequence2D
+        h = FilterSequence2D({(0, 0): 1, (1, 1): 1})
+        with pytest.raises(ValueError, match=message):
+            cli.sweep_alpha(h, [(8, 8), (16, 16)], seeds)
 
 
 class TestSweepAlphaDocument:

@@ -34,6 +34,20 @@ class TestConfigAndGrid:
         with pytest.raises(ValueError, match="m must be positive"):
             measure_from_profile(np.ones_like, 0)
 
+    @pytest.mark.parametrize("m", [8.5, True, "8", np.float64(np.nan)],
+                             ids=["fraction", "bool", "string", "nan"])
+    def test_profile_measure_needs_an_integer_count(self, m):
+        # 8.5 used to raise numpy's TypeError, which named no argument
+        with pytest.raises(ValueError, match="^m must be an integer, got"):
+            measure_from_profile(np.ones_like, m)
+
+    @pytest.mark.parametrize("diag", [np.array([]), []],
+                             ids=["array", "list"])
+    def test_empty_diagonal_rejected(self, diag):
+        # used to raise a ZeroDivisionError
+        with pytest.raises(ValueError, match="^diag must be nonempty$"):
+            measure_from_lambda(diag)
+
     def test_profile_measure_is_the_vectorized_profile(self):
         # a per-node loop put |psi|^2 a few ulp off the vectorized values
         # the solvers use
@@ -59,7 +73,6 @@ class TestConfigAndGrid:
     @pytest.mark.parametrize("setting, value, message", [
         ("grid_size", 8.5, "an integer"), ("grid_size", True, "an integer"),
         ("max_iterations", True, "an integer"),
-        ("max_iterations", 100.0, "an integer"),
         ("tolerance", "1e-8", "a number"), ("tolerance", True, "a number"),
         ("damping", True, "a number"), ("damping", "0.5", "a number"),
         ("damping", None, "a number")])
@@ -70,6 +83,13 @@ class TestConfigAndGrid:
         with pytest.raises(ValueError,
                            match=f"^{setting} must be {message}, got"):
             SolverConfig(**{setting: value})
+
+    def test_integral_floats_accepted(self):
+        # max_iterations=100.0 used to be rejected here, while a config
+        # holding 100.0 loaded
+        cfg = SolverConfig(grid_size=16.0, max_iterations=100.0)
+        assert (cfg.grid_size, cfg.max_iterations) == (16, 100)
+        assert type(cfg.grid_size) is type(cfg.max_iterations) is int
 
     def test_numpy_scalars_accepted(self):
         cfg = SolverConfig(grid_size=np.int64(16), tolerance=np.float64(1e-8),

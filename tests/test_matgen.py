@@ -50,6 +50,18 @@ class TestNoise:
         with pytest.raises(ValueError, match="seed"):
             NoiseSpec(seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "1", None],
+                             ids=["fraction", "bool", "string", "none"])
+    def test_non_integer_seed_rejected(self, seed):
+        # 1.5 used to draw seed 1's stream, and True was accepted as 1
+        with pytest.raises(ValueError, match="^seed must be an integer, got"):
+            NoiseSpec(seed=seed)
+
+    def test_seed_cast_to_int(self):
+        for seed in (7.0, np.int64(7), np.uint64(7)):
+            assert type(NoiseSpec(seed=seed).seed) is int
+        assert NoiseSpec(seed=7.0) == NoiseSpec(seed=7)
+
     @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
     def test_stream_is_philox_keyed_by_seed(self, seed):
         u = sample_noise(3, 4, NoiseSpec("real_standard", seed=seed))

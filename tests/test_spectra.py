@@ -294,6 +294,15 @@ class TestInversion:
         with pytest.raises(ValueError, match="step must be finite"):
             default_inversion_grid(spectrum_of([0.5, 1.0]), step=step)
 
+    @pytest.mark.parametrize("pad", [np.nan, np.inf, -5.0],
+                             ids=["nan", "inf", "negative"])
+    def test_bad_grid_pad_rejected(self, pad):
+        # nan and inf used to raise unnamed conversion errors, and -5 on
+        # these eigenvalues gave an empty grid
+        with pytest.raises(ValueError,
+                           match="^pad must be finite and nonnegative, got"):
+            default_inversion_grid(spectrum_of([0.5, 1.0]), pad=pad)
+
 
 class TestCdfCsv:
     def test_round_trip_and_distance_stability(self, tmp_path):

@@ -29,6 +29,16 @@ class TestFourierMatrix:
         with pytest.raises(ValueError):
             fourier_matrix(0)
 
+    @pytest.mark.parametrize("build", [fourier_matrix,
+                                       real_orthogonal_matrix])
+    @pytest.mark.parametrize("p", [2.5, True, "3", np.float64(np.inf)],
+                             ids=["fraction", "bool", "string", "inf"])
+    def test_non_integer_size_rejected(self, build, p):
+        # fourier_matrix(2.5) used to return a 3 x 3 matrix and
+        # real_orthogonal_matrix(2.5) to raise an unnamed TypeError
+        with pytest.raises(ValueError, match="^p must be an integer, got"):
+            build(p)
+
 
 class TestRealOrthogonal:
     def test_p2(self):
