@@ -45,16 +45,20 @@ class FieldMatrix:
     """A noise sheet: its entries, the seed they derive from, and the
     margin by which the sheet extends past its N x n window on each side.
     Instances are treated as immutable once built, and convert to their
-    entries through ``np.asarray``.
+    entries through ``np.asarray``.  The margin must be nonnegative and,
+    when positive, leave a nonempty window.
     """
 
     def __init__(self, entries, seed=0, margin=0):
         entries = np.asarray(entries)
         if entries.ndim != 2:
             raise ValueError("entries must be a 2-d array")
-        self.entries = entries
-        self.seed = int(seed)
-        self.margin = int(margin)
+        seed, margin = _integer(seed, "seed"), _integer(margin, "margin")
+        rows, cols = entries.shape
+        if margin < 0 or (margin and min(rows, cols) <= 2 * margin):
+            raise ValueError(f"margin {margin} is negative or leaves no "
+                             f"window of the {rows} x {cols} matrix")
+        self.entries, self.seed, self.margin = entries, seed, margin
 
     @property
     def shape(self):
@@ -92,6 +96,8 @@ def sample_noise(N, n, spec, margin=0):
     noise; the periodized field reads only the central N x n block.
     Index (j1, j2) is stored at (j1 + margin, j2 + margin).
     """
+    N, n = _integer(N, "N"), _integer(n, "n")
+    margin = _integer(margin, "margin")
     if N < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {N} x {n}")
     if margin < 0:
@@ -152,6 +158,7 @@ def build_periodized_field(h: FilterSequence2D, noise):
 
 def build_toeplitz(a: FilterSequence1D, n):
     """Toeplitz matrix A[j1, j2] = a(j1 - j2)."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     js, coeffs = a.arrays()
@@ -167,6 +174,7 @@ def _circulant_column(a: FilterSequence1D, n):
     """First column atilde(j), j = 0..n-1, of the circulant approximant:
     the taps with |k| <= n summed at k mod n, so atilde(0) = a(0) + a(n)
     + a(-n) and atilde(j) = a(j) + a(j - n) otherwise."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     js, coeffs = a.arrays()
@@ -184,19 +192,22 @@ def build_circulant(a: FilterSequence1D, n):
     the symbol truncated to |j| <= n.  The Fourier matrix diagonalizes
     the result with eigenvalues psi_n(k/n).
     """
-    idx = np.arange(n)
-    entries = _circulant_column(a, n)[(idx[:, None] - idx[None, :]) % n]
+    column = _circulant_column(a, n)
+    idx = np.arange(len(column))
+    entries = column[(idx[:, None] - idx[None, :]) % len(column)]
     return entries.real if a.is_real else entries
 
 
 def circulant_eigenvalues(a: FilterSequence1D, n):
     """Diagonal psi_n(k/n), k = 0..n-1, of the Fourier-conjugated
     circulant: the discrete Fourier sum of its first column."""
-    return n * np.fft.ifft(_circulant_column(a, n))
+    column = _circulant_column(a, n)
+    return len(column) * np.fft.ifft(column)
 
 
 def build_pseudo_diagonal(diag, N, n):
     """Rectangular N x n matrix with ``diag`` on the main diagonal."""
+    N, n = _integer(N, "N"), _integer(n, "n")
     diag = np.asarray(diag)
     if diag.ndim != 1 or len(diag) != min(N, n):
         raise ValueError(
@@ -226,7 +237,7 @@ def save_matrix_csv(mat, path):
 def load_matrix_csv(path):
     """Read a :func:`save_matrix_csv` file; raises unless its entry lines
     are exactly the row-major (row, col) grid of the header's shape and
-    its margin leaves a nonempty window."""
+    :class:`FieldMatrix` accepts its seed and margin."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header != ["rows", "cols", "seed", "margin"]:
@@ -239,9 +250,6 @@ def load_matrix_csv(path):
                              f"{meta!r} is not four integers") from err
         fh.readline()  # column header
         lines = fh.readlines()
-    if margin < 0 or (margin and min(rows, cols) <= 2 * margin):
-        raise ValueError(f"margin {margin} in {path} is negative or leaves "
-                         f"no window of the {rows} x {cols} matrix")
     table = (np.loadtxt(lines, delimiter=",", ndmin=2) if lines
              else np.empty((0, 4)))
     grid = np.indices((rows, cols)).reshape(2, -1).T
@@ -253,4 +261,7 @@ def load_matrix_csv(path):
     entries = table[:, 2:].copy().view(np.complex128).reshape(rows, cols)
     if np.all(entries.imag == 0.0):
         entries = entries.real.copy()
-    return FieldMatrix(entries, seed=seed, margin=margin)
+    try:
+        return FieldMatrix(entries, seed=seed, margin=margin)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err

@@ -288,5 +288,8 @@ def read_cdf_csv(path):
         lines = [line for line in fh if line.strip()]
     if not lines:
         raise ValueError(f"empty CDF CSV: {path}")
-    xs, fs = np.loadtxt(lines, delimiter=",", ndmin=2, unpack=True)
-    return DistributionFunction(xs, fs)
+    try:
+        xs, fs = np.loadtxt(lines, delimiter=",", ndmin=2, unpack=True)
+        return DistributionFunction(xs, fs)
+    except ValueError as err:
+        raise ValueError(f"malformed CDF CSV rows in {path}: {err}") from err

@@ -4,12 +4,15 @@ Each test prints a PASS/FAIL line (run with ``pytest -s`` to see them
 live).  Converged kernels produced along the way are pooled and
 re-verified against the Stieltjes-kernel axioms at the end.
 
-The real-case per-entry variance clause of criterion 7 checks the
-sampled variances against the exact variance of the real congruence,
-the symmetrized grid (|Phi(f1, f2)|^2 + |Phi(f1, -f2)|^2)/2: each cos/sin
-row pair mixes the mirror frequencies +-f.  Its ESD clause checks the
-real-noise spectrum against the |Phi|^2 limit, the one real_case runs
-solve.
+Criterion 7 covers the real case.  Its block-covariance clause builds
+the linear map from real noise to the real congruence Q_N Zt Q_n^T and
+checks its exact covariance: zero across the cos/sin frequency blocks,
+the symmetrized grid (|Phi(f1, f2)|^2 + |Phi(f1, -f2)|^2)/2 on the
+diagonal (each cos/sin row pair mixes the mirror frequencies +-f), and
+a clear correlation within a block, so the entries are not independent.
+Its variance clause checks sampled variances against the same grid, and
+its ESD clause checks the real-noise spectrum against the |Phi|^2
+limit, the one real_case runs solve.
 """
 
 import time
@@ -263,19 +266,37 @@ def test_criterion_6_noncentered_reductions():
     assert err_c < 1e-8
 
 
-def test_criterion_7_real_case_whiteness_and_esd():
-    sym = gf.SpectralSymbol(H2)
-    N = n = 128
-    S = 200
+def _real_congruence_map(h, N, n):
+    """Matrix of the linear map U -> Q_N Zt Q_n^T on row-major N x n
+    sheets, built column by column from the unit sheets."""
     Q_N, Q_n = gf.real_orthogonal_matrix(N), gf.real_orthogonal_matrix(n)
-    samples = np.empty((S, N, n))
-    for s in range(S):
-        noise = gf.sample_noise(N, n, gf.NoiseSpec("real_standard", s),
-                                margin=H2.radius)
-        zt = gf.build_periodized_field(H2, noise)
-        samples[s] = gf.congruence(Q_N, zt, Q_n)
-    rep = gf.whiteness_check(samples)
-    white_ok = rep.passed
+    units = np.eye(N * n).reshape(N * n, N, n)
+    return np.stack([
+        gf.congruence(Q_N, gf.build_periodized_field(h, e), Q_n).ravel()
+        for e in units], axis=1)
+
+
+def test_criterion_7_real_case_block_covariance_and_esd():
+    sym = gf.SpectralSymbol(H2)
+    details = []
+    for N, n in ((16, 12), (7, 9)):
+        m = _real_congruence_map(H2, N, n)
+        cov = m @ m.T  # the noise has i.i.d. N(0, 1) entries
+        # cos/sin frequency block of each entry: (l + 1) // 2 per axis
+        block = ((np.arange(N)[:, None] + 1) // 2 * n
+                 + (np.arange(n) + 1) // 2).ravel()
+        same = block[:, None] == block[None, :]
+        across = np.abs(cov[~same]).max()
+        grid_err = np.abs(np.diagonal(cov).reshape(N, n) * n
+                          - gf.symmetrized_variance_grid(sym, N, n)).max()
+        sd = np.sqrt(np.diagonal(cov))
+        corr = np.abs(cov) / np.outer(sd, sd)
+        within = corr[same & ~np.eye(N * n, dtype=bool)].max()
+        details.append((N, n, across, grid_err, within))
+    # independent across blocks, variances on the symmetrized grid, and
+    # correlated within a block: H2 has |Phi(s, t)| != |Phi(s, -t)|
+    block_ok = all(across <= 1e-14 and grid_err <= 1e-12 and within > 0.1
+                   for _, _, across, grid_err, within in details)
 
     n_esd = 256
     pooled = pooled_spectrum(H2, n_esd, n_esd, SEEDS, real=True)
@@ -288,12 +309,13 @@ def test_criterion_7_real_case_whiteness_and_esd():
     K = gf.kolmogorov_distance(pooled.ecdf(), limit)
     esd_ok = K < 0.02
 
-    ok = white_ok and esd_ok
-    report(7, "real case (whiteness + ESD)", ok,
-           f"whiteness_max={max(rep.random_max, rep.mirror_max):.3f} "
-           f"threshold={rep.threshold:.3f} K={K:.4f}")
+    ok = block_ok and esd_ok
+    report(7, "real case (block covariance + ESD)", ok, " ".join(
+        f"{N}x{n}: cross_block_cov={across:.1e} grid_err={grid_err:.1e} "
+        f"in_block_corr={within:.3f}"
+        for N, n, across, grid_err, within in details) + f" K={K:.4f}")
     keep_kernels("real_sweep", kernels[::100])
-    assert white_ok
+    assert block_ok, details
     assert esd_ok
 
 

@@ -300,16 +300,14 @@ class TestCirculant:
             assert np.allclose(np.roll(C[0], shift), C[shift])
 
     def test_fourier_diagonalization(self):
-        a = FilterSequence1D({0: 1, 1: 0.5, -1: 0.5, 3: 0.2})
-        n = 16
-        C = build_circulant(a, n)
-        F = fourier_matrix(n)
-        D = F @ C @ F.conj().T
-        diag = circulant_eigenvalues(a, n)
-        off = D.copy()
-        np.fill_diagonal(off, 0.0)
-        assert np.abs(off).max() < 1e-10
-        assert np.abs(np.diagonal(D) - diag).max() < 1e-10
+        # square_toeplitz's exact Fourier-domain identity
+        # F_n C F_n^* = diag(circulant_eigenvalues), at an even and an odd n
+        a = FilterSequence1D({0: 1, 1: 0.5 + 0.2j, -2: 0.3})
+        for n in (48, 7):
+            F = fourier_matrix(n)
+            D = F @ build_circulant(a, n) @ F.conj().T
+            expect = np.diag(circulant_eigenvalues(a, n))
+            assert np.abs(D - expect).max() < 1e-12, n
 
     def test_trace_bound(self):
         # (1/n) Tr At At* = (1/n) sum |psi_n(k/n)|^2 <= (sum |a|)^2
@@ -348,6 +346,29 @@ class TestPseudoDiagonal:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             build_pseudo_diagonal([1, 2, 3], 2, 4)
+
+
+class TestFieldMatrix:
+    @pytest.mark.parametrize("name", ["seed", "margin"])
+    def test_non_integral_seed_or_margin_rejected(self, name):
+        # int() would truncate 1.5 to 1 without an error
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got 1.5"):
+            FieldMatrix(np.eye(4), **{name: 1.5})
+
+    @pytest.mark.parametrize("margin", [-1, 2])
+    def test_margin_without_window_rejected(self, margin):
+        # a sheet without a window would give a field read from outside
+        # it: margin -1 on this sheet would give [[8.]]
+        with pytest.raises(ValueError, match=f"^margin {margin} is negative "
+                                             "or leaves no window of the "
+                                             "3 x 3 matrix"):
+            FieldMatrix(np.arange(9.0).reshape(3, 3), margin=margin)
+
+    def test_integral_values_cast_to_int(self):
+        m = FieldMatrix(np.eye(3), seed=np.uint64(7), margin=1.0)
+        assert (type(m.seed), type(m.margin)) == (int, int)
+        assert (m.seed, m.margin) == (7, 1)
 
 
 class TestArrayProtocol:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -319,10 +321,14 @@ class TestCdfCsv:
         assert kolmogorov_distance(r1, r2) == kolmogorov_distance(d1, d2)
 
     def test_malformed(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            read_cdf_csv(path)
+        # `gramfield compare` reports these errors, so each names the file
+        bodies = ["a,b\n1,2\n", "x,F\n0,abc\n", "x,F\n0,0\n1,0.5,2\n",
+                  "x,F\n0,nan\n", "x,F\n0,0.5\n1,0.2\n"]
+        for i, body in enumerate(bodies):
+            path = tmp_path / f"bad{i}.csv"
+            path.write_text(body)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                read_cdf_csv(path)
 
     def test_empty(self, tmp_path):
         path = tmp_path / "empty.csv"

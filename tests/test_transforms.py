@@ -1,15 +1,49 @@
 import numpy as np
 import pytest
 
-from gramfield.matgen import NoiseSpec, build_periodized_field, sample_noise
+from gramfield import cli
+from gramfield.matgen import (NoiseSpec, build_circulant,
+                              build_periodized_field, build_pseudo_diagonal,
+                              build_toeplitz, circulant_eigenvalues,
+                              sample_noise)
 from gramfield.spectra import gram_spectrum
-from gramfield.symbols import FilterSequence2D, SpectralSymbol
+from gramfield.symbols import (FilterSequence1D, FilterSequence2D,
+                               SpectralSymbol)
 from gramfield.transforms import (congruence, fourier_matrix,
                                   real_orthogonal_matrix,
                                   symmetrized_variance_grid,
-                                  variance_profile_grid, whiteness_check)
+                                  variance_profile_grid)
 
 H_TEST = FilterSequence2D({(0, 0): 1, (1, 0): 0.5, (0, 1): 0.25})
+A_TEST = FilterSequence1D({0: 1, 1: 0.5})
+SYM_TEST = SpectralSymbol(H_TEST)
+NOISE = NoiseSpec(seed=1)
+
+# each function that takes a size: (call with the size p, its name)
+SIZED = {
+    "fourier_matrix": (fourier_matrix, "p"),
+    "real_orthogonal_matrix": (real_orthogonal_matrix, "p"),
+    "sample_noise_N": (lambda p: sample_noise(p, 8, NOISE), "N"),
+    "sample_noise_n": (lambda p: sample_noise(8, p, NOISE), "n"),
+    "sample_noise_margin": (lambda p: sample_noise(8, 8, NOISE, margin=p),
+                            "margin"),
+    "build_toeplitz": (lambda p: build_toeplitz(A_TEST, p), "n"),
+    "build_circulant": (lambda p: build_circulant(A_TEST, p), "n"),
+    "circulant_eigenvalues": (lambda p: circulant_eigenvalues(A_TEST, p),
+                              "n"),
+    "build_pseudo_diagonal_N": (
+        lambda p: build_pseudo_diagonal(np.ones(8), p, 8), "N"),
+    "build_pseudo_diagonal_n": (
+        lambda p: build_pseudo_diagonal(np.ones(8), 8, p), "n"),
+    "variance_profile_grid_N": (
+        lambda p: variance_profile_grid(SYM_TEST, p, 8), "N"),
+    "variance_profile_grid_n": (
+        lambda p: variance_profile_grid(SYM_TEST, 8, p), "n"),
+    "symmetrized_variance_grid_N": (
+        lambda p: symmetrized_variance_grid(SYM_TEST, p, 8), "N"),
+    "symmetrized_variance_grid_n": (
+        lambda p: symmetrized_variance_grid(SYM_TEST, 8, p), "n"),
+}
 
 
 class TestFourierMatrix:
@@ -29,14 +63,16 @@ class TestFourierMatrix:
         with pytest.raises(ValueError):
             fourier_matrix(0)
 
-    @pytest.mark.parametrize("build", [fourier_matrix,
-                                       real_orthogonal_matrix])
+    @pytest.mark.parametrize("build, name", list(SIZED.values()),
+                             ids=list(SIZED))
     @pytest.mark.parametrize("p", [2.5, True, "3", np.float64(np.inf)],
                              ids=["fraction", "bool", "string", "inf"])
-    def test_non_integer_size_rejected(self, build, p):
-        # fourier_matrix(2.5) used to return a 3 x 3 matrix and
-        # real_orthogonal_matrix(2.5) to raise an unnamed TypeError
-        with pytest.raises(ValueError, match="^p must be an integer, got"):
+    def test_non_integer_size_rejected(self, build, name, p):
+        # a fractional size must neither round to a neighbouring grid
+        # (np.arange(8.5) has 9 points) nor surface as numpy's TypeError,
+        # which does not name the argument
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, "
+                                             "got"):
             build(p)
 
 
@@ -184,50 +220,67 @@ class TestVarianceProfileGrid:
         assert np.abs(exact - sym_grid).max() < 1e-10
 
 
-class TestWhiteness:
-    def test_iid_noise_passes(self):
-        samples = np.stack([
-            sample_noise(24, 24, NoiseSpec(seed=s)).entries for s in range(200)])
-        rep = whiteness_check(samples)
-        assert rep.passed
-        assert rep.random_frac_below >= 0.95
-        assert rep.mirror_frac_below >= 0.95
+def _noise_and_transform(h, N, n, dist, seed):
+    """The noise sheet the run samples for one seed, and Uhat = F_N U F_n^*
+    of the N x n block U that its periodized field reads."""
+    noise = sample_noise(N, n, NoiseSpec(dist, seed), margin=h.radius)
+    m = noise.margin
+    block = noise.entries[m:m + N, m:m + n]
+    return noise, congruence(fourier_matrix(N), block, fourier_matrix(n))
 
-    def test_fourier_congruence_passes(self):
-        h = H_TEST
-        N = n = 24
-        F = fourier_matrix(N)
-        samples = np.empty((200, N, n), dtype=complex)
-        for s in range(200):
-            noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
-            zt = build_periodized_field(h, noise)
-            samples[s] = congruence(F, zt, F)
-        rep = whiteness_check(samples)
-        assert rep.passed
 
-    def test_complex_fourier_on_real_noise_flags_mirror(self):
-        # Y[l1, l2] equals conj(Y[N-l1, n-l2]) when the underlying noise
-        # is real, so the mirror family lights up at correlation ~1
-        h = H_TEST
-        N = n = 24
-        F = fourier_matrix(N)
-        samples = np.empty((100, N, n), dtype=complex)
-        for s in range(100):
-            noise = sample_noise(N, n, NoiseSpec("real_standard", s), margin=1)
-            zt = build_periodized_field(h, noise)
-            samples[s] = congruence(F, zt, F)
-        rep = whiteness_check(samples)
-        assert rep.mirror_max > 0.9
-        assert not rep.passed
+def _phi_grid(h, N, n):
+    """Phi(l1/N, l2/n) on the Fourier frequencies."""
+    return SpectralSymbol(h).eval(np.arange(N)[:, None] / N,
+                                  np.arange(n)[None, :] / n)
 
-    def test_field_matrix_list_matches_stacked_array(self):
-        for dist in ("complex_standard", "real_standard"):
-            mats = [build_periodized_field(
-                H_TEST, sample_noise(8, 12, NoiseSpec(dist, s), margin=1))
-                for s in range(40)]
-            stacked = np.stack(mats)
-            assert whiteness_check(mats) == whiteness_check(stacked)
 
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            whiteness_check(np.zeros((1, 4, 4)))
+class TestFourierIdentity:
+    """F_N Zt F_n^* = Phi_grid * Uhat / sqrt(n), sample by sample.
+
+    The periodized field is a two-dimensional circular convolution of
+    the noise block, which the Fourier congruence diagonalizes, so the
+    identity holds to rounding at any size and seed; a wrong sign or
+    scale in the symbol, the wrap or the transform breaks it by O(1).
+    """
+
+    @pytest.mark.parametrize("N, n", [(16, 16), (8, 12)])
+    def test_centered(self, N, n):
+        # Uhat of complex standard noise is again i.i.d. complex standard
+        # noise (unitary invariance), so the entries are independent with
+        # variances |Phi|^2 / n
+        noise, u_hat = _noise_and_transform(H_TEST, N, n,
+                                            "complex_standard", 3)
+        zt = build_periodized_field(H_TEST, noise)
+        lhs = congruence(fourier_matrix(N), zt, fourier_matrix(n))
+        rhs = _phi_grid(H_TEST, N, n) * u_hat / np.sqrt(n)
+        assert np.abs(lhs - rhs).max() < 1e-12
+
+    def test_noncentered_pseudodiag(self):
+        # the deterministic part the run adds maps onto the pseudo-diagonal
+        N, n = 8, 12
+        lam = np.array([2, 1j, 0.5 - 1j, 0, 3, -1, 0.25j, 1.5 + 0.5j])
+        cfg = cli.ExperimentConfig(
+            mode="noncentered_pseudodiag", filter2d=H_TEST, N=N, n=n,
+            seeds=[3], z_grid=[], lambda_diag=lam)
+        noise, u_hat = _noise_and_transform(H_TEST, N, n,
+                                            "complex_standard", 3)
+        det = cli._deterministic_part(cfg)
+        m = build_periodized_field(H_TEST, noise) + det
+        lhs = congruence(fourier_matrix(N), m, fourier_matrix(n))
+        rhs = (_phi_grid(H_TEST, N, n) * u_hat / np.sqrt(n)
+               + build_pseudo_diagonal(lam, N, n))
+        assert np.abs(lhs - rhs).max() < 1e-12
+
+    @pytest.mark.parametrize("N, n", [(16, 16), (8, 12)])
+    def test_real_case(self, N, n):
+        # the identity holds for real noise too, but Uhat then has the
+        # Hermitian symmetry Uhat[-l1, -l2] = conj Uhat[l1, l2], so the
+        # mirror entries are not independent
+        noise, u_hat = _noise_and_transform(H_TEST, N, n, "real_standard", 3)
+        zt = build_periodized_field(H_TEST, noise)
+        lhs = congruence(fourier_matrix(N), zt, fourier_matrix(n))
+        rhs = _phi_grid(H_TEST, N, n) * u_hat / np.sqrt(n)
+        assert np.abs(lhs - rhs).max() < 1e-12
+        mirror = u_hat[-np.arange(N) % N][:, -np.arange(n) % n]
+        assert np.abs(mirror - u_hat.conj()).max() < 1e-12
