@@ -32,8 +32,8 @@ from .limit_solver import (SolverConfig, measure_from_lambda,
 from .spectra import (EmpiricalSpectrum, bai_bound, default_inversion_grid,
                       invert_stieltjes_to_cdf, kolmogorov_distance,
                       levy_distance, read_cdf_csv, write_cdf_csv)
-from .symbols import (SpectralSymbol, _complex_row, _integer, _list,
-                      _positive, filter_from_json_dict)
+from .symbols import (_complex_row, _integer, _list, _positive,
+                      filter_from_json_dict)
 
 OUTPUT_DIR_ENV = "GRAMFIELD_OUTPUT_DIR"
 
@@ -251,15 +251,14 @@ def _simulate_seed(cfg, det, seed):
 
 def _solve_batch(cfg, z_values):
     """Kernels' f-values plus residual/iteration bookkeeping per z."""
-    profile = SpectralSymbol(cfg.filter2d).profile
+    profile = cfg.filter2d.profile
     c = cfg.N / cfg.n
     if cfg.mode in ("centered", "real_case"):
         return solve_centered_many(profile, c, z_values, cfg.solver)
     if cfg.mode == "square_toeplitz":
         # the Toeplitz part is the pseudo-diagonal model at c = 1 with
         # diagonal psi on the solver's midpoint nodes
-        H = measure_from_profile(SpectralSymbol(cfg.filter1d).profile,
-                                 cfg.solver.grid_size)
+        H = measure_from_profile(cfg.filter1d.profile, cfg.solver.grid_size)
     else:
         H = measure_from_lambda(cfg.lambda_diag)
     pairs = solve_noncentered_many(profile, c, H, z_values, cfg.solver)

@@ -66,7 +66,12 @@ class EmpiricalSpectrum:
         object.__setattr__(self, "eigenvalues", vals)
 
     def ecdf(self):
-        return DistributionFunction.from_spectrum(self)
+        # duplicate-x pairs encode each jump exactly
+        n = len(self.eigenvalues)
+        fs = np.empty(2 * n)
+        fs[0::2] = np.arange(0, n) / n
+        fs[1::2] = np.arange(1, n + 1) / n
+        return DistributionFunction(np.repeat(self.eigenvalues, 2), fs)
 
 
 def gram_spectrum(mat):
@@ -74,10 +79,17 @@ def gram_spectrum(mat):
 
     The Gram product is formed explicitly and fed to a self-adjoint
     eigensolver; roundoff negatives down to -1e-9 * max|eig| are clipped
-    to zero, anything lower raises.
+    to zero, anything lower raises.  A product that overflows float64
+    raises a ValueError: its diagonal (the squared row norms) bounds
+    every entry, |g_ij| <= sqrt(g_ii g_jj), so checking it suffices.
     """
     entries = np.asarray(mat)
-    g = entries @ entries.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = entries @ entries.conj().T
+    if not np.all(np.isfinite(np.diagonal(g))):
+        raise ValueError("Gram product MM* is not finite: a squared row "
+                         "norm of M overflows float64 (or M holds NaN or "
+                         "inf)")
     vals = np.linalg.eigvalsh(g)
     scale = max(1.0, float(np.abs(vals).max()) if len(vals) else 1.0)
     if vals.min(initial=0.0) < -_CLIP * scale:
@@ -110,48 +122,19 @@ class DistributionFunction:
         self.xs = xs
         self.fs = np.clip(fs, 0.0, 1.0)
 
-    @classmethod
-    def from_spectrum(cls, spectrum: EmpiricalSpectrum):
-        vals = spectrum.eigenvalues
-        n = len(vals)
-        steps = np.arange(1, n + 1) / n
-        # duplicate-x pairs encode each jump exactly
-        xs = np.repeat(vals, 2)
-        fs = np.empty(2 * n)
-        fs[0::2] = np.arange(0, n) / n
-        fs[1::2] = steps
-        return cls(xs, fs)
-
     def eval(self, x):
         """Right-continuous evaluation F(x)."""
-        x = np.asarray(x, dtype=np.float64)
-        idx = np.searchsorted(self.xs, x, side="right")
-        return self._interp(x, idx)
+        return np.interp(x, self.xs, self.fs, left=0.0)
 
     def eval_left(self, x):
-        """Left limit F(x-)."""
-        x = np.asarray(x, dtype=np.float64)
-        idx = np.searchsorted(self.xs, x, side="left")
-        return self._interp(x, idx)
+        """Left limit F(x-): the right limit of the mirrored table.
 
-    def _interp(self, x, idx):
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        idx = np.atleast_1d(idx)
-        out = np.empty(len(x))
-        below = idx == 0
-        above = idx == len(self.xs)
-        mid = ~below & ~above
-        out[below] = 0.0
-        out[above] = self.fs[-1]
-        if mid.any():
-            i = idx[mid]
-            x0, x1 = self.xs[i - 1], self.xs[i]
-            f0, f1 = self.fs[i - 1], self.fs[i]
-            # searchsorted puts x in [x0, x1) ("right") or (x0, x1]
-            # ("left"), so the bracketing abscissae always differ
-            out[mid] = f0 + (x[mid] - x0) / (x1 - x0) * (f1 - f0)
-        return float(out[0]) if scalar else out
+        The table is completed by a leading (x_0, 0) point, so F(x_0-)
+        is 0 even when the table starts above 0.
+        """
+        xs = np.concatenate([self.xs[:1], self.xs])
+        fs = np.concatenate([[0.0], self.fs])
+        return np.interp(-np.asarray(x, dtype=np.float64), -xs[::-1], fs[::-1])
 
     @property
     def total_mass(self):

@@ -4,9 +4,10 @@ The deterministic input of the whole pipeline is a finitely supported
 complex sequence on the integer lattice Z^d, d = 1 or 2: the 2-d filter
 h(k1, k2) or the 1-d sequence a(j).  One class, generic in ``dims``,
 covers both (``FilterSequence2D`` and ``FilterSequence1D`` fix ``dims``),
-and one ``SpectralSymbol`` evaluates the symbol of either, taking one
-argument per filter dimension.  Everything derived from a filter here is
-an exact finite sum: the absolute coefficient sum, the autocovariance
+and a filter evaluates its own symbol (``symbol``, one argument per
+dimension) and variance profile |symbol|^2 (``profile``).  Everything
+derived from a filter here is an exact finite sum: the absolute
+coefficient sum, the autocovariance
 
     C(j) = sum_k h(k) * conj(h(k - j)),
 
@@ -17,8 +18,8 @@ and the trigonometric-polynomial symbol
 
 Note the minus sign on the l2*t2 term of Phi: the first index enters the
 phase with a plus sign, the second with a minus sign.  Angle arguments
-are in cycles on [0, 1], never radians.  Filters and symbols are
-immutable after construction and safe to share between threads.
+are in cycles on [0, 1], never radians.  Filters are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "FilterSequence",
     "FilterSequence2D",
     "FilterSequence1D",
-    "SpectralSymbol",
     "filter_to_json_dict",
     "filter_from_json_dict",
     "save_filter",
@@ -126,6 +126,32 @@ class FilterSequence:
         """One index array per dimension, then the coefficients, sorted."""
         return (*self._k.T, self._c)
 
+    def symbol(self, *t):
+        """Phi(t1, t2) in 2-d, psi(t) in 1-d: one argument per dimension.
+
+        Broadcasts over numpy arrays and returns a complex for scalar
+        arguments.  |symbol| is at most ``coeff_abs_sum``, and the
+        symbol is 1-periodic in each argument.
+        """
+        if len(t) != self.dims:
+            raise TypeError(f"a {self.dims}-d symbol takes "
+                            f"{self.dims} arguments, got {len(t)}")
+        t = [np.asarray(x, dtype=np.float64) for x in t]
+        out = np.zeros(np.broadcast(*t).shape, dtype=np.complex128)
+        for idx, coeff in zip(self._k, self._c):
+            phase = idx[0] * t[0]
+            for kd, td in zip(idx[1:], t[1:]):
+                phase = phase - kd * td
+            out += coeff * np.exp(2j * np.pi * phase)
+        if out.ndim == 0:
+            return complex(out)
+        return out
+
+    def profile(self, *t):
+        """Variance profile |symbol(t)|^2."""
+        val = self.symbol(*t)
+        return np.abs(val) ** 2 if isinstance(val, np.ndarray) else abs(val) ** 2
+
 
 class FilterSequence2D(FilterSequence):
     """h(k1, k2) on Z^2, keyed by (k1, k2) pairs."""
@@ -139,41 +165,6 @@ class FilterSequence1D(FilterSequence):
 
     def __init__(self, coeffs):
         super().__init__(coeffs, dims=1)
-
-
-class SpectralSymbol:
-    """Evaluator for the trigonometric polynomial of a filter.
-
-    Phi(t1, t2) = sum h(l1, l2) e^{2 pi i (l1 t1 - l2 t2)} in 2-d and
-    psi(t) = sum a(j) e^{2 pi i j t} in 1-d; the symbol takes one
-    argument per filter dimension.  |symbol| is bounded by the filter's
-    absolute coefficient sum and the symbol is 1-periodic in each
-    argument.  Evaluation broadcasts over numpy arrays; nothing is
-    tabulated here (grids are the caller's concern).
-    """
-
-    def __init__(self, source: FilterSequence):
-        self.source = source
-
-    def eval(self, *t):
-        if len(t) != self.source.dims:
-            raise TypeError(f"a {self.source.dims}-d symbol takes "
-                            f"{self.source.dims} arguments, got {len(t)}")
-        t = [np.asarray(x, dtype=np.float64) for x in t]
-        out = np.zeros(np.broadcast(*t).shape, dtype=np.complex128)
-        for idx, coeff in zip(self.source._k, self.source._c):
-            phase = idx[0] * t[0]
-            for kd, td in zip(idx[1:], t[1:]):
-                phase = phase - kd * td
-            out += coeff * np.exp(2j * np.pi * phase)
-        if out.ndim == 0:
-            return complex(out)
-        return out
-
-    def profile(self, *t):
-        """Variance profile |symbol(t)|^2."""
-        val = self.eval(*t)
-        return np.abs(val) ** 2 if isinstance(val, np.ndarray) else abs(val) ** 2
 
 
 def filter_to_json_dict(filt):

@@ -84,7 +84,7 @@ def congruence(t_left, mat, t_right):
     return t_left @ mat @ t_right.conj().T
 
 
-def variance_profile_grid(sym, N, n):
+def variance_profile_grid(h, N, n):
     """Squared-symbol grid (times n) at the Fourier frequencies.
 
     grid[l1, l2] = |Phi(l1/N, l2/n)|^2, the per-entry variance of the
@@ -93,10 +93,10 @@ def variance_profile_grid(sym, N, n):
     N, n = _integer(N, "N"), _integer(n, "n")
     t1 = np.arange(N) / N
     t2 = np.arange(n) / n
-    return sym.profile(t1[:, None], t2[None, :])
+    return h.profile(t1[:, None], t2[None, :])
 
 
-def symmetrized_variance_grid(sym, N, n):
+def symmetrized_variance_grid(h, N, n):
     """Exact per-entry variance grid (times n) of the real congruence.
 
     A cos/sin row pair of the real transform mixes the two mirror
@@ -109,11 +109,11 @@ def symmetrized_variance_grid(sym, N, n):
     The two terms coincide when |Phi(s, t)| = |Phi(s, -t)| (e.g. filters
     even in one index); in general neither alone is the variance.
     """
-    if not sym.source.is_real:
+    if not h.is_real:
         raise ValueError("symmetrized grid requires a real-coefficient filter")
     N, n = _integer(N, "N"), _integer(n, "n")
     f1 = np.floor((np.arange(N) + 1.0) / 2.0) / N
     f2 = np.floor((np.arange(n) + 1.0) / 2.0) / n
-    plus = sym.profile(f1[:, None], f2[None, :])
-    minus = sym.profile(f1[:, None], -f2[None, :])
+    plus = h.profile(f1[:, None], f2[None, :])
+    minus = h.profile(f1[:, None], -f2[None, :])
     return 0.5 * (plus + minus)

@@ -1,9 +1,10 @@
 """Independent oracles shared by the test modules.
 
 Everything here is computed by a route different from the library code
-it checks: closed-form root selection for the Marchenko-Pastur
-transform, scipy quadrature of the closed-form MP density for its CDF,
-and grid searches for distribution distances.
+it checks: closed-form root selection for the Marchenko-Pastur and
+information-plus-noise transforms, scipy quadrature of the closed-form
+MP density for its CDF, a point-by-point tabulated CDF, and grid
+searches for distribution distances.
 """
 
 import bisect
@@ -24,6 +25,25 @@ def mp_stieltjes(z, c):
     return roots[np.argmax(roots.imag)]
 
 
+def info_plus_noise_stieltjes(z, c, sigma2, a):
+    """Information-plus-noise transform via its cubic in m.
+
+    The Gram matrix of X + A, with X an N x n matrix of i.i.d. entries of
+    variance sigma2/n, A = a on the main diagonal and c = N/n (Dozier &
+    Silverstein, J. Multivariate Anal. 98(4), 2007), has the transform
+
+        m (a^2 - (1 + s m)^2 z + sigma2 (1 - c) (1 + s m)) = 1 + s m,
+
+    s = sigma2 * c.  Root selection: the Stieltjes branch has Im m > 0
+    and Im(z m) > 0; the oracle asserts that exactly one root has both.
+    """
+    z, s = complex(z), sigma2 * c
+    roots = np.roots([-z * s * s, s * (sigma2 * (1 - c) - 2 * z),
+                      a * a - z + sigma2 * (1 - c) - s, -1.0])
+    (m,) = [r for r in roots if r.imag > 0 and (z * r).imag > 0]
+    return m
+
+
 def mp_density(x, c):
     a, b = (1 - np.sqrt(c)) ** 2, (1 + np.sqrt(c)) ** 2
     if x <= a or x >= b:
@@ -38,6 +58,22 @@ def mp_cdf(x, c):
         return 0.0
     val, _ = integrate.quad(mp_density, a, min(x, b), args=(c,), limit=400)
     return min(val, 1.0)
+
+
+def table_cdf(xs, fs, x, left=False):
+    """F(x), or F(x-) when ``left``, of a tabulated CDF, one point at a
+    time: 0 left of the table, fs[-1] right of it, linear between
+    distinct abscissae, and repeated abscissae are jumps."""
+    if left:
+        i = bisect.bisect_left(xs, x) - 1     # last xs[i] < x
+    else:
+        i = bisect.bisect_right(xs, x) - 1    # last xs[i] <= x
+    if i < 0:
+        return 0.0
+    if i == len(xs) - 1:
+        return fs[-1]
+    t = (x - xs[i]) / (xs[i + 1] - xs[i])
+    return fs[i] + t * (fs[i + 1] - fs[i])
 
 
 def brute_kolmogorov(vals_f, vals_g):

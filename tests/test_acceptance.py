@@ -76,11 +76,10 @@ def test_criterion_1_marchenko_pastur_oracle():
 
 def test_criterion_2_centered_end_to_end():
     t0 = time.monotonic()
-    sym = gf.SpectralSymbol(H2)
     e256 = pooled_spectrum(H2, 256, 256, SEEDS)
     e128 = pooled_spectrum(H2, 128, 128, SEEDS)
     grid = gf.default_inversion_grid(e256)
-    kernels = gf.solve_centered_many(sym.profile, 1.0, grid + 1e-3j, SWEEP_CFG)
+    kernels = gf.solve_centered_many(H2.profile, 1.0, grid + 1e-3j, SWEEP_CFG)
     f_vals = np.array([k.value for k in kernels])
     limit = gf.invert_stieltjes_to_cdf(f_vals, grid, eta=1e-3)
     k256 = gf.kolmogorov_distance(e256.ecdf(), limit)
@@ -97,7 +96,6 @@ def test_criterion_2_centered_end_to_end():
 
 def test_criterion_3_fourier_congruence():
     N, n, S = 64, 96, 200
-    sym = gf.SpectralSymbol(H2)
     F_N, F_n = gf.fourier_matrix(N), gf.fourier_matrix(n)
 
     noise = gf.sample_noise(N, n, gf.NoiseSpec("complex_standard", 0),
@@ -116,7 +114,7 @@ def test_criterion_3_fourier_congruence():
         zt = gf.build_periodized_field(H2, noise)
         acc += np.abs(gf.congruence(F_N, zt, F_n)) ** 2
     mean = acc / S * n
-    grid = gf.variance_profile_grid(sym, N, n)
+    grid = gf.variance_profile_grid(H2, N, n)
     within = np.abs(mean - grid) <= 3 * grid / np.sqrt(S)
     var_ok = within.mean() >= 0.99
 
@@ -169,9 +167,6 @@ def test_criterion_4_coupling_statistics():
 
 
 def test_criterion_5_square_toeplitz_pipeline():
-    sym = gf.SpectralSymbol(H2)
-    sym1 = gf.SpectralSymbol(A1)
-
     def trace_gap(nn):
         A = gf.build_toeplitz(A1, nn)
         C = gf.build_circulant(A1, nn)
@@ -195,8 +190,8 @@ def test_criterion_5_square_toeplitz_pipeline():
     pooled = pooled_spectrum(H2, n, n, SEEDS, extra=A)
     grid = gf.default_inversion_grid(pooled)
     # the Toeplitz part is the pseudo-diagonal model at c = 1, diagonal psi
-    H_sym = gf.measure_from_profile(sym1.profile, SWEEP_CFG.grid_size)
-    pairs = gf.solve_noncentered_many(sym.profile, 1.0, H_sym,
+    H_sym = gf.measure_from_profile(A1.profile, SWEEP_CFG.grid_size)
+    pairs = gf.solve_noncentered_many(H2.profile, 1.0, H_sym,
                                       grid + 1e-3j, SWEEP_CFG)
     f_vals = np.array([p[0].value for p in pairs])
     limit = gf.invert_stieltjes_to_cdf(f_vals, grid, eta=1e-3)
@@ -215,8 +210,6 @@ def test_criterion_5_square_toeplitz_pipeline():
 
 
 def test_criterion_6_noncentered_reductions():
-    sym = gf.SpectralSymbol(H2)
-    sym1 = gf.SpectralSymbol(A1)
     zs = [1j, 2j, 0.5 + 0.3j]
 
     # (a) lambda = 0, c = 1 degenerates to the centered equation
@@ -227,9 +220,9 @@ def test_criterion_6_noncentered_reductions():
         pi, _ = gf.solve_noncentered(ONES, 1.0, H_zero, z, TIGHT_CFG)
         k = gf.solve_centered(ONES, 1.0, z, TIGHT_CFG)
         err_a = max(err_a, abs(pi.value - k.value))
-        pi2, _ = gf.solve_noncentered(sym.profile, 1.0, H_zero_nodes, z,
+        pi2, _ = gf.solve_noncentered(H2.profile, 1.0, H_zero_nodes, z,
                                       TIGHT_CFG)
-        k2 = gf.solve_centered(sym.profile, 1.0, z, TIGHT_CFG)
+        k2 = gf.solve_centered(H2.profile, 1.0, z, TIGHT_CFG)
         err_a = max(err_a, abs(pi2.value - k2.value))
         keep_kernels("noncentered_lam0", [pi, pi2])
 
@@ -245,13 +238,13 @@ def test_criterion_6_noncentered_reductions():
         err_b = max(err_b, abs(pi.value - direct))
 
     # (c) c = 1 with the symbol-generated measure solves the square system
-    H_sym = gf.measure_from_profile(sym1.profile, TIGHT_CFG.grid_size)
+    H_sym = gf.measure_from_profile(A1.profile, TIGHT_CFG.grid_size)
     x = (np.arange(TIGHT_CFG.grid_size) + 0.5) / TIGHT_CFG.grid_size
-    P = sym.profile(x[:, None], x[None, :])
+    P = H2.profile(x[:, None], x[None, :])
     err_c = 0.0
     for z in zs:
-        pi, pit = gf.solve_noncentered(sym.profile, 1.0, H_sym, z, TIGHT_CFG)
-        up, up_t = _square_update_reference(P, sym1.profile(x), z,
+        pi, pit = gf.solve_noncentered(H2.profile, 1.0, H_sym, z, TIGHT_CFG)
+        up, up_t = _square_update_reference(P, A1.profile(x), z,
                                             pi.weights, pit.weights)
         err_c = max(err_c, np.abs(up - pi.weights).max(),
                     np.abs(up_t - pit.weights).max())
@@ -277,7 +270,6 @@ def _real_congruence_map(h, N, n):
 
 
 def test_criterion_7_real_case_block_covariance_and_esd():
-    sym = gf.SpectralSymbol(H2)
     details = []
     for N, n in ((16, 12), (7, 9)):
         m = _real_congruence_map(H2, N, n)
@@ -288,7 +280,7 @@ def test_criterion_7_real_case_block_covariance_and_esd():
         same = block[:, None] == block[None, :]
         across = np.abs(cov[~same]).max()
         grid_err = np.abs(np.diagonal(cov).reshape(N, n) * n
-                          - gf.symmetrized_variance_grid(sym, N, n)).max()
+                          - gf.symmetrized_variance_grid(H2, N, n)).max()
         sd = np.sqrt(np.diagonal(cov))
         corr = np.abs(cov) / np.outer(sd, sd)
         within = corr[same & ~np.eye(N * n, dtype=bool)].max()
@@ -302,7 +294,7 @@ def test_criterion_7_real_case_block_covariance_and_esd():
     pooled = pooled_spectrum(H2, n_esd, n_esd, SEEDS, real=True)
     grid = gf.default_inversion_grid(pooled)
     # the real-noise limit is the |Phi|^2 one, as in the complex case
-    kernels = gf.solve_centered_many(sym.profile, 1.0,
+    kernels = gf.solve_centered_many(H2.profile, 1.0,
                                      grid + 1e-3j, SWEEP_CFG)
     f_vals = np.array([k.value for k in kernels])
     limit = gf.invert_stieltjes_to_cdf(f_vals, grid, eta=1e-3)
@@ -322,7 +314,6 @@ def test_criterion_7_real_case_block_covariance_and_esd():
 def test_criterion_7_real_case_variance_symmetrized_grid():
     # The expected grid is the exact real-congruence variance: each cos/sin
     # row pair averages the mirror values |Phi(f1,f2)|^2 and |Phi(f1,-f2)|^2.
-    sym = gf.SpectralSymbol(H2)
     N = n = 128
     S = 200
     Q_N, Q_n = gf.real_orthogonal_matrix(N), gf.real_orthogonal_matrix(n)
@@ -333,7 +324,7 @@ def test_criterion_7_real_case_variance_symmetrized_grid():
         zt = gf.build_periodized_field(H2, noise)
         acc += gf.congruence(Q_N, zt, Q_n) ** 2
     mean = acc / S * n
-    grid = gf.symmetrized_variance_grid(sym, N, n)
+    grid = gf.symmetrized_variance_grid(H2, N, n)
     within = np.abs(mean - grid) <= 3 * np.sqrt(2.0 / S) * grid
     ok = within.mean() >= 0.99
     report(7, "real case (variance vs symmetrized grid)", ok,
@@ -355,16 +346,14 @@ def test_criterion_8_kernel_axioms():
     axioms_ok = not bad
 
     # -i y f(i y) -> 1 at y = 1e3 for every solver family used above
-    sym = gf.SpectralSymbol(H2)
-    sym1 = gf.SpectralSymbol(A1)
     y = 1e3
     tails = {
         "mp": gf.solve_centered(ONES, 1.0, 1j * y, TIGHT_CFG).value,
-        "centered": gf.solve_centered(sym.profile, 1.0, 1j * y,
+        "centered": gf.solve_centered(H2.profile, 1.0, 1j * y,
                                       TIGHT_CFG).value,
         "noncentered": gf.solve_noncentered(
-            sym.profile, 1.0,
-            gf.measure_from_profile(sym1.profile, 64), 1j * y,
+            H2.profile, 1.0,
+            gf.measure_from_profile(A1.profile, 64), 1j * y,
             TIGHT_CFG)[0].value,
         # real_case runs solve the "centered" problem and square_toeplitz
         # runs the "noncentered" one at c = 1, so neither has an entry

@@ -13,10 +13,9 @@ from gramfield.limit_solver import (AtomicMeasureH, SolverConfig,
                                     verify_kernel_axioms, write_solver_csv)
 from gramfield.matgen import build_pseudo_diagonal
 from gramfield.spectra import invert_stieltjes_to_cdf
-from gramfield.symbols import (FilterSequence1D, FilterSequence2D,
-                               SpectralSymbol)
+from gramfield.symbols import FilterSequence1D, FilterSequence2D
 
-from oracles import mp_cdf, mp_stieltjes
+from oracles import info_plus_noise_stieltjes, mp_cdf, mp_stieltjes
 
 ONES = lambda u, t: np.ones(np.broadcast(u, t).shape)
 ZEROS2 = lambda u, t: np.zeros(np.broadcast(u, t).shape)
@@ -51,9 +50,9 @@ class TestConfigAndGrid:
     def test_profile_measure_is_the_vectorized_profile(self):
         # a per-node loop put |psi|^2 a few ulp off the vectorized values
         # the solvers use
-        psi2 = SpectralSymbol(FilterSequence1D({0: 1, 3: 0.5, -5: 0.25}))
-        H = measure_from_profile(psi2.profile, 32)
-        assert np.array_equal(H.lam, psi2.profile((np.arange(32) + 0.5) / 32))
+        a = FilterSequence1D({0: 1, 3: 0.5, -5: 0.25})
+        H = measure_from_profile(a.profile, 32)
+        assert np.array_equal(H.lam, a.profile((np.arange(32) + 0.5) / 32))
 
     def test_scalar_profile_measure_rejected(self):
         with pytest.raises(ValueError, match=r"shape \(8,\)"):
@@ -146,52 +145,46 @@ class TestCentered:
         assert np.allclose(k.weights, (-1.0 / z) / len(k.weights))
 
     def test_residual_reevaluated(self):
-        sym = SpectralSymbol(H_TEST)
-        k = solve_centered(sym.profile, 1.0, 1j, TIGHT)
+        k = solve_centered(H_TEST.profile, 1.0, 1j, TIGHT)
         assert k.converged
         assert k.residual <= TIGHT.tolerance
 
     def test_batch_matches_single(self):
         # batched and one-at-a-time solves agree to summation-order noise
-        sym = SpectralSymbol(H_TEST)
         zs = [1j, 0.5 + 0.25j, -2.0 + 1e-3j]
-        batch = solve_centered_many(sym.profile, 1.0, zs, TIGHT)
+        batch = solve_centered_many(H_TEST.profile, 1.0, zs, TIGHT)
         for z, kb in zip(zs, batch):
-            ks = solve_centered(sym.profile, 1.0, z, TIGHT)
+            ks = solve_centered(H_TEST.profile, 1.0, z, TIGHT)
             assert ks.iterations == kb.iterations
             assert np.abs(ks.weights - kb.weights).max() < 1e-14
 
     def test_grid_refinement(self):
-        sym = SpectralSymbol(H_TEST)
         z = 1.0 + 0.5j
-        f64 = solve_centered(sym.profile, 1.0, z,
+        f64 = solve_centered(H_TEST.profile, 1.0, z,
                              SolverConfig(grid_size=64, tolerance=1e-12,
                                           max_iterations=50000)).value
-        f128 = solve_centered(sym.profile, 1.0, z,
+        f128 = solve_centered(H_TEST.profile, 1.0, z,
                               SolverConfig(grid_size=128, tolerance=1e-12,
                                            max_iterations=50000)).value
         assert abs(f64 - f128) < 1e-3
 
     def test_transform_properties(self):
-        sym = SpectralSymbol(H_TEST)
         for z in (1j, 3 + 0.2j, -1 + 0.05j):
-            k = solve_centered(sym.profile, 0.75, z, TIGHT)
+            k = solve_centered(H_TEST.profile, 0.75, z, TIGHT)
             f = k.value
             assert f.imag > 0
             assert abs(f) <= 1.0 / z.imag + 1e-9
             assert (z * f).imag >= -1e-12
 
     def test_tail_normalization(self):
-        sym = SpectralSymbol(H_TEST)
         y = 1e3
-        f = solve_centered(sym.profile, 1.0, 1j * y, TIGHT).value
+        f = solve_centered(H_TEST.profile, 1.0, 1j * y, TIGHT).value
         assert abs(-1j * y * f - 1.0) < 1e-2
 
     def test_nonconvergence_raises_with_kernel(self):
-        sym = SpectralSymbol(H_TEST)
         cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
         with pytest.raises(SolverConvergenceError) as err:
-            solve_centered(sym.profile, 1.0, 0.5 + 0.01j, cfg)
+            solve_centered(H_TEST.profile, 1.0, 0.5 + 0.01j, cfg)
         assert err.value.kernel is not None
         assert err.value.kernel.residual > cfg.tolerance
 
@@ -222,7 +215,7 @@ class TestCentered:
                                 SolverConfig(grid_size=16))
 
     @pytest.mark.parametrize("profile, message", [
-        (SpectralSymbol(H_TEST).eval,
+        (H_TEST.symbol,
          r"must be real-valued \(pass \|Phi\|\^2, not Phi\)"),
         (lambda u, t: -ONES(u, t),
          r"must be nonnegative \(pass \|Phi\|\^2\)")],
@@ -304,7 +297,7 @@ def _square_update_reference(P, psi2, z, w, wt):
 
 def _grid_profile(h, m):
     x = (np.arange(m) + 0.5) / m
-    return SpectralSymbol(h).profile(x[:, None], x[None, :])
+    return h.profile(x[:, None], x[None, :])
 
 
 def _random_filter(rng, width):
@@ -337,7 +330,7 @@ class TestLowRankProducts:
         # then the 64-node tail on [c, 1]
         u = (np.arange(256) + 1) / 256
         v = np.concatenate([0.5 * u, 0.5 + 0.5 * (np.arange(64) + 0.5) / 64])
-        P = SpectralSymbol(H_TEST).profile(u[:, None], v[None, :])
+        P = H_TEST.profile(u[:, None], v[None, :])
         A, B = limit_solver._low_rank(P)
         assert A.shape == (256, 3)
         assert B.shape == (3, 320)
@@ -462,12 +455,11 @@ class TestCompactedIteration:
     def test_blocks_keep_each_row(self, monkeypatch):
         # blocks of 3 z points (the last one short) against one block,
         # equal up to the summation order of the batched products
-        sym = SpectralSymbol(H_TEST)
         cfg = SolverConfig(grid_size=16, tolerance=1e-12)
         zs = [3j, 0.5 + 1e-2j, 1 + 1j, -1 + 0.3j, 2 + 1e-3j, 4j, 0.1 + 0.1j]
-        whole = solve_centered_many(sym.profile, 0.5, zs, cfg)
+        whole = solve_centered_many(H_TEST.profile, 0.5, zs, cfg)
         monkeypatch.setattr(limit_solver, "_BLOCK", 3 * cfg.grid_size)
-        blocked = solve_centered_many(sym.profile, 0.5, zs, cfg)
+        blocked = solve_centered_many(H_TEST.profile, 0.5, zs, cfg)
         for a, b in zip(whole, blocked):
             assert a.iterations == b.iterations
             assert np.abs(a.weights - b.weights).max() < 1e-14
@@ -475,15 +467,14 @@ class TestCompactedIteration:
     def test_batch_matches_single_noncentered(self):
         # the coupled solver on a mixed batch: early, late and
         # budget-stopped points keep the iterate of their own solve
-        sym = SpectralSymbol(H_TEST)
         H = measure_from_profile(np.ones_like, 16)
         cfg = SolverConfig(grid_size=16, tolerance=1e-12, max_iterations=6)
         zs = [3j, 0.5 + 1e-2j, 1 + 1j, -1 + 0.3j]
-        batch = solve_noncentered_many(sym.profile, 0.5, H, zs, cfg)
+        batch = solve_noncentered_many(H_TEST.profile, 0.5, H, zs, cfg)
         assert {pi.converged for pi, _ in batch} == {True, False}
         for z, (pi, pit) in zip(zs, batch):
-            (one, one_t), = solve_noncentered_many(sym.profile, 0.5, H, [z],
-                                                   cfg)
+            (one, one_t), = solve_noncentered_many(H_TEST.profile, 0.5, H,
+                                                   [z], cfg)
             assert one.iterations == pi.iterations
             assert np.abs(one.weights - pi.weights).max() < 1e-14
             assert np.abs(one_t.weights - pit.weights).max() < 1e-14
@@ -543,7 +534,7 @@ class TestNewtonJacobian:
         u = (np.arange(m) + 1) / m
         R = m if c < 1 else 0
         v = np.concatenate([c * u, c + (1 - c) * (np.arange(R) + 0.5) / R])
-        P = SpectralSymbol(h).profile(u[:, None], v[None, :])
+        P = h.profile(u[:, None], v[None, :])
         hw = np.full(m, 1.0 / m)
         hl = rng.uniform(0.0, 2.0, m)
         tilde_w = np.concatenate([c * hw, np.full(R, 1 - c) / R])
@@ -565,7 +556,7 @@ class TestErrorBound:
 
     @staticmethod
     def _solve(setting, cfg):
-        profile = SpectralSymbol(H_TEST).profile
+        profile = H_TEST.profile
         if setting.startswith("centered"):
             kernels = solve_centered_many(profile, float(setting[9:]),
                                           TestErrorBound.Z, cfg)
@@ -575,8 +566,8 @@ class TestErrorBound:
                 lambda u: (1 + 0.5 * np.cos(2 * np.pi * u)) ** 2, 32)
             c = 0.5
         else:       # square-Toeplitz: the pseudo-diagonal system at c = 1
-            psi = SpectralSymbol(FilterSequence1D({0: 1, 1: .5, -1: .5}))
-            H, c = measure_from_profile(psi.profile, cfg.grid_size), 1.0
+            a = FilterSequence1D({0: 1, 1: .5, -1: .5})
+            H, c = measure_from_profile(a.profile, cfg.grid_size), 1.0
         pairs = solve_noncentered_many(profile, c, H, TestErrorBound.Z, cfg)
         return (np.array([k.value for k, _ in pairs]),
                 [k for pair in pairs for k in pair])
@@ -600,9 +591,8 @@ class TestErrorBound:
 
 class TestConjugateSymmetry:
     def test_update_map_commutes_with_conjugation(self):
-        sym = SpectralSymbol(H_TEST)
         x = (np.arange(16) + 0.5) / 16
-        P = sym.profile(x[:, None], x[None, :])
+        P = H_TEST.profile(x[:, None], x[None, :])
         rng = np.random.default_rng(3)
         w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         z = 0.7 + 0.9j
@@ -614,12 +604,11 @@ class TestConjugateSymmetry:
         # iterating at conj(z) from the conjugate initial point converges
         # to the conjugate kernel: its weights are a fixed point of the
         # conjugated map within the same tolerance
-        sym = SpectralSymbol(H_TEST)
         cfg = SolverConfig(grid_size=16, tolerance=1e-12, max_iterations=50000)
         z = 0.4 + 0.8j
-        k = solve_centered(sym.profile, 1.0, z, cfg)
+        k = solve_centered(H_TEST.profile, 1.0, z, cfg)
         x = (np.arange(16) + 0.5) / 16
-        P = sym.profile(x[:, None], x[None, :])
+        P = H_TEST.profile(x[:, None], x[None, :])
         w_conj = np.conj(k.weights)
         up = _centered_update_reference(P, 1.0, np.conj(z), w_conj)
         assert np.abs(up - w_conj).max() <= cfg.tolerance
@@ -651,19 +640,17 @@ class TestSquare:
     def test_symmetric_profile_swaps_kernels(self):
         # |Phi(u,t)| = |Phi(t,u)| makes the two coupled kernels equal
         h = FilterSequence2D({(0, 0): 1, (1, 1): 0.5})
-        sym2 = SpectralSymbol(h)
-        sym1 = SpectralSymbol(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
-        H = measure_from_profile(sym1.profile, TIGHT.grid_size)
-        pi, pit = solve_noncentered(sym2.profile, 1.0, H, 0.7 + 0.6j, TIGHT)
+        a = FilterSequence1D({0: 1, 1: 0.5, -1: 0.5})
+        H = measure_from_profile(a.profile, TIGHT.grid_size)
+        pi, pit = solve_noncentered(h.profile, 1.0, H, 0.7 + 0.6j, TIGHT)
         assert np.abs(pi.weights - pit.weights).max() < 1e-10
 
     def test_total_masses_agree_for_square_matrices(self):
         # both Gram sides of a square matrix share the spectrum, so the
         # two kernels carry the same total mass even when they differ
-        sym2 = SpectralSymbol(H_TEST)
-        sym1 = SpectralSymbol(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
-        H = measure_from_profile(sym1.profile, TIGHT.grid_size)
-        pi, pit = solve_noncentered(sym2.profile, 1.0, H, 1j, TIGHT)
+        a = FilterSequence1D({0: 1, 1: 0.5, -1: 0.5})
+        H = measure_from_profile(a.profile, TIGHT.grid_size)
+        pi, pit = solve_noncentered(H_TEST.profile, 1.0, H, 1j, TIGHT)
         assert abs(pi.value - pit.value) < 1e-9
         assert np.abs(pi.weights - pit.weights).max() > 1e-4  # kernels differ
 
@@ -687,25 +674,23 @@ class TestNonCentered:
     def test_lambda_zero_reduces_to_centered_general_profile(self):
         # atoms placed on the quadrature nodes make the two discretized
         # systems share their fixed point exactly
-        sym = SpectralSymbol(H_TEST)
         H = measure_from_profile(np.zeros_like, TIGHT.grid_size)
         for z in (1j, 0.5 + 2j):
-            pi, _ = solve_noncentered(sym.profile, 1.0, H, z, TIGHT)
-            k = solve_centered(sym.profile, 1.0, z, TIGHT)
+            pi, _ = solve_noncentered(H_TEST.profile, 1.0, H, z, TIGHT)
+            k = solve_centered(H_TEST.profile, 1.0, z, TIGHT)
             assert abs(pi.value - k.value) < 1e-8
 
     def test_symbol_measure_matches_square(self):
         # at c = 1 the pair over the |psi|^2 measure solves the
         # square-Toeplitz system
-        sym2 = SpectralSymbol(H_TEST)
-        sym1 = SpectralSymbol(FilterSequence1D({0: 1, 1: 0.5, -1: 0.5}))
+        a = FilterSequence1D({0: 1, 1: 0.5, -1: 0.5})
         cfg = SolverConfig(grid_size=16, tolerance=1e-12, max_iterations=50000)
         x = (np.arange(16) + 0.5) / 16
-        P = sym2.profile(x[:, None], x[None, :])
-        H = measure_from_profile(sym1.profile, cfg.grid_size)
+        P = H_TEST.profile(x[:, None], x[None, :])
+        H = measure_from_profile(a.profile, cfg.grid_size)
         for z in (1j, -0.5 + 0.3j):
-            pi, pit = solve_noncentered(sym2.profile, 1.0, H, z, cfg)
-            up, up_t = _square_update_reference(P, sym1.profile(x), z,
+            pi, pit = solve_noncentered(H_TEST.profile, 1.0, H, z, cfg)
+            up, up_t = _square_update_reference(P, a.profile(x), z,
                                                 pi.weights, pit.weights)
             assert np.abs(up - pi.weights).max() < 1e-10
             assert np.abs(up_t - pit.weights).max() < 1e-10
@@ -713,11 +698,10 @@ class TestNonCentered:
     def test_zero_padding_relation_for_thin_matrices(self):
         # with lambda == 0 the tilde transform is the zero-padded one:
         # ftilde = c f + (1 - c)(-1/z)
-        sym = SpectralSymbol(H_TEST)
         H = measure_from_profile(np.zeros_like, 32)
         c = 0.4
         z = 0.8 + 1.2j
-        pi, pit = solve_noncentered(sym.profile, c, H, z, TIGHT)
+        pi, pit = solve_noncentered(H_TEST.profile, c, H, z, TIGHT)
         assert abs(pit.value - (c * pi.value + (1 - c) * (-1 / z))) < 1e-10
 
     def test_tilde_support_bookkeeping(self):
@@ -743,7 +727,7 @@ class TestNonCentered:
 
         def profile(u, t):
             shapes.append(np.broadcast_shapes(np.shape(u), np.shape(t)))
-            return SpectralSymbol(H_TEST).profile(u, t)
+            return H_TEST.profile(u, t)
 
         H = measure_from_profile(np.ones_like, 16)
         pi, pit = solve_noncentered(profile, c, H, 1j,
@@ -754,17 +738,16 @@ class TestNonCentered:
     def test_fixed_point_of_reference_update_with_tail(self):
         # c < 1, nonzero lambda and a non-constant profile: the returned
         # pair, atoms and (1 - c) tail together, solves the equations
-        sym = SpectralSymbol(H_TEST)
         u = (np.arange(6) + 1) / 6
         H = AtomicMeasureH(u=u, lam=1.0 + 0.5 * np.cos(2 * np.pi * u),
                            weights=np.full(6, 1 / 6))
         c, z = 0.5, 0.7 + 0.9j
         cfg = SolverConfig(grid_size=8, tolerance=1e-12, max_iterations=50000)
-        pi, pit = solve_noncentered(sym.profile, c, H, z, cfg)
+        pi, pit = solve_noncentered(H_TEST.profile, c, H, z, cfg)
         tail = c + (1 - c) * (np.arange(8) + 0.5) / 8
         assert np.allclose(pit.nodes, np.concatenate([c * u, tail]))
-        up, up_t = _noncentered_update_reference(sym.profile, c, H, tail, z,
-                                                 pi.weights, pit.weights)
+        up, up_t = _noncentered_update_reference(H_TEST.profile, c, H, tail,
+                                                 z, pi.weights, pit.weights)
         assert np.abs(up - pi.weights).max() < 1e-10
         assert np.abs(up_t - pit.weights).max() < 1e-10
         # the tail is coupled: it left its zero-coupling value
@@ -805,6 +788,25 @@ class TestNonCentered:
             AtomicMeasureH(**atoms)
 
 
+class TestInformationPlusNoise:
+    # a constant profile sigma2 and a constant diagonal a make the coupled
+    # system the information-plus-noise model, whose transform is a root
+    # of a cubic (tests/oracles.py)
+    Z = [1j, 1 + 0.5j, 3 + 0.1j, -1 + 0.01j, 5 + 1e-3j]
+
+    @pytest.mark.parametrize("sigma2, a", [(1.0, 1.0), (0.5, 2.0)])
+    @pytest.mark.parametrize("c", [1.0, 0.5, 0.25])
+    def test_matches_the_cubic(self, c, sigma2, a):
+        h = FilterSequence2D({(0, 0): np.sqrt(sigma2)})
+        H = measure_from_lambda(np.full(32, a))
+        pairs = solve_noncentered_many(h.profile, c, H, self.Z,
+                                       SolverConfig(tolerance=1e-13))
+        for (pi, _), z in zip(pairs, self.Z):
+            assert pi.converged
+            assert abs(pi.value - info_plus_noise_stieltjes(
+                z, c, sigma2, a)) <= 1e-12
+
+
 class TestMeasureFromLambda:
     def test_zero_matrix(self):
         H = measure_from_lambda(np.zeros(4))
@@ -821,11 +823,10 @@ class TestMeasureFromLambda:
         # lambda-marginal ECDF of (1/N) sum delta_{|psi_n(k/n)|^2} vs the
         # pushforward of Lebesgue measure under |psi|^2, sampled finely
         a = FilterSequence1D({0: 1, 1: 0.5, -1: 0.5})
-        sym = SpectralSymbol(a)
         N = 4096
-        diag = sym.eval(np.arange(N) / N)
+        diag = a.symbol(np.arange(N) / N)
         H = measure_from_lambda(diag)
-        fine = np.abs(sym.eval((np.arange(400000) + 0.5) / 400000)) ** 2
+        fine = np.abs(a.symbol((np.arange(400000) + 0.5) / 400000)) ** 2
         xs = np.linspace(0, fine.max() + 0.1, 500)
         emp = np.searchsorted(np.sort(H.lam), xs, side="right") / N
         ref = np.searchsorted(np.sort(fine), xs, side="right") / len(fine)
@@ -836,9 +837,8 @@ class TestMeasureFromLambda:
 
 class TestKernelAxioms:
     def test_converged_kernels_pass(self):
-        sym = SpectralSymbol(H_TEST)
         for z in (1j, 0.3 + 0.5j, -2 + 0.1j):
-            k = solve_centered(sym.profile, 1.0, z, TIGHT)
+            k = solve_centered(H_TEST.profile, 1.0, z, TIGHT)
             rep = verify_kernel_axioms(k)
             assert rep.passed
 
@@ -897,9 +897,8 @@ class TestMonteCarloAgreement:
         # matrix grows
         from gramfield.matgen import NoiseSpec, build_field, sample_noise
         from gramfield.spectra import empirical_stieltjes
-        sym = SpectralSymbol(H_TEST)
         z = 1j
-        f_limit = solve_centered(sym.profile, 1.0, z, TIGHT).value
+        f_limit = solve_centered(H_TEST.profile, 1.0, z, TIGHT).value
         errs = {}
         for size in (32, 128):
             vals = []
@@ -919,14 +918,13 @@ class TestMonteCarloAgreement:
                                       build_pseudo_diagonal, sample_noise)
         from gramfield.spectra import empirical_stieltjes, gram_spectrum
         from gramfield.transforms import fourier_matrix
-        sym = SpectralSymbol(H_TEST)
         N, n = 64, 128
         c = N / n
         lam_diag = 0.8 * np.ones(N)
         lam = build_pseudo_diagonal(lam_diag, N, n)
         H = measure_from_lambda(lam_diag)
         z = 1j
-        pi, pit = solve_noncentered(sym.profile, c, H, z, TIGHT)
+        pi, pit = solve_noncentered(H_TEST.profile, c, H, z, TIGHT)
         # A = F_N^* Lambda F_n so that F_N A F_n^* is pseudo-diagonal
         a_entries = fourier_matrix(N).conj().T @ lam \
             @ fourier_matrix(n)
@@ -953,7 +951,6 @@ class TestEndToEndRectangular:
                                        default_inversion_grid,
                                        invert_stieltjes_to_cdf,
                                        kolmogorov_distance)
-        sym = SpectralSymbol(H_TEST)
         N, n = 128, 256
         vals = []
         for s in range(20):
@@ -965,11 +962,11 @@ class TestEndToEndRectangular:
         e = EmpiricalSpectrum(eigenvalues=v)
         grid = default_inversion_grid(e)
         cfg = SolverConfig(tolerance=1e-7, max_iterations=100000, damping=0.5)
-        ks = solve_centered_many(sym.profile, N / n, grid + 1e-3j, cfg)
+        ks = solve_centered_many(H_TEST.profile, N / n, grid + 1e-3j, cfg)
         lim = invert_stieltjes_to_cdf(
             np.array([k.value for k in ks]), grid, 1e-3)
         assert kolmogorov_distance(e.ecdf(), lim) < 0.02
-        ks_bad = solve_centered_many(sym.profile, 1.0, grid + 1e-3j, cfg)
+        ks_bad = solve_centered_many(H_TEST.profile, 1.0, grid + 1e-3j, cfg)
         lim_bad = invert_stieltjes_to_cdf(
             np.array([k.value for k in ks_bad]), grid, 1e-3)
         assert kolmogorov_distance(e.ecdf(), lim_bad) > 0.1
@@ -984,7 +981,6 @@ class TestEndToEndRectangular:
                                        invert_stieltjes_to_cdf,
                                        kolmogorov_distance)
         from gramfield.transforms import fourier_matrix
-        sym = SpectralSymbol(H_TEST)
         N = n = 128
         diag = np.where(np.arange(N) < N // 2, 1.0, 2.0)
         lam = build_pseudo_diagonal(diag, N, n)
@@ -1001,7 +997,8 @@ class TestEndToEndRectangular:
         e = EmpiricalSpectrum(eigenvalues=v)
         grid = default_inversion_grid(e)
         cfg = SolverConfig(tolerance=1e-7, max_iterations=100000, damping=0.5)
-        pairs = solve_noncentered_many(sym.profile, 1.0, H, grid + 1e-3j, cfg)
+        pairs = solve_noncentered_many(H_TEST.profile, 1.0, H, grid + 1e-3j,
+                                       cfg)
         lim = invert_stieltjes_to_cdf(
             np.array([p[0].value for p in pairs]), grid, 1e-3)
         assert kolmogorov_distance(e.ecdf(), lim) < 0.02

@@ -8,8 +8,7 @@ from gramfield.matgen import (FieldMatrix, NoiseSpec, build_circulant,
                               build_pseudo_diagonal, build_toeplitz,
                               circulant_eigenvalues, load_matrix_csv,
                               sample_noise, save_matrix_csv)
-from gramfield.symbols import (FilterSequence1D, FilterSequence2D,
-                               SpectralSymbol)
+from gramfield.symbols import FilterSequence1D, FilterSequence2D
 from gramfield.transforms import fourier_matrix
 
 
@@ -257,9 +256,8 @@ class TestCirculant:
         a = FilterSequence1D({0: 1, 1: 0.5 - 0.25j, -2: 0.3, 5: 0.1j})
         n = 8
         C = build_circulant(a, n)
-        sym = SpectralSymbol(a)  # the taps fit in |j| <= n
         k = np.arange(n)
-        psi_vals = sym.eval(k / n)
+        psi_vals = a.symbol(k / n)  # the taps fit in |j| <= n
         d = np.subtract.outer(np.arange(n), np.arange(n))
         fourier = (psi_vals[None, None, :] *
                    np.exp(-2j * np.pi * k[None, None, :] * d[:, :, None] / n)

@@ -13,7 +13,8 @@ from gramfield.spectra import (DistributionFunction, EmpiricalSpectrum,
                                write_cdf_csv)
 from gramfield.symbols import FilterSequence2D
 
-from oracles import brute_kolmogorov, brute_levy, grid_levy_sample_vs_table
+from oracles import (brute_kolmogorov, brute_levy, grid_levy_sample_vs_table,
+                     table_cdf)
 
 
 def spectrum_of(vals):
@@ -38,6 +39,13 @@ class TestGramSpectrum:
         assert np.allclose(gram_spectrum(m.entries.conj().T).eigenvalues,
                            [0, 1, 4])
 
+    @pytest.mark.parametrize("entry", [1e155, 1e200])
+    def test_overflowing_product_named(self, entry):
+        # used to warn "overflow encountered in matmul" and then raise an
+        # unnamed LinAlgError ("Eigenvalues did not converge")
+        with pytest.raises(ValueError, match="overflows float64"):
+            gram_spectrum(np.full((4, 6), entry))
+
     def test_left_right_share_nonzero(self):
         noise = sample_noise(10, 17, NoiseSpec(seed=31))
         left = gram_spectrum(noise).eigenvalues
@@ -47,6 +55,35 @@ class TestGramSpectrum:
         assert np.abs(right[:7]).max() <= 1e-9 * left.max()
         assert np.abs(np.sort(right[7:]) - np.sort(left)).max() \
             <= 1e-9 * left.max()
+
+
+class TestDistributionFunction:
+    def test_table_starting_above_zero(self):
+        # a CDF file read by `gramfield compare` may start above 0: the
+        # table is completed by (x_0, 0), so the left limit there is 0
+        F = DistributionFunction([1, 2], [0.3, 1])
+        assert F.eval_left(1.0) == 0.0
+        assert F.eval(1.0) == 0.3
+        assert np.ndim(F.eval(1.0)) == 0 and np.ndim(F.eval_left(1.0)) == 0
+        x = [0.5, 1.0, 1.5, 2.0, 3.0]
+        assert np.allclose(F.eval(x), [0.0, 0.3, 0.65, 1.0, 1.0])
+        assert np.allclose(F.eval_left(x), [0.0, 0.0, 0.65, 1.0, 1.0])
+
+    def test_matches_pointwise_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            xs = np.sort(rng.integers(0, 8, rng.integers(1, 12)) / 4)
+            fs = np.sort(rng.random(len(xs)))
+            F = DistributionFunction(xs, fs)
+            pts = np.concatenate([xs, rng.uniform(-1, 3, 20)])
+            for left, ev in ((False, F.eval), (True, F.eval_left)):
+                ref = [table_cdf(list(xs), fs, x, left) for x in pts]
+                assert np.allclose(ev(pts), ref, rtol=0, atol=1e-15)
+
+    def test_ecdf_limits_at_a_double_eigenvalue(self):
+        F = spectrum_of([1.0, 2.0, 2.0, 3.0]).ecdf()
+        assert (F.eval(2.0), F.eval_left(2.0)) == (0.75, 0.25)
+        assert (F.eval(0.5), F.eval_left(1.0), F.eval(3.0)) == (0, 0, 1)
 
 
 class TestKolmogorov:

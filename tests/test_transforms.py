@@ -7,8 +7,7 @@ from gramfield.matgen import (NoiseSpec, build_circulant,
                               build_toeplitz, circulant_eigenvalues,
                               sample_noise)
 from gramfield.spectra import gram_spectrum
-from gramfield.symbols import (FilterSequence1D, FilterSequence2D,
-                               SpectralSymbol)
+from gramfield.symbols import FilterSequence1D, FilterSequence2D
 from gramfield.transforms import (congruence, fourier_matrix,
                                   real_orthogonal_matrix,
                                   symmetrized_variance_grid,
@@ -16,7 +15,6 @@ from gramfield.transforms import (congruence, fourier_matrix,
 
 H_TEST = FilterSequence2D({(0, 0): 1, (1, 0): 0.5, (0, 1): 0.25})
 A_TEST = FilterSequence1D({0: 1, 1: 0.5})
-SYM_TEST = SpectralSymbol(H_TEST)
 NOISE = NoiseSpec(seed=1)
 
 # each function that takes a size: (call with the size p, its name)
@@ -36,13 +34,13 @@ SIZED = {
     "build_pseudo_diagonal_n": (
         lambda p: build_pseudo_diagonal(np.ones(8), 8, p), "n"),
     "variance_profile_grid_N": (
-        lambda p: variance_profile_grid(SYM_TEST, p, 8), "N"),
+        lambda p: variance_profile_grid(H_TEST, p, 8), "N"),
     "variance_profile_grid_n": (
-        lambda p: variance_profile_grid(SYM_TEST, 8, p), "n"),
+        lambda p: variance_profile_grid(H_TEST, 8, p), "n"),
     "symmetrized_variance_grid_N": (
-        lambda p: symmetrized_variance_grid(SYM_TEST, p, 8), "N"),
+        lambda p: symmetrized_variance_grid(H_TEST, p, 8), "N"),
     "symmetrized_variance_grid_n": (
-        lambda p: symmetrized_variance_grid(SYM_TEST, 8, p), "n"),
+        lambda p: symmetrized_variance_grid(H_TEST, 8, p), "n"),
 }
 
 
@@ -142,15 +140,14 @@ class TestCongruence:
 
 class TestVarianceProfileGrid:
     def test_constant_filter(self):
-        sym = SpectralSymbol(FilterSequence2D({(0, 0): 1}))
-        grid = variance_profile_grid(sym, 4, 6)
+        grid = variance_profile_grid(FilterSequence2D({(0, 0): 1}), 4, 6)
         assert np.allclose(grid, 1.0)
 
     def test_complex_grid_values(self):
-        sym = SpectralSymbol(H_TEST)
         N, n = 6, 9
-        grid = variance_profile_grid(sym, N, n)
-        assert grid[2, 5] == pytest.approx(abs(sym.eval(2 / 6, 5 / 9)) ** 2)
+        grid = variance_profile_grid(H_TEST, N, n)
+        assert grid[2, 5] == pytest.approx(
+            abs(H_TEST.symbol(2 / 6, 5 / 9)) ** 2)
         assert grid.shape == (N, n)
         assert np.all(grid >= 0)
 
@@ -159,7 +156,6 @@ class TestVarianceProfileGrid:
         # is exponential with sd equal to its mean, so the 3-sigma band
         # is 3*grid/sqrt(S); at least 99% of entries must sit inside
         h = H_TEST
-        sym = SpectralSymbol(h)
         N, n, S = 32, 48, 200
         F_N, F_n = fourier_matrix(N), fourier_matrix(n)
         acc = np.zeros((N, n))
@@ -169,7 +165,7 @@ class TestVarianceProfileGrid:
             y = congruence(F_N, zt, F_n)
             acc += np.abs(y) ** 2
         mean = acc / S * n
-        grid = variance_profile_grid(sym, N, n)
+        grid = variance_profile_grid(h, N, n)
         ok = np.abs(mean - grid) <= 3 * grid / np.sqrt(S)
         assert ok.mean() >= 0.99
 
@@ -177,7 +173,6 @@ class TestVarianceProfileGrid:
         # the cos/sin mixing averages the two mirror values |Phi(s,+-t)|^2,
         # and that symmetrized grid is what samples follow
         h = H_TEST
-        sym = SpectralSymbol(h)
         N = n = 32
         S = 200
         Q = real_orthogonal_matrix(N)
@@ -188,7 +183,7 @@ class TestVarianceProfileGrid:
             w = congruence(Q, zt, Q)
             acc += w ** 2
         mean = acc / S * n
-        sym_grid = symmetrized_variance_grid(sym, N, n)
+        sym_grid = symmetrized_variance_grid(h, N, n)
         ok = np.abs(mean - sym_grid) <= 3 * np.sqrt(2.0 / S) * sym_grid
         assert ok.mean() >= 0.99
 
@@ -199,7 +194,6 @@ class TestVarianceProfileGrid:
         # autocorrelations of Q.  The result matches the symmetrized grid
         # to machine precision.
         h = H_TEST
-        sym = SpectralSymbol(h)
         N = n = 12
         q = real_orthogonal_matrix(N)
         # wrapped autocovariance on the fundamental domain
@@ -216,7 +210,7 @@ class TestVarianceProfileGrid:
         for d in range(N):
             rho[:, d] = (q * np.roll(q, d, axis=1)).sum(axis=1)
         exact = rho @ cov @ rho.T  # E[W^2] * n, entrywise
-        sym_grid = symmetrized_variance_grid(sym, N, n)
+        sym_grid = symmetrized_variance_grid(h, N, n)
         assert np.abs(exact - sym_grid).max() < 1e-10
 
 
@@ -231,7 +225,7 @@ def _noise_and_transform(h, N, n, dist, seed):
 
 def _phi_grid(h, N, n):
     """Phi(l1/N, l2/n) on the Fourier frequencies."""
-    return SpectralSymbol(h).eval(np.arange(N)[:, None] / N,
+    return h.symbol(np.arange(N)[:, None] / N,
                                   np.arange(n)[None, :] / n)
 
 

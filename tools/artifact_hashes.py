@@ -10,9 +10,14 @@ line ``<config> <sha256>``, the hash taken over the run's stdout and every
 file it wrote, in name order.  The configs are the four benchmark
 workloads of ``bench/workloads.py`` next to this script, whichever tree
 is hashed, and three that reach the other code paths: ``square_toeplitz``
-with a tap at n, where the circulant wraps, ``real_case``, and a
-rectangular ``noncentered_pseudodiag`` with a complex ``lambda_diag``.
-Run it on two trees and diff the output.
+with a tap at |k| = n, ``real_case``, and a rectangular
+``noncentered_pseudodiag`` with a complex ``lambda_diag``.  Run it on two
+trees and diff the output.
+
+The configs check bytes, not accuracy.  ``run`` builds no circulant:
+``build_toeplitz`` drops the tap at |k| = n, while the limit's |psi|^2
+keeps it, so the ``square_toeplitz`` config's limit sits about 100
+standard errors from its Monte Carlo mean at z = i (over seeds 0-39).
 
 The eigenvalues LAPACK returns differ in the last bits between BLAS
 thread counts, so every child runs with the BLAS thread variables set to
