@@ -10,12 +10,13 @@ that only the N x n noise block is consumed.  Both constructions read
 the same noise sheet, whose shape less twice its margin is the N x n
 window, so their difference is confined to a border band of width equal
 to the filter radius.  Only a noise sheet is a :class:`FieldMatrix`,
-which keeps its seed and margin; every other matrix is a plain array.
+which keeps its margin; every other matrix is a plain array.
 
 Randomness is counter-based and fully reproducible: each noise matrix
 draws from ``Philox(key=(seed, 0))``, one stream per seed in
-[0, 2**64).  Only noise sheets are random; everything downstream of the
-noise is deterministic.
+[0, 2**64), so its :class:`NoiseSpec` and margin rebuild a sheet bit for
+bit.  Only noise sheets are random; everything downstream of the noise
+is deterministic.
 """
 
 from __future__ import annotations
@@ -36,29 +37,27 @@ __all__ = [
     "build_circulant",
     "circulant_eigenvalues",
     "build_pseudo_diagonal",
-    "save_matrix_csv",
-    "load_matrix_csv",
 ]
 
 
 class FieldMatrix:
-    """A noise sheet: its entries, the seed they derive from, and the
-    margin by which the sheet extends past its N x n window on each side.
-    Instances are treated as immutable once built, and convert to their
-    entries through ``np.asarray``.  The margin must be nonnegative and,
-    when positive, leave a nonempty window.
+    """A noise sheet: its entries and the margin by which the sheet
+    extends past its N x n window on each side.  Instances are treated
+    as immutable once built, and convert to their entries through
+    ``np.asarray``.  The margin must be nonnegative and, when positive,
+    leave a nonempty window.
     """
 
-    def __init__(self, entries, seed=0, margin=0):
+    def __init__(self, entries, margin=0):
         entries = np.asarray(entries)
         if entries.ndim != 2:
             raise ValueError("entries must be a 2-d array")
-        seed, margin = _integer(seed, "seed"), _integer(margin, "margin")
+        margin = _integer(margin, "margin")
         rows, cols = entries.shape
         if margin < 0 or (margin and min(rows, cols) <= 2 * margin):
             raise ValueError(f"margin {margin} is negative or leaves no "
                              f"window of the {rows} x {cols} matrix")
-        self.entries, self.seed, self.margin = entries, seed, margin
+        self.entries, self.margin = entries, margin
 
     @property
     def shape(self):
@@ -110,7 +109,7 @@ def sample_noise(N, n, spec, margin=0):
         entries = (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
     else:
         entries = rng.standard_normal(size=(rows, cols))
-    return FieldMatrix(entries, seed=spec.seed, margin=margin)
+    return FieldMatrix(entries, margin=margin)
 
 
 def _filtered(h, sheet, margin):
@@ -216,52 +215,3 @@ def build_pseudo_diagonal(diag, N, n):
     entries[np.arange(len(diag)), np.arange(len(diag))] = diag
     return entries
 
-
-def save_matrix_csv(mat, path):
-    """Write a matrix as CSV: metadata header then (row, col, re, im) lines.
-
-    Layout: line 1 ``rows,cols,seed,margin`` (seed and margin 0 for a
-    plain array), line 2 the values, line 3 the column header, then one
-    line per entry in row-major order with 17 significant digits
-    (lossless for doubles).  :func:`load_matrix_csv` round-trips exactly.
-    """
-    mat = mat if isinstance(mat, FieldMatrix) else FieldMatrix(mat)
-    e = mat.entries.ravel()
-    rows, cols = np.divmod(np.arange(e.size), mat.shape[1])
-    np.savetxt(path, np.column_stack([rows, cols, e.real, e.imag]),
-               fmt=("%d", "%d", "%.17g", "%.17g"), delimiter=",", comments="",
-               header=f"rows,cols,seed,margin\n{mat.shape[0]},{mat.shape[1]},"
-                      f"{mat.seed},{mat.margin}\nrow,col,re,im")
-
-
-def load_matrix_csv(path):
-    """Read a :func:`save_matrix_csv` file; raises unless its entry lines
-    are exactly the row-major (row, col) grid of the header's shape and
-    :class:`FieldMatrix` accepts its seed and margin."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["rows", "cols", "seed", "margin"]:
-            raise ValueError(f"malformed matrix CSV header in {path}")
-        meta = fh.readline().strip()
-        try:
-            rows, cols, seed, margin = map(int, meta.split(","))
-        except ValueError as err:
-            raise ValueError(f"malformed matrix CSV metadata in {path}: "
-                             f"{meta!r} is not four integers") from err
-        fh.readline()  # column header
-        lines = fh.readlines()
-    table = (np.loadtxt(lines, delimiter=",", ndmin=2) if lines
-             else np.empty((0, 4)))
-    grid = np.indices((rows, cols)).reshape(2, -1).T
-    if table.shape != (rows * cols, 4) or np.any(table[:, :2] != grid):
-        raise ValueError(f"entry lines of {path} are not the row-major "
-                         f"(row, col) grid of a {rows} x {cols} matrix")
-    # (re, im) pairs viewed as complex; re + 1j * im would turn an
-    # infinite imaginary part into a NaN real part
-    entries = table[:, 2:].copy().view(np.complex128).reshape(rows, cols)
-    if np.all(entries.imag == 0.0):
-        entries = entries.real.copy()
-    try:
-        return FieldMatrix(entries, seed=seed, margin=margin)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err

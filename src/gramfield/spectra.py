@@ -207,6 +207,7 @@ def trace_stats(z, z_tilde, b=None):
 
     alpha = (1/n) Tr (Z - Zt)(Z - Zt)*, beta = (1/n) Tr (Z+B)(Z+B)*,
     beta_tilde likewise with the periodized field.  B defaults to 0.
+    A trace that overflows float64 raises a ValueError.
     """
     ze, zte = np.asarray(z), np.asarray(z_tilde)
     if ze.shape != zte.shape:
@@ -215,10 +216,16 @@ def trace_stats(z, z_tilde, b=None):
     if b is not None and be.shape != ze.shape:
         raise ValueError(f"shape mismatch: {ze.shape} vs {be.shape}")
     n = ze.shape[1]
-    alpha = float(np.sum(np.abs(ze - zte) ** 2)) / n
-    beta = float(np.sum(np.abs(ze + be) ** 2)) / n
-    beta_tilde = float(np.sum(np.abs(zte + be) ** 2)) / n
-    return alpha, beta, beta_tilde
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = float(np.sum(np.abs(ze - zte) ** 2)) / n
+        beta = float(np.sum(np.abs(ze + be) ** 2)) / n
+        beta_tilde = float(np.sum(np.abs(zte + be) ** 2)) / n
+    stats = (alpha, beta, beta_tilde)
+    if not np.all(np.isfinite(stats)):
+        raise ValueError(f"trace statistics (alpha, beta, beta_tilde) = "
+                         f"{stats} are not finite: a squared entry sum "
+                         "overflows float64 (or an entry is NaN or inf)")
+    return stats
 
 
 def invert_stieltjes_to_cdf(f, grid, eta=1e-3):

@@ -24,7 +24,6 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-import json
 import numbers
 
 import numpy as np
@@ -35,8 +34,6 @@ __all__ = [
     "FilterSequence1D",
     "filter_to_json_dict",
     "filter_from_json_dict",
-    "save_filter",
-    "load_filter",
 ]
 
 
@@ -270,12 +267,3 @@ def filter_from_json_dict(doc):
     cls = FilterSequence2D if dims == 2 else FilterSequence1D
     return cls(coeffs)
 
-
-def save_filter(filt, path):
-    with open(path, "w") as fh:
-        json.dump(filter_to_json_dict(filt), fh)
-
-
-def load_filter(path):
-    with open(path) as fh:
-        return filter_from_json_dict(json.load(fh))

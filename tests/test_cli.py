@@ -655,6 +655,14 @@ class TestSweepAlphaDocument:
                                              "numbers, got"):
             self.run(tmp_path, filter2d={"dims": 2, "entries": [[0, 0, 1.0]]})
 
+    def test_overflowing_alpha_named_before_output(self, tmp_path, capsys):
+        # used to warn three times, print mean_alpha inf for both sizes and
+        # monotone_decreasing,1, and exit 0
+        big = {"dims": 2, "entries": [[0, 0, 1e200, 0.0], [1, 0, 1e200, 0.0]]}
+        with pytest.raises(ValueError, match="overflows float64"):
+            self.run(tmp_path, filter2d=big)
+        assert capsys.readouterr().out == ""
+
     def test_filter2d_must_be_2d(self, tmp_path):
         # used to fail with "not enough values to unpack"
         with pytest.raises(ValueError,

@@ -292,6 +292,15 @@ class TestTraceStats:
             t_b = np.sum(np.abs(B.entries) ** 2) / 20
             assert beta <= (np.sqrt(t_z) + np.sqrt(t_b)) ** 2 + 1e-12
 
+    def test_overflowing_trace_named(self):
+        # used to warn "overflow encountered in square" and return inf
+        with pytest.raises(ValueError, match=r"^trace statistics \(alpha, "
+                                             r"beta, beta_tilde\) = \(inf, "
+                                             r"inf, 0.0\) are not finite: "
+                                             "a squared entry sum overflows "
+                                             "float64"):
+            trace_stats(np.full((2, 3), 1e200), np.zeros((2, 3)))
+
 
 class TestInversion:
     def test_point_mass_at_zero(self):
