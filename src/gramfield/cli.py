@@ -67,7 +67,7 @@ class ExperimentConfig:
     output_dir: str = None
 
     def __post_init__(self):
-        self.N, self.n = _integer(self.N, "N"), _integer(self.n, "n")
+        self.N, self.n = _integer(self.N, "N", 1), _integer(self.n, "n", 1)
         self.seeds = _distinct_seeds(self.seeds)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -77,13 +77,20 @@ class ExperimentConfig:
                 raise ValueError(f"{key} is required in {mode} mode and "
                                  "not read in any other; the mode is "
                                  f"{self.mode!r}")
-        if self.N < 1 or self.n < 1:
-            raise ValueError("N and n must be positive")
         if self.mode == "square_toeplitz":
             if self.N != self.n:
                 raise ValueError("square_toeplitz mode requires N == n")
+            far = [k for k in self.filter1d.support if abs(k) >= self.n]
+            if far:  # build_toeplitz would drop them, the limit keep them
+                raise ValueError(f"filter1d tap {far[0]} is outside the "
+                                 f"{self.n} x {self.n} Toeplitz matrix")
         elif self.N > self.n:
             raise ValueError("rectangular modes require N <= n")
+        for key in ("filter2d", "filter1d"):
+            d, size = _span(getattr(self, key)), self.solver.grid_size
+            if size <= 2 * d:
+                raise ValueError(f"solver grid_size {size} must exceed 2d, "
+                                 f"twice {key}'s largest tap gap d = {d}")
         if self.lambda_diag is not None:
             if not np.all(np.isfinite(self.lambda_diag)):
                 raise ValueError("lambda_diag entries must be finite")
@@ -122,6 +129,13 @@ class ExperimentConfig:
             inversion=_settings(InversionSettings, doc.get("inversion", {}),
                                 "inversion"),
             output_dir=doc.get("output_dir"))
+
+
+def _span(filt):
+    """Largest tap-index difference d on one axis of ``filt`` (0 if None or
+    empty); M midpoints alias its degree-d profile unless M > 2d."""
+    ks = () if filt is None else filt.arrays()[:-1]
+    return max((int(np.ptp(k)) for k in ks if len(k)), default=0)
 
 
 def _require(doc, keys, what, optional=()):
@@ -376,7 +390,7 @@ def _cmd_sweep_alpha(args):
         if not (isinstance(p, list) and len(p) == 2):
             raise ValueError(f"sizes[{i}] must be an [N, n] pair of "
                              f"integers, got {p!r}")
-        sizes.append(tuple(_integer(x, f"sizes[{i}][{j}]")
+        sizes.append(tuple(_integer(x, f"sizes[{i}][{j}]", 1)
                            for j, x in enumerate(p)))
     rows = sweep_alpha(h, sizes, _list(doc["seeds"], "seeds"))
     print("N,n,mean_alpha")

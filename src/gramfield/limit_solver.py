@@ -125,15 +125,12 @@ class SolverConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        for name, cast in (("grid_size", _integer),
-                           ("max_iterations", _integer),
-                           ("tolerance", _positive),
-                           ("damping", _number)):
-            object.__setattr__(self, name, cast(getattr(self, name), name))
-        if self.grid_size < 8:
-            raise ValueError("grid_size must be at least 8")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        for name, cast, *floor in (("grid_size", _integer, 8),
+                                   ("max_iterations", _integer, 1),
+                                   ("tolerance", _positive),
+                                   ("damping", _number)):
+            object.__setattr__(self, name,
+                               cast(getattr(self, name), name, *floor))
         if not 0 < self.damping <= 1:
             raise ValueError("damping must lie in (0, 1]")
 
@@ -228,9 +225,7 @@ def measure_from_profile(fn, m):
     """Atomic approximation of the image of Lebesgue measure under
     u -> (u, fn(u)), on the m-point midpoint grid; ``fn`` is called once,
     on the array of nodes, and must return nonnegative values."""
-    m = _integer(m, "m")
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    m = _integer(m, "m", 1)
     nodes = _midpoints(m)
     lam = _evaluate("measure_from_profile fn", fn, nodes)
     return AtomicMeasureH(u=nodes, lam=lam, weights=np.full(m, 1.0 / m))

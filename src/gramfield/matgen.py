@@ -44,7 +44,7 @@ class FieldMatrix:
     """A noise sheet: its entries and the margin by which the sheet
     extends past its N x n window on each side.  Instances are treated
     as immutable once built, and convert to their entries through
-    ``np.asarray``.  The margin must be nonnegative and, when positive,
+    ``np.asarray``.  The margin must be at least 0 and, when positive,
     leave a nonempty window.
     """
 
@@ -52,11 +52,11 @@ class FieldMatrix:
         entries = np.asarray(entries)
         if entries.ndim != 2:
             raise ValueError("entries must be a 2-d array")
-        margin = _integer(margin, "margin")
+        margin = _integer(margin, "margin", 0)
         rows, cols = entries.shape
-        if margin < 0 or (margin and min(rows, cols) <= 2 * margin):
-            raise ValueError(f"margin {margin} is negative or leaves no "
-                             f"window of the {rows} x {cols} matrix")
+        if margin and min(rows, cols) <= 2 * margin:
+            raise ValueError(f"margin {margin} leaves no window of the "
+                             f"{rows} x {cols} matrix")
         self.entries, self.margin = entries, margin
 
     @property
@@ -95,12 +95,8 @@ def sample_noise(N, n, spec, margin=0):
     noise; the periodized field reads only the central N x n block.
     Index (j1, j2) is stored at (j1 + margin, j2 + margin).
     """
-    N, n = _integer(N, "N"), _integer(n, "n")
-    margin = _integer(margin, "margin")
-    if N < 1 or n < 1:
-        raise ValueError(f"dimensions must be positive, got {N} x {n}")
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
+    N, n = _integer(N, "N", 1), _integer(n, "n", 1)
+    margin = _integer(margin, "margin", 0)
     rows, cols = N + 2 * margin, n + 2 * margin
     key = np.array([spec.seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -157,9 +153,7 @@ def build_periodized_field(h: FilterSequence2D, noise):
 
 def build_toeplitz(a: FilterSequence1D, n):
     """Toeplitz matrix A[j1, j2] = a(j1 - j2)."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _integer(n, "n", 1)
     js, coeffs = a.arrays()
     inside = np.abs(js) < n
     table = np.zeros(2 * n - 1, dtype=np.complex128)  # index j + n - 1
@@ -173,9 +167,7 @@ def _circulant_column(a: FilterSequence1D, n):
     """First column atilde(j), j = 0..n-1, of the circulant approximant:
     the taps with |k| <= n summed at k mod n, so atilde(0) = a(0) + a(n)
     + a(-n) and atilde(j) = a(j) + a(j - n) otherwise."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _integer(n, "n", 1)
     js, coeffs = a.arrays()
     inside = np.abs(js) <= n
     column = np.zeros(n, dtype=np.complex128)
@@ -206,7 +198,7 @@ def circulant_eigenvalues(a: FilterSequence1D, n):
 
 def build_pseudo_diagonal(diag, N, n):
     """Rectangular N x n matrix with ``diag`` on the main diagonal."""
-    N, n = _integer(N, "N"), _integer(n, "n")
+    N, n = _integer(N, "N", 1), _integer(n, "n", 1)
     diag = np.asarray(diag)
     if diag.ndim != 1 or len(diag) != min(N, n):
         raise ValueError(

@@ -202,15 +202,18 @@ def _number(value, name, verb="is"):
                          "float") from None
 
 
-def _integer(value, name):
+def _integer(value, name, minimum=None):
     """``value`` as an int: ints (numpy ints too) and integral floats
     pass, anything else (booleans too) raises a ValueError naming
-    ``name``.  An int is never routed through float, so seeds up to
-    2**64 - 1 stay exact."""
+    ``name``, as does an int below ``minimum`` when one is given.  An int
+    is never routed through float, so seeds up to 2**64 - 1 stay exact."""
     if not (_is_number(value) and (isinstance(value, numbers.Integral)
                                    or float(value).is_integer())):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def _positive(value, name, zero=False):

@@ -37,9 +37,7 @@ __all__ = [
 
 def fourier_matrix(p):
     """Unitary Fourier matrix with entries p^{-1/2} e^{2 pi i j1 j2 / p}."""
-    p = _integer(p, "p")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _integer(p, "p", 1)
     j = np.arange(p)
     return np.exp(2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)
 
@@ -52,9 +50,7 @@ def real_orthogonal_matrix(p):
     j2/p) and sqrt(2/p) sin(2 pi j1 j2/p).  Even p appends the
     alternating row (-1)^{j2}/sqrt(p); odd p stops at the sin row.
     """
-    p = _integer(p, "p")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _integer(p, "p", 1)
     q = np.zeros((p, p), dtype=np.float64)
     j2 = np.arange(p)
     q[0, :] = 1.0 / np.sqrt(p)
@@ -90,7 +86,7 @@ def variance_profile_grid(h, N, n):
     grid[l1, l2] = |Phi(l1/N, l2/n)|^2, the per-entry variance of the
     Fourier congruence.
     """
-    N, n = _integer(N, "N"), _integer(n, "n")
+    N, n = _integer(N, "N", 1), _integer(n, "n", 1)
     t1 = np.arange(N) / N
     t2 = np.arange(n) / n
     return h.profile(t1[:, None], t2[None, :])
@@ -111,7 +107,7 @@ def symmetrized_variance_grid(h, N, n):
     """
     if not h.is_real:
         raise ValueError("symmetrized grid requires a real-coefficient filter")
-    N, n = _integer(N, "N"), _integer(n, "n")
+    N, n = _integer(N, "N", 1), _integer(n, "n", 1)
     f1 = np.floor((np.arange(N) + 1.0) / 2.0) / N
     f2 = np.floor((np.arange(n) + 1.0) / 2.0) / n
     plus = h.profile(f1[:, None], f2[None, :])

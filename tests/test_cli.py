@@ -129,6 +129,7 @@ class TestRun:
         filter1d = {"dims": 1, "entries": [[0, 1.0, 0.0], [3, 0.5, 0.0],
                                            [-5, 0.25, 0.0]]}
         doc = base_config(tmp_path, mode="square_toeplitz", filter1d=filter1d)
+        doc["solver"]["grid_size"] = 32  # above 2d = 16, d = 3 - (-5)
         cfg = cli.load_config(write_config(tmp_path, doc))
         cli.run_experiment(cfg)
         row = np.loadtxt(tmp_path / "out" / "stieltjes.csv", delimiter=",",
@@ -203,6 +204,40 @@ class TestConfigValidation:
         doc = base_config(tmp_path, N=32, n=16)
         with pytest.raises(ValueError):
             cli.load_config(write_config(tmp_path, doc))
+
+    def test_tap_outside_the_toeplitz_matrix_rejected(self, tmp_path):
+        # build_toeplitz drops a tap at |k| >= n, which the limit keeps:
+        # with taps {0: 1, 1: 0.5+0.25i, 64: 0.3} the limit sat 104
+        # standard errors from Monte Carlo at z = i (N = n = 64, seeds
+        # 0-39); grid 256 passes the aliasing rule, so this rule alone fails
+        def doc(tap):
+            return base_config(
+                tmp_path, mode="square_toeplitz", N=64, n=64,
+                filter1d={"dims": 1, "entries": [[0, 1.0, 0.0],
+                                                 [tap, 0.3, 0.0]]},
+                solver={"grid_size": 256})
+        with pytest.raises(ValueError, match="^filter1d tap 64 is outside "
+                                             "the 64 x 64 Toeplitz matrix$"):
+            cli.ExperimentConfig.from_json_dict(doc(64))
+        cli.ExperimentConfig.from_json_dict(doc(-63))
+
+    @pytest.mark.parametrize("key, entries", [
+        ("filter1d", [[0, 1.0, 0.0], [32, 0.5, 0.0]]),
+        ("filter2d", [[0, 0, 1.0, 0.0], [0, 32, 0.5, 0.0]])])
+    def test_grid_aliasing_the_profile_rejected(self, tmp_path, key,
+                                                entries):
+        # taps 0 and 32 put a cos(2 pi 32 t) in the profile, which vanishes
+        # at all 64 midpoints: with this filter1d the limit sat 51 standard
+        # errors from Monte Carlo at z = i (N = n = 64, seeds 0-39)
+        doc = base_config(tmp_path, mode="square_toeplitz", N=64, n=64,
+                          filter1d=FILTER1D, solver={"grid_size": 64})
+        doc[key] = {"dims": len(entries[0]) - 2, "entries": entries}
+        with pytest.raises(ValueError, match=f"^solver grid_size 64 must "
+                                             f"exceed 2d, twice {key}'s "
+                                             "largest tap gap d = 32$"):
+            cli.ExperimentConfig.from_json_dict(doc)
+        doc["solver"] = {"grid_size": 65}
+        cli.ExperimentConfig.from_json_dict(doc)
 
     def test_lower_half_plane_rejected(self, tmp_path):
         doc = base_config(tmp_path, z_grid=[[0.0, -1.0]])
@@ -396,7 +431,7 @@ class TestConfigValidation:
           "filter1d": {"dims": 1, "entries": [[0, 1.0, 10 ** 400]]}},
          r"^filter1d: filter entries\[0\] holds an integer too large for a "
          "float$"),
-        ({"N": 0}, "^N and n must be positive$"),
+        ({"N": 0}, "^N must be at least 1, got 0$"),
         ({"solver": {"tolerance": -1}},
          r"^solver tolerance must be finite and positive, got -1.0$")],
         ids=["lambda_diag_short", "lambda_diag_long", "seed_negative",
@@ -631,12 +666,15 @@ class TestSweepAlphaDocument:
         (5, r"^sizes\[1\] must be an \[N, n\] pair of integers, got 5"),
         ([16], r"^sizes\[1\] must be an \[N, n\] pair of integers, got "
                r"\[16\]"),
-        ([16, 8.5], r"^sizes\[1\]\[1\] must be an integer, got 8.5")],
-        ids=["scalar", "single", "non_integer"])
-    def test_bad_size(self, tmp_path, size, message):
-        # 5 used to raise a bare TypeError and [16] an IndexError
+        ([16, 8.5], r"^sizes\[1\]\[1\] must be an integer, got 8.5"),
+        ([0, 16], r"^sizes\[1\]\[0\] must be at least 1, got 0$")],
+        ids=["scalar", "single", "non_integer", "zero"])
+    def test_bad_size(self, tmp_path, capsys, size, message):
+        # 5 used to raise a bare TypeError and [16] an IndexError; [0, 16]
+        # simulated the first size, then failed without naming the size
         with pytest.raises(ValueError, match=message):
             self.run(tmp_path, sizes=[[8, 8], size])
+        assert capsys.readouterr().out == ""
 
     def test_unknown_key(self, tmp_path, capsys):
         # an extra key used to be ignored without a word

@@ -30,7 +30,7 @@ class TestConfigAndGrid:
         assert np.array_equal(k.nodes, (np.arange(8) + 0.5) / 8)
 
     def test_profile_measure_needs_a_node(self):
-        with pytest.raises(ValueError, match="m must be positive"):
+        with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
             measure_from_profile(np.ones_like, 0)
 
     @pytest.mark.parametrize("m", [8.5, True, "8", np.float64(np.nan)],
@@ -59,14 +59,16 @@ class TestConfigAndGrid:
             measure_from_profile(lambda u: 1.0, 8)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^grid_size must be at least 8, got 4$"):
             SolverConfig(grid_size=4)
         with pytest.raises(ValueError):
             SolverConfig(tolerance=0)
         with pytest.raises(ValueError):
             SolverConfig(damping=1.5)
         with pytest.raises(ValueError,
-                           match="^max_iterations must be positive$"):
+                           match="^max_iterations must be at least 1, "
+                                 "got 0$"):
             SolverConfig(max_iterations=0)
 
     @pytest.mark.parametrize("setting, value, message", [

@@ -350,13 +350,14 @@ class TestFieldMatrix:
                            match="^margin must be an integer, got 1.5"):
             FieldMatrix(np.eye(4), margin=1.5)
 
-    @pytest.mark.parametrize("margin", [-1, 2])
-    def test_margin_without_window_rejected(self, margin):
+    @pytest.mark.parametrize("margin, message", [
+        (-1, "^margin must be at least 0, got -1$"),
+        (2, "^margin 2 leaves no window of the 3 x 3 matrix$")],
+        ids=["-1", "2"])
+    def test_margin_without_window_rejected(self, margin, message):
         # a sheet without a window would give a field read from outside
         # it: margin -1 on this sheet would give [[8.]]
-        with pytest.raises(ValueError, match=f"^margin {margin} is negative "
-                                             "or leaves no window of the "
-                                             "3 x 3 matrix"):
+        with pytest.raises(ValueError, match=message):
             FieldMatrix(np.arange(9.0).reshape(3, 3), margin=margin)
 
     def test_integral_values_cast_to_int(self):

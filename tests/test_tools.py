@@ -50,7 +50,7 @@ def test_header_names_threads_and_numpy_build(tool, monkeypatch, capsys):
     assert build == f"numpy {np.__version__} {blas['name']} {blas['version']}"
 
 
-@pytest.mark.parametrize("name", ["square_toeplitz_wrap", "readme_256"])
+@pytest.mark.parametrize("name", ["square_toeplitz", "readme_256"])
 def test_hash_ignores_caller_thread_setting(tool, monkeypatch, tmp_path,
                                             name):
     # readme_256's eigenvalues differ in the last bits between 1 and 2

@@ -73,6 +73,16 @@ class TestFourierMatrix:
                                              "got"):
             build(p)
 
+    @pytest.mark.parametrize("build, name, p", [
+        pytest.param(build, name, p, id=f"{key}-{p}")
+        for key, (build, name) in SIZED.items()
+        for p in ((-1,) if name == "margin" else (0, -1))])
+    def test_size_below_floor_rejected(self, build, name, p):
+        # the variance grids and the pseudo-diagonal used to return empty
+        # arrays; a margin may be 0, every other size must be at least 1
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            build(p)
+
 
 class TestRealOrthogonal:
     def test_p2(self):

@@ -10,14 +10,9 @@ line ``<config> <sha256>``, the hash taken over the run's stdout and every
 file it wrote, in name order.  The configs are the four benchmark
 workloads of ``bench/workloads.py`` next to this script, whichever tree
 is hashed, and three that reach the other code paths: ``square_toeplitz``
-with a tap at |k| = n, ``real_case``, and a rectangular
+with the README's complex ``filter1d``, ``real_case``, and a rectangular
 ``noncentered_pseudodiag`` with a complex ``lambda_diag``.  Run it on two
-trees and diff the output.
-
-The configs check bytes, not accuracy.  ``run`` builds no circulant:
-``build_toeplitz`` drops the tap at |k| = n, while the limit's |psi|^2
-keeps it, so the ``square_toeplitz`` config's limit sits about 100
-standard errors from its Monte Carlo mean at z = i (over seeds 0-39).
+trees and diff the output.  The configs check bytes, not accuracy.
 
 The eigenvalues LAPACK returns differ in the last bits between BLAS
 thread counts, so every child runs with the BLAS thread variables set to
@@ -71,10 +66,10 @@ def configs():
     docs = {name: workloads.config(name) for name in workloads.WORKLOADS}
     small = dict(workloads.config("sweep_fine"), N=64, n=64, seeds=[0, 1],
                  inversion={"eta": 1e-2, "step": 2e-2, "pad": 1.0})
-    docs["square_toeplitz_wrap"] = dict(
+    docs["square_toeplitz"] = dict(
         small, mode="square_toeplitz",
         filter1d={"dims": 1, "entries": [[0, 1.0, 0.0], [1, 0.5, 0.25],
-                                         [64, 0.3, 0.0]]})
+                                         [-2, 0.3, 0.0]]})
     docs["real_case"] = dict(small, mode="real_case", n=96)
     docs["noncentered_complex"] = dict(
         small, mode="noncentered_pseudodiag", N=48, n=96,
