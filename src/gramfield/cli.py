@@ -352,14 +352,22 @@ def sweep_alpha(h, sizes, seeds):
 
     alpha = (1/n) Tr (Z - Zt)(Z - Zt)* measures how much the raw field
     differs from its periodization; it decays as the window grows.
+    Each size is an [N, n] pair (a list or a tuple) of integers >= 1.
     """
-    if len(sizes) < 2:
+    pairs = []
+    for i, p in enumerate(sizes):
+        if not (isinstance(p, (list, tuple)) and len(p) == 2):
+            raise ValueError(f"sizes[{i}] must be an [N, n] pair of "
+                             f"integers, got {p!r}")
+        pairs.append(tuple(_integer(x, f"sizes[{i}][{j}]", 1)
+                           for j, x in enumerate(p)))
+    if len(pairs) < 2:
         raise ValueError("sweep_alpha needs at least two sizes")
     if not seeds:
         raise ValueError("sweep_alpha needs a nonempty seed list")
     seeds = _distinct_seeds(seeds)
     rows = []
-    for N, n in sizes:
+    for N, n in pairs:
         alphas = [spectra.trace_stats(*_coupled_fields(
             h, N, n, "complex_standard", seed))[0] for seed in seeds]
         rows.append((N, n, float(np.mean(alphas))))
@@ -385,14 +393,8 @@ def _cmd_sweep_alpha(args):
         doc = json.load(fh)
     _require(doc, ("filter2d", "sizes", "seeds"), "sweep-alpha config")
     h = _read_filter(doc, "filter2d", 2)
-    sizes = []
-    for i, p in enumerate(_list(doc["sizes"], "sizes")):
-        if not (isinstance(p, list) and len(p) == 2):
-            raise ValueError(f"sizes[{i}] must be an [N, n] pair of "
-                             f"integers, got {p!r}")
-        sizes.append(tuple(_integer(x, f"sizes[{i}][{j}]", 1)
-                           for j, x in enumerate(p)))
-    rows = sweep_alpha(h, sizes, _list(doc["seeds"], "seeds"))
+    rows = sweep_alpha(h, _list(doc["sizes"], "sizes"),
+                       _list(doc["seeds"], "seeds"))
     print("N,n,mean_alpha")
     for N, n, alpha in rows:
         print(f"{N},{n},{_g17(alpha)}")

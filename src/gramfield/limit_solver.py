@@ -65,9 +65,11 @@ Jacobian, and O(r^3) for the solve, which is negligible at r = 3 but
 M^3 when P has full rank (r = M).  The z points run in blocks of at
 most ``_BLOCK`` weights, which bounds the working set of a long sweep.
 
-All solves at distinct z are independent; the *_many variants run them
-as one vectorized batch, equivalent to one-at-a-time solving up to
-floating-point summation order.
+Every solve takes a batch of z points and runs them as one vectorized
+iteration; the points are independent, so a batch of one is the single-z
+solve.  A point that stops without converging is returned with
+``converged=False`` and its final iterate, and the caller decides how to
+treat it.
 """
 
 from __future__ import annotations
@@ -83,10 +85,7 @@ __all__ = [
     "SolverConfig",
     "StieltjesKernel",
     "AtomicMeasureH",
-    "SolverConvergenceError",
-    "solve_centered",
     "solve_centered_many",
-    "solve_noncentered",
     "solve_noncentered_many",
     "measure_from_lambda",
     "measure_from_profile",
@@ -161,48 +160,33 @@ class StieltjesKernel:
         return complex(self.weights.sum())
 
 
-class SolverConvergenceError(RuntimeError):
-    """Raised when the iteration fails to reach tolerance."""
-
-    def __init__(self, message, kernel=None, kernel_tilde=None):
-        super().__init__(message)
-        self.kernel = kernel
-        self.kernel_tilde = kernel_tilde
-
-
 @dataclass(frozen=True)
 class AtomicMeasureH:
-    """Atomic probability measure on [0,1] x R+: atoms (u_i, lambda_i).
+    """Atomic probability measure on [0,1] x R+: atoms (u_i, lambda_i),
+    each of mass 1/len(u).
 
-    This is the diagonal-limit measure of a pseudo-diagonal matrix: its
-    atoms are (i/N, |diag_i|^2) with weight 1/N each, or any atomic
-    approximation of a continuous limit.
+    This is the diagonal-limit measure of a pseudo-diagonal matrix, with
+    atoms (i/N, |diag_i|^2), or the midpoint approximation of a
+    continuous limit.
     """
 
     u: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64)
         lam = np.asarray(self.lam, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if not (u.shape == lam.shape == w.shape) or u.ndim != 1 or len(u) == 0:
-            raise ValueError("atoms require matching nonempty u/lam/weight arrays")
-        for name, arr in (("u", u), ("lam", lam), ("weights", w)):
+        if not u.shape == lam.shape or u.ndim != 1 or len(u) == 0:
+            raise ValueError("atoms require matching nonempty u/lam arrays")
+        for name, arr in (("u", u), ("lam", lam)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"atom {name} values must be finite")
         if np.any(u < 0) or np.any(u > 1):
             raise ValueError("atom u-coordinates must lie in [0, 1]")
         if np.any(lam < 0):
             raise ValueError("atom lambda-coordinates must be nonnegative")
-        if np.any(w <= 0):
-            raise ValueError("atom weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"atom weights sum to {w.sum()!r}, not 1")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "weights", w)
 
 
 def measure_from_lambda(diag):
@@ -217,8 +201,7 @@ def measure_from_lambda(diag):
     if N == 0:
         raise ValueError("diag must be nonempty")
     i = np.arange(1, N + 1)
-    return AtomicMeasureH(u=i / N, lam=np.abs(diag) ** 2,
-                          weights=np.full(N, 1.0 / N))
+    return AtomicMeasureH(u=i / N, lam=np.abs(diag) ** 2)
 
 
 def measure_from_profile(fn, m):
@@ -228,7 +211,7 @@ def measure_from_profile(fn, m):
     m = _integer(m, "m", 1)
     nodes = _midpoints(m)
     lam = _evaluate("measure_from_profile fn", fn, nodes)
-    return AtomicMeasureH(u=nodes, lam=lam, weights=np.full(m, 1.0 / m))
+    return AtomicMeasureH(u=nodes, lam=lam)
 
 
 def _evaluate(name, fn, *args):
@@ -472,11 +455,8 @@ def _centered_map(P, c):
 
 
 def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
-    """Centered-case kernels at a batch of z points (no raising).
-
-    Non-converged points are returned with ``converged=False`` and the
-    final iterate; callers decide how to treat them.
-    """
+    """Centered-case kernels, one per point of ``z_values``; a point
+    that did not converge has ``converged=False``."""
     if not 0 < c <= 1:
         raise ValueError("aspect ratio c must lie in (0, 1]")
     z = _check_z(z_values)
@@ -485,28 +465,6 @@ def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
     w = np.tile((-1.0 / z)[:, None] / cfg.grid_size, (1, cfg.grid_size))
     stats = _iterate(z, cfg, (w,), _centered_map(P, c))
     return _kernels(z, stats, x, w)
-
-
-def _solve_one(label, solve_many, z, cfg, *args):
-    """``solve_many`` at the single point z, raising if it did not converge.
-
-    Returns the kernel, or the (pi, pi_tilde) pair for coupled solvers.
-    """
-    result = solve_many(*args, [z], cfg)[0]
-    kernel, kernel_tilde = result if isinstance(result, tuple) else (result, None)
-    if not kernel.converged:
-        raise SolverConvergenceError(
-            f"{label} solve at z={z} stopped at residual "
-            f"{kernel.residual:.3e} after {kernel.iterations} iterations "
-            f"(tolerance {cfg.tolerance:.1e}); consider raising "
-            "max_iterations",
-            kernel=kernel, kernel_tilde=kernel_tilde)
-    return result
-
-
-def solve_centered(profile, c, z, cfg=SolverConfig()):
-    """Kernel of the centered fixed point at one z (raises if stuck)."""
-    return _solve_one("centered", solve_centered_many, z, cfg, profile, c)
 
 
 def _noncentered_map(P, c, hw, hl, tilde_w):
@@ -575,7 +533,8 @@ def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
     if not 0 < c <= 1:
         raise ValueError("aspect ratio c must lie in (0, 1]")
     z = _check_z(z_values)
-    hu, hl, hw = H.u, H.lam, H.weights
+    hu, hl = H.u, H.lam
+    hw = np.full(len(hu), 1.0 / len(hu))
     R = cfg.grid_size if c < 1 else 0
     # pi_tilde's nodes and masses: the atoms at c u, then the (1 - c) tail
     tail_u = c + (1.0 - c) * (np.arange(R) + 0.5) / R
@@ -592,12 +551,6 @@ def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
     return list(zip(
         _kernels(z, stats, hu, w, hl),
         _kernels(z, stats, tilde_u, wt, np.concatenate([hl, np.zeros(R)]))))
-
-
-def solve_noncentered(profile, c, H, z, cfg=SolverConfig()):
-    """Non-centered pair (pi, pi_tilde) at one z (raises if stuck)."""
-    return _solve_one("non-centered", solve_noncentered_many, z, cfg,
-                      profile, c, H)
 
 
 def write_solver_csv(kernels, path):

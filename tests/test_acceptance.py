@@ -64,9 +64,11 @@ def pooled_spectrum(h, N, n, seeds, *, real=False, extra=None):
 @functools.cache
 def mp_oracle_kernels():
     t0 = time.monotonic()
-    kernels = [gf.solve_centered(ONES, 1.0, z, TIGHT_CFG)
-               for z, _ in MP_POINTS]
-    return kernels, time.monotonic() - t0
+    kernels = gf.solve_centered_many(ONES, 1.0, [z for z, _ in MP_POINTS],
+                                     TIGHT_CFG)
+    elapsed = time.monotonic() - t0
+    assert all(k.converged for k in kernels)
+    return kernels, elapsed
 
 
 @functools.cache
@@ -100,12 +102,17 @@ def lambda_zero_solves():
     then H2's."""
     H_zero = gf.measure_from_lambda(np.zeros(TIGHT_CFG.grid_size))
     H_zero_nodes = gf.measure_from_profile(np.zeros_like, TIGHT_CFG.grid_size)
-    return [(gf.solve_noncentered(ONES, 1.0, H_zero, z, TIGHT_CFG)[0],
-             gf.solve_centered(ONES, 1.0, z, TIGHT_CFG),
-             gf.solve_noncentered(H2.profile, 1.0, H_zero_nodes, z,
-                                  TIGHT_CFG)[0],
-             gf.solve_centered(H2.profile, 1.0, z, TIGHT_CFG))
-            for z in REDUCTION_ZS]
+    zs = REDUCTION_ZS
+    solves = (
+        [pi for pi, _ in gf.solve_noncentered_many(ONES, 1.0, H_zero, zs,
+                                                   TIGHT_CFG)],
+        gf.solve_centered_many(ONES, 1.0, zs, TIGHT_CFG),
+        [pi for pi, _ in gf.solve_noncentered_many(H2.profile, 1.0,
+                                                   H_zero_nodes, zs,
+                                                   TIGHT_CFG)],
+        gf.solve_centered_many(H2.profile, 1.0, zs, TIGHT_CFG))
+    assert all(k.converged for kernels in solves for k in kernels)
+    return list(zip(*solves))
 
 
 @functools.cache
@@ -113,8 +120,10 @@ def square_symbol_solves():
     """Per z: the c = 1 (f, f_tilde) solve with the symbol-generated
     measure of A1."""
     H_sym = gf.measure_from_profile(A1.profile, TIGHT_CFG.grid_size)
-    return [gf.solve_noncentered(H2.profile, 1.0, H_sym, z, TIGHT_CFG)
-            for z in REDUCTION_ZS]
+    pairs = gf.solve_noncentered_many(H2.profile, 1.0, H_sym, REDUCTION_ZS,
+                                      TIGHT_CFG)
+    assert all(pi.converged for pi, _ in pairs)
+    return pairs
 
 
 @functools.cache
@@ -292,13 +301,11 @@ def test_criterion_6_noncentered_reductions():
     # (b) zero profile reproduces the direct transform of the atoms
     zeros2 = lambda u, t: np.zeros(np.broadcast(u, t).shape)
     H_atoms = gf.AtomicMeasureH(u=np.array([0.25, 0.75]),
-                                lam=np.array([1.0, 4.0]),
-                                weights=np.array([0.5, 0.5]))
-    err_b = 0.0
-    for z in zs:
-        pi, _ = gf.solve_noncentered(zeros2, 1.0, H_atoms, z, TIGHT_CFG)
-        direct = 0.5 / (1 - z) + 0.5 / (4 - z)
-        err_b = max(err_b, abs(pi.value - direct))
+                                lam=np.array([1.0, 4.0]))
+    pairs = gf.solve_noncentered_many(zeros2, 1.0, H_atoms, zs, TIGHT_CFG)
+    assert all(pi.converged for pi, _ in pairs)
+    err_b = max(abs(pi.value - (0.5 / (1 - z) + 0.5 / (4 - z)))
+                for z, (pi, _) in zip(zs, pairs))
 
     # (c) c = 1 with the symbol-generated measure solves the square system
     x = (np.arange(TIGHT_CFG.grid_size) + 0.5) / TIGHT_CFG.grid_size
@@ -403,18 +410,20 @@ def test_criterion_8_kernel_axioms():
 
     # -i y f(i y) -> 1 at y = 1e3 for every solver family used above
     y = 1e3
-    tails = {
-        "mp": gf.solve_centered(ONES, 1.0, 1j * y, TIGHT_CFG).value,
-        "centered": gf.solve_centered(H2.profile, 1.0, 1j * y,
-                                      TIGHT_CFG).value,
-        "noncentered": gf.solve_noncentered(
+    tail_kernels = {
+        "mp": gf.solve_centered_many(ONES, 1.0, [1j * y], TIGHT_CFG)[0],
+        "centered": gf.solve_centered_many(H2.profile, 1.0, [1j * y],
+                                           TIGHT_CFG)[0],
+        "noncentered": gf.solve_noncentered_many(
             H2.profile, 1.0,
-            gf.measure_from_profile(A1.profile, 64), 1j * y,
-            TIGHT_CFG)[0].value,
+            gf.measure_from_profile(A1.profile, 64), [1j * y],
+            TIGHT_CFG)[0][0],
         # real_case runs solve the "centered" problem and square_toeplitz
         # runs the "noncentered" one at c = 1, so neither has an entry
     }
-    tail_errs = {name: abs(-1j * y * f - 1.0) for name, f in tails.items()}
+    assert all(k.converged for k in tail_kernels.values())
+    tail_errs = {name: abs(-1j * y * k.value - 1.0)
+                 for name, k in tail_kernels.items()}
     tail_ok = all(e < 1e-2 for e in tail_errs.values())
 
     ok = axioms_ok and tail_ok

@@ -621,6 +621,22 @@ class TestSweepAlpha:
         with pytest.raises(ValueError):
             cli.sweep_alpha(h, [(8, 8), (16, 16)], [])
 
+    def test_bad_size_rejected_before_sampling(self, monkeypatch):
+        # the library call used to sample and build the first size's
+        # fields, then fail in sample_noise without naming the size
+        from gramfield import matgen
+        from gramfield.symbols import FilterSequence2D
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_noise called")
+
+        monkeypatch.setattr(matgen, "sample_noise", no_sampling)
+        h = FilterSequence2D({(0, 0): 1})
+        with pytest.raises(ValueError,
+                           match=r"^sizes\[1\]\[0\] must be at least 1, "
+                                 r"got 0$"):
+            cli.sweep_alpha(h, [(8, 8), (0, 16)], [0, 1])
+
     def test_repeated_seed_rejected(self):
         from gramfield.symbols import FilterSequence2D
         h = FilterSequence2D({(0, 0): 1})

@@ -5,11 +5,9 @@ import pytest
 
 from gramfield import limit_solver
 from gramfield.limit_solver import (AtomicMeasureH, SolverConfig,
-                                    SolverConvergenceError,
                                     StieltjesKernel, measure_from_lambda,
-                                    measure_from_profile,
-                                    solve_centered, solve_centered_many,
-                                    solve_noncentered, solve_noncentered_many,
+                                    measure_from_profile, solve_centered_many,
+                                    solve_noncentered_many,
                                     verify_kernel_axioms, write_solver_csv)
 from gramfield.matgen import build_pseudo_diagonal
 from gramfield.spectra import invert_stieltjes_to_cdf
@@ -23,10 +21,18 @@ H_TEST = FilterSequence2D({(0, 0): 1, (1, 0): 0.5, (0, 1): 0.25})
 TIGHT = SolverConfig(tolerance=1e-12, max_iterations=50000)
 
 
+def converged(results):
+    """The kernels, or (pi, pi_tilde) pairs, of a batch solve, after
+    checking that every point converged."""
+    assert all((r[0] if isinstance(r, tuple) else r).converged
+               for r in results)
+    return results
+
+
 class TestConfigAndGrid:
     def test_midpoint_grid(self):
         cfg = SolverConfig(grid_size=8)
-        k = solve_centered(ONES, 1.0, 1j, cfg)
+        k, = converged(solve_centered_many(ONES, 1.0, [1j], cfg))
         assert np.array_equal(k.nodes, (np.arange(8) + 0.5) / 8)
 
     def test_profile_measure_needs_a_node(self):
@@ -118,12 +124,12 @@ class TestConfigAndGrid:
 
 class TestCentered:
     def test_marchenko_pastur_at_i(self):
-        k = solve_centered(ONES, 1.0, 1j, TIGHT)
+        k, = converged(solve_centered_many(ONES, 1.0, [1j], TIGHT))
         assert abs(k.value - mp_stieltjes(1j, 1.0)) < 1e-6
 
     def test_marchenko_pastur_near_real_axis(self):
         z = -1.0 + 1e-8j
-        k = solve_centered(ONES, 1.0, z, TIGHT)
+        k, = converged(solve_centered_many(ONES, 1.0, [z], TIGHT))
         assert abs(k.value - (np.sqrt(5) - 1) / 2) < 1e-4
         assert abs(k.value - mp_stieltjes(z, 1.0)) < 1e-4
 
@@ -137,42 +143,41 @@ class TestCentered:
         assert abs(good.value - mp_stieltjes(1j, 1.0)) < 1e-6
 
     def test_marchenko_pastur_ratio_half(self):
-        k = solve_centered(ONES, 0.5, 1j, TIGHT)
+        k, = converged(solve_centered_many(ONES, 0.5, [1j], TIGHT))
         assert abs(k.value - mp_stieltjes(1j, 0.5)) < 1e-6
 
     def test_zero_profile_is_point_mass(self):
         z = 0.3 + 2j
-        k = solve_centered(ZEROS2, 1.0, z, TIGHT)
+        k, = converged(solve_centered_many(ZEROS2, 1.0, [z], TIGHT))
         assert abs(k.value - (-1.0 / z)) < 1e-12
         assert np.allclose(k.weights, (-1.0 / z) / len(k.weights))
 
     def test_residual_reevaluated(self):
-        k = solve_centered(H_TEST.profile, 1.0, 1j, TIGHT)
+        k, = solve_centered_many(H_TEST.profile, 1.0, [1j], TIGHT)
         assert k.converged
         assert k.residual <= TIGHT.tolerance
 
     def test_batch_matches_single(self):
-        # batched and one-at-a-time solves agree to summation-order noise
+        # a batch and batches of one point agree to summation-order noise
         zs = [1j, 0.5 + 0.25j, -2.0 + 1e-3j]
-        batch = solve_centered_many(H_TEST.profile, 1.0, zs, TIGHT)
+        batch = converged(solve_centered_many(H_TEST.profile, 1.0, zs, TIGHT))
         for z, kb in zip(zs, batch):
-            ks = solve_centered(H_TEST.profile, 1.0, z, TIGHT)
+            ks, = solve_centered_many(H_TEST.profile, 1.0, [z], TIGHT)
             assert ks.iterations == kb.iterations
             assert np.abs(ks.weights - kb.weights).max() < 1e-14
 
     def test_grid_refinement(self):
-        z = 1.0 + 0.5j
-        f64 = solve_centered(H_TEST.profile, 1.0, z,
-                             SolverConfig(grid_size=64, tolerance=1e-12,
-                                          max_iterations=50000)).value
-        f128 = solve_centered(H_TEST.profile, 1.0, z,
-                              SolverConfig(grid_size=128, tolerance=1e-12,
-                                           max_iterations=50000)).value
+        f64, f128 = (converged(solve_centered_many(
+            H_TEST.profile, 1.0, [1.0 + 0.5j],
+            SolverConfig(grid_size=m, tolerance=1e-12,
+                         max_iterations=50000)))[0].value for m in (64, 128))
         assert abs(f64 - f128) < 1e-3
 
     def test_transform_properties(self):
-        for z in (1j, 3 + 0.2j, -1 + 0.05j):
-            k = solve_centered(H_TEST.profile, 0.75, z, TIGHT)
+        zs = [1j, 3 + 0.2j, -1 + 0.05j]
+        kernels = converged(solve_centered_many(H_TEST.profile, 0.75, zs,
+                                                TIGHT))
+        for z, k in zip(zs, kernels):
             f = k.value
             assert f.imag > 0
             assert abs(f) <= 1.0 / z.imag + 1e-9
@@ -180,21 +185,16 @@ class TestCentered:
 
     def test_tail_normalization(self):
         y = 1e3
-        f = solve_centered(H_TEST.profile, 1.0, 1j * y, TIGHT).value
+        k, = converged(solve_centered_many(H_TEST.profile, 1.0, [1j * y],
+                                           TIGHT))
+        f = k.value
         assert abs(-1j * y * f - 1.0) < 1e-2
-
-    def test_nonconvergence_raises_with_kernel(self):
-        cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
-        with pytest.raises(SolverConvergenceError) as err:
-            solve_centered(H_TEST.profile, 1.0, 0.5 + 0.01j, cfg)
-        assert err.value.kernel is not None
-        assert err.value.kernel.residual > cfg.tolerance
 
     def test_invalid_z_and_c(self):
         with pytest.raises(ValueError):
-            solve_centered(ONES, 1.0, 1.0 - 1j)
+            solve_centered_many(ONES, 1.0, [1.0 - 1j])
         with pytest.raises(ValueError):
-            solve_centered(ONES, 1.5, 1j)
+            solve_centered_many(ONES, 1.5, [1j])
 
     @pytest.mark.parametrize("z", [complex(0.0, np.nan), complex(np.nan, 1.0),
                                    complex(np.inf, 1.0)])
@@ -228,18 +228,19 @@ class TestCentered:
 
 
 @pytest.mark.parametrize("solve, args", [
-    (solve_centered, (ONES, 1.0)),
-    (solve_noncentered, (ONES, 0.5, measure_from_profile(np.ones_like, 8))),
-])
-def test_single_z_front_ends_raise_alike(solve, args):
+    (solve_centered_many, (H_TEST.profile, 1.0)),
+    (solve_noncentered_many,
+     (H_TEST.profile, 0.5, measure_from_profile(np.ones_like, 8)))],
+    ids=["centered", "noncentered"])
+def test_iteration_budget_stops_the_point(solve, args):
+    # a point that runs out of max_iterations is returned unconverged with
+    # its final iterate; for the coupled solver, pi of the pair
     cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
-    with pytest.raises(SolverConvergenceError,
-                       match=r"solve at z=\S+ stopped at residual .* after 2 "
-                             r"iterations \(tolerance 1\.0e-14\); consider "
-                             r"raising max_iterations$") as err:
-        solve(*args, 0.5 + 0.01j, cfg)
-    assert err.value.kernel.residual > cfg.tolerance
-    assert (err.value.kernel_tilde is None) == (solve is solve_centered)
+    for result in solve(*args, [0.5 + 0.01j, 2.0 + 0.5j], cfg):
+        kernel = result[0] if isinstance(result, tuple) else result
+        assert kernel.converged is False
+        assert kernel.iterations == 2
+        assert kernel.residual > cfg.tolerance
 
 
 def _centered_update_reference(P, c, z, w):
@@ -269,10 +270,10 @@ def _noncentered_update_reference(profile, c, H, tail, z, w, wt):
     out_t = np.empty(len(tilde), dtype=complex)
     for i in range(atoms):
         lam = H.lam[i]
-        out[i] = H.weights[i] / (-z * (1 + t_tilde[i])
-                                 + lam / (1 + c * s_at[i]))
-        out_t[i] = c * H.weights[i] / (-z * (1 + c * s_at[i])
-                                       + lam / (1 + t_tilde[i]))
+        out[i] = (1 / atoms) / (-z * (1 + t_tilde[i])
+                                + lam / (1 + c * s_at[i]))
+        out_t[i] = (c / atoms) / (-z * (1 + c * s_at[i])
+                                  + lam / (1 + t_tilde[i]))
     for r in range(atoms, len(tilde)):
         out_t[r] = ((1 - c) / len(tail)) / (-z * (1 + c * s_at[r]))
     return out, out_t
@@ -586,7 +587,7 @@ class TestErrorBound:
     def test_marchenko_pastur_hard_edge(self):
         # the damped iteration took 5408 iterations here
         z = 1e-4 + 1e-4j
-        k = solve_centered(ONES, 1.0, z, self.CFG)
+        k, = converged(solve_centered_many(ONES, 1.0, [z], self.CFG))
         assert k.iterations <= 50
         assert abs(k.value - mp_stieltjes(z, 1.0)) <= 1e-10
 
@@ -608,7 +609,7 @@ class TestConjugateSymmetry:
         # conjugated map within the same tolerance
         cfg = SolverConfig(grid_size=16, tolerance=1e-12, max_iterations=50000)
         z = 0.4 + 0.8j
-        k = solve_centered(H_TEST.profile, 1.0, z, cfg)
+        k, = converged(solve_centered_many(H_TEST.profile, 1.0, [z], cfg))
         x = (np.arange(16) + 0.5) / 16
         P = H_TEST.profile(x[:, None], x[None, :])
         w_conj = np.conj(k.weights)
@@ -622,7 +623,7 @@ class TestSquare:
     def test_mp_reduction(self):
         zero1 = lambda u: np.zeros(np.shape(u))
         H = measure_from_profile(zero1, TIGHT.grid_size)
-        pi, _ = solve_noncentered(ONES, 1.0, H, 1j, TIGHT)
+        (pi, _), = converged(solve_noncentered_many(ONES, 1.0, H, [1j], TIGHT))
         assert abs(pi.value - mp_stieltjes(1j, 1.0)) < 1e-6
 
     def test_non_finite_psi_rejected(self):
@@ -635,7 +636,8 @@ class TestSquare:
         one1 = lambda u: np.ones(np.shape(u))
         z = 0.5 + 1j
         H = measure_from_profile(one1, TIGHT.grid_size)
-        pi, pit = solve_noncentered(ZEROS2, 1.0, H, z, TIGHT)
+        (pi, pit), = converged(solve_noncentered_many(ZEROS2, 1.0, H, [z],
+                                                      TIGHT))
         assert abs(pi.value - 1.0 / (1.0 - z)) < 1e-10
         assert abs(pit.value - 1.0 / (1.0 - z)) < 1e-10
 
@@ -644,7 +646,8 @@ class TestSquare:
         h = FilterSequence2D({(0, 0): 1, (1, 1): 0.5})
         a = FilterSequence1D({0: 1, 1: 0.5, -1: 0.5})
         H = measure_from_profile(a.profile, TIGHT.grid_size)
-        pi, pit = solve_noncentered(h.profile, 1.0, H, 0.7 + 0.6j, TIGHT)
+        (pi, pit), = converged(solve_noncentered_many(h.profile, 1.0, H,
+                                                      [0.7 + 0.6j], TIGHT))
         assert np.abs(pi.weights - pit.weights).max() < 1e-10
 
     def test_total_masses_agree_for_square_matrices(self):
@@ -652,34 +655,39 @@ class TestSquare:
         # two kernels carry the same total mass even when they differ
         a = FilterSequence1D({0: 1, 1: 0.5, -1: 0.5})
         H = measure_from_profile(a.profile, TIGHT.grid_size)
-        pi, pit = solve_noncentered(H_TEST.profile, 1.0, H, 1j, TIGHT)
+        (pi, pit), = converged(solve_noncentered_many(H_TEST.profile, 1.0, H,
+                                                      [1j], TIGHT))
         assert abs(pi.value - pit.value) < 1e-9
         assert np.abs(pi.weights - pit.weights).max() > 1e-4  # kernels differ
 
 
 class TestNonCentered:
     def test_zero_profile_direct_transform(self):
-        H = AtomicMeasureH(u=np.array([0.2, 0.9]), lam=np.array([1.0, 4.0]),
-                           weights=np.array([0.5, 0.5]))
+        H = AtomicMeasureH(u=np.array([0.2, 0.9]), lam=np.array([1.0, 4.0]))
         z = 0.1 + 0.7j
-        pi, _ = solve_noncentered(ZEROS2, 1.0, H, z, TIGHT)
+        (pi, _), = converged(solve_noncentered_many(ZEROS2, 1.0, H, [z],
+                                                    TIGHT))
         direct = 0.5 / (1 - z) + 0.5 / (4 - z)
         assert abs(pi.value - direct) < 1e-10
 
     def test_lambda_zero_reduces_to_centered_constant_profile(self):
         H = measure_from_lambda(np.zeros(24))
-        for z in (1j, 2j):
-            pi, _ = solve_noncentered(ONES, 1.0, H, z, TIGHT)
-            k = solve_centered(ONES, 1.0, z, TIGHT)
+        zs = [1j, 2j]
+        pairs = converged(solve_noncentered_many(ONES, 1.0, H, zs, TIGHT))
+        kernels = converged(solve_centered_many(ONES, 1.0, zs, TIGHT))
+        for (pi, _), k in zip(pairs, kernels):
             assert abs(pi.value - k.value) < 1e-8
 
     def test_lambda_zero_reduces_to_centered_general_profile(self):
         # atoms placed on the quadrature nodes make the two discretized
         # systems share their fixed point exactly
         H = measure_from_profile(np.zeros_like, TIGHT.grid_size)
-        for z in (1j, 0.5 + 2j):
-            pi, _ = solve_noncentered(H_TEST.profile, 1.0, H, z, TIGHT)
-            k = solve_centered(H_TEST.profile, 1.0, z, TIGHT)
+        zs = [1j, 0.5 + 2j]
+        pairs = converged(solve_noncentered_many(H_TEST.profile, 1.0, H, zs,
+                                                 TIGHT))
+        kernels = converged(solve_centered_many(H_TEST.profile, 1.0, zs,
+                                                TIGHT))
+        for (pi, _), k in zip(pairs, kernels):
             assert abs(pi.value - k.value) < 1e-8
 
     def test_symbol_measure_matches_square(self):
@@ -690,8 +698,10 @@ class TestNonCentered:
         x = (np.arange(16) + 0.5) / 16
         P = H_TEST.profile(x[:, None], x[None, :])
         H = measure_from_profile(a.profile, cfg.grid_size)
-        for z in (1j, -0.5 + 0.3j):
-            pi, pit = solve_noncentered(H_TEST.profile, 1.0, H, z, cfg)
+        zs = [1j, -0.5 + 0.3j]
+        pairs = converged(solve_noncentered_many(H_TEST.profile, 1.0, H, zs,
+                                                 cfg))
+        for z, (pi, pit) in zip(zs, pairs):
             up, up_t = _square_update_reference(P, a.profile(x), z,
                                                 pi.weights, pit.weights)
             assert np.abs(up - pi.weights).max() < 1e-10
@@ -703,22 +713,23 @@ class TestNonCentered:
         H = measure_from_profile(np.zeros_like, 32)
         c = 0.4
         z = 0.8 + 1.2j
-        pi, pit = solve_noncentered(H_TEST.profile, c, H, z, TIGHT)
+        (pi, pit), = converged(solve_noncentered_many(H_TEST.profile, c, H,
+                                                      [z], TIGHT))
         assert abs(pit.value - (c * pi.value + (1 - c) * (-1 / z))) < 1e-10
 
     def test_tilde_support_bookkeeping(self):
-        H = AtomicMeasureH(u=np.array([0.5]), lam=np.array([2.0]),
-                           weights=np.array([1.0]))
+        H = AtomicMeasureH(u=np.array([0.5]), lam=np.array([2.0]))
         c = 0.5
         cfg = SolverConfig(grid_size=16, tolerance=1e-12, max_iterations=50000)
-        pi, pit = solve_noncentered(ONES, c, H, 1j, cfg)
+        (pi, pit), = converged(solve_noncentered_many(ONES, c, H, [1j], cfg))
         assert len(pi.nodes) == 1
         assert len(pit.nodes) == 1 + 16
         assert pit.nodes[0] == pytest.approx(c * 0.5)
         assert np.all(pit.nodes[1:] >= c)
         assert np.all(pit.lambdas[1:] == 0)
         # c = 1 leaves no tail component
-        _, pit1 = solve_noncentered(ONES, 1.0, H, 1j, cfg)
+        (_, pit1), = converged(solve_noncentered_many(ONES, 1.0, H, [1j],
+                                                      cfg))
         assert len(pit1.nodes) == 1
 
     @pytest.mark.parametrize("c, tail", [(1.0, 0), (0.5, 8)])
@@ -732,8 +743,8 @@ class TestNonCentered:
             return H_TEST.profile(u, t)
 
         H = measure_from_profile(np.ones_like, 16)
-        pi, pit = solve_noncentered(profile, c, H, 1j,
-                                    SolverConfig(grid_size=8))
+        (pi, pit), = converged(solve_noncentered_many(
+            profile, c, H, [1j], SolverConfig(grid_size=8)))
         assert shapes == [(16, 16 + tail)]
         assert len(pit.nodes) == 16 + tail
 
@@ -741,11 +752,11 @@ class TestNonCentered:
         # c < 1, nonzero lambda and a non-constant profile: the returned
         # pair, atoms and (1 - c) tail together, solves the equations
         u = (np.arange(6) + 1) / 6
-        H = AtomicMeasureH(u=u, lam=1.0 + 0.5 * np.cos(2 * np.pi * u),
-                           weights=np.full(6, 1 / 6))
+        H = AtomicMeasureH(u=u, lam=1.0 + 0.5 * np.cos(2 * np.pi * u))
         c, z = 0.5, 0.7 + 0.9j
         cfg = SolverConfig(grid_size=8, tolerance=1e-12, max_iterations=50000)
-        pi, pit = solve_noncentered(H_TEST.profile, c, H, z, cfg)
+        (pi, pit), = converged(solve_noncentered_many(H_TEST.profile, c, H,
+                                                      [z], cfg))
         tail = c + (1 - c) * (np.arange(8) + 0.5) / 8
         assert np.allclose(pit.nodes, np.concatenate([c * u, tail]))
         up, up_t = _noncentered_update_reference(H_TEST.profile, c, H, tail,
@@ -757,20 +768,14 @@ class TestNonCentered:
 
     def test_invalid_measure(self):
         with pytest.raises(ValueError):
-            AtomicMeasureH(u=np.array([0.5]), lam=np.array([1.0]),
-                           weights=np.array([0.7]))
-        with pytest.raises(ValueError):
-            AtomicMeasureH(u=np.array([1.5]), lam=np.array([1.0]),
-                           weights=np.array([1.0]))
+            AtomicMeasureH(u=np.array([1.5]), lam=np.array([1.0]))
 
     @pytest.mark.parametrize("atoms, message", [
-        (dict(u=[0.25, 0.75], lam=[1.0], weights=[0.5, 0.5]),
-         "atoms require matching nonempty u/lam/weight arrays"),
-        (dict(u=[0.5], lam=[-1.0], weights=[1.0]),
-         "atom lambda-coordinates must be nonnegative"),
-        (dict(u=[0.25, 0.75], lam=[1.0, 1.0], weights=[1.0, 0.0]),
-         "atom weights must be positive")],
-        ids=["unequal_lengths", "negative_lambda", "zero_weight"])
+        (dict(u=[0.25, 0.75], lam=[1.0]),
+         "atoms require matching nonempty u/lam arrays"),
+        (dict(u=[0.5], lam=[-1.0]),
+         "atom lambda-coordinates must be nonnegative")],
+        ids=["unequal_lengths", "negative_lambda"])
     def test_bad_atoms_rejected(self, atoms, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             AtomicMeasureH(**atoms)
@@ -781,10 +786,9 @@ class TestNonCentered:
             solve_noncentered_many(ONES, 1.5, measure_from_lambda(np.ones(4)),
                                    [1j])
 
-    @pytest.mark.parametrize("name", ["u", "lam", "weights"])
+    @pytest.mark.parametrize("name", ["u", "lam"])
     def test_non_finite_atoms_rejected(self, name):
-        atoms = dict(u=np.array([0.5]), lam=np.array([1.0]),
-                     weights=np.array([1.0]))
+        atoms = dict(u=np.array([0.5]), lam=np.array([1.0]))
         atoms[name] = np.array([np.nan])
         with pytest.raises(ValueError, match=f"atom {name} values"):
             AtomicMeasureH(**atoms)
@@ -814,7 +818,6 @@ class TestMeasureFromLambda:
         H = measure_from_lambda(np.zeros(4))
         assert np.allclose(H.u, [0.25, 0.5, 0.75, 1.0])
         assert np.all(H.lam == 0)
-        assert np.allclose(H.weights, 0.25)
 
     def test_identity(self):
         H = measure_from_lambda([1, 1])
@@ -839,10 +842,9 @@ class TestMeasureFromLambda:
 
 class TestKernelAxioms:
     def test_converged_kernels_pass(self):
-        for z in (1j, 0.3 + 0.5j, -2 + 0.1j):
-            k = solve_centered(H_TEST.profile, 1.0, z, TIGHT)
-            rep = verify_kernel_axioms(k)
-            assert rep.passed
+        kernels = converged(solve_centered_many(
+            H_TEST.profile, 1.0, [1j, 0.3 + 0.5j, -2 + 0.1j], TIGHT))
+        assert all(verify_kernel_axioms(k).passed for k in kernels)
 
     def test_hand_built_negative_imag_fails(self):
         nodes = (np.arange(8) + 0.5) / 8
@@ -900,7 +902,8 @@ class TestMonteCarloAgreement:
         from gramfield.matgen import NoiseSpec, build_field, sample_noise
         from gramfield.spectra import empirical_stieltjes
         z = 1j
-        f_limit = solve_centered(H_TEST.profile, 1.0, z, TIGHT).value
+        f_limit = converged(solve_centered_many(H_TEST.profile, 1.0, [z],
+                                                TIGHT))[0].value
         errs = {}
         for size in (32, 128):
             vals = []
@@ -926,7 +929,8 @@ class TestMonteCarloAgreement:
         lam = build_pseudo_diagonal(lam_diag, N, n)
         H = measure_from_lambda(lam_diag)
         z = 1j
-        pi, pit = solve_noncentered(H_TEST.profile, c, H, z, TIGHT)
+        (pi, pit), = converged(solve_noncentered_many(H_TEST.profile, c, H,
+                                                      [z], TIGHT))
         # A = F_N^* Lambda F_n so that F_N A F_n^* is pseudo-diagonal
         a_entries = fourier_matrix(N).conj().T @ lam \
             @ fourier_matrix(n)
@@ -935,11 +939,9 @@ class TestMonteCarloAgreement:
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=1)
             zm = build_field(H_TEST, noise)
             total = zm + a_entries
-            from gramfield.matgen import FieldMatrix
-            m = FieldMatrix(total)
-            vals_left.append(empirical_stieltjes(gram_spectrum(m), z))
+            vals_left.append(empirical_stieltjes(gram_spectrum(total), z))
             vals_right.append(empirical_stieltjes(
-                gram_spectrum(m.entries.conj().T), z))
+                gram_spectrum(total.conj().T), z))
         assert abs(np.mean(vals_left) - pi.value) < 0.02
         assert abs(np.mean(vals_right) - pit.value) < 0.02
 
@@ -976,8 +978,7 @@ class TestEndToEndRectangular:
     def test_noncentered_pseudodiagonal_esd(self):
         # two-level diagonal added in the Fourier domain; the raw-field
         # Gram ESD follows the non-centered solver's limit
-        from gramfield.matgen import (FieldMatrix, NoiseSpec, build_field,
-                                      sample_noise)
+        from gramfield.matgen import NoiseSpec, build_field, sample_noise
         from gramfield.spectra import (EmpiricalSpectrum,
                                        default_inversion_grid, gram_spectrum,
                                        invert_stieltjes_to_cdf,
@@ -993,8 +994,7 @@ class TestEndToEndRectangular:
         for s in range(20):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=H_TEST.radius)
             z = build_field(H_TEST, noise)
-            m = FieldMatrix(z + a_entries)
-            vals.append(gram_spectrum(m).eigenvalues)
+            vals.append(gram_spectrum(z + a_entries).eigenvalues)
         v = np.sort(np.concatenate(vals))
         e = EmpiricalSpectrum(eigenvalues=v)
         grid = default_inversion_grid(e)

@@ -1,9 +1,11 @@
 """The artifact hash script runs configs that the CLI accepts, one or
 more in every mode, hashes them the same whatever BLAS thread count the
-calling shell sets, and heads its output with the thread count and the
-numpy/BLAS build."""
+calling shell sets, heads its output with the thread count and the
+numpy/BLAS build, and ends it with the hash of a `sweep-alpha` run."""
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +46,22 @@ def test_child_env_pins_blas_threads(tool, monkeypatch):
 def test_header_names_threads_and_numpy_build(tool, monkeypatch, capsys):
     monkeypatch.setattr(tool, "configs", dict)     # no config to run
     assert tool.main([str(ROOT)]) == 0
-    threads, build = capsys.readouterr().out.splitlines()
+    threads, build, _ = capsys.readouterr().out.splitlines()
     assert threads == "threads 1"
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert build == f"numpy {np.__version__} {blas['name']} {blas['version']}"
+
+
+def test_sweep_alpha_line_hashes_the_verb_stdout(tool, monkeypatch, capsys,
+                                                 tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(tool.SWEEP_ALPHA))
+    assert cli.main(["sweep-alpha", str(path)]) == 0
+    expected = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    monkeypatch.setattr(tool, "configs", dict)
+    assert tool.main([str(ROOT)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"sweep-alpha {expected}"
 
 
 @pytest.mark.parametrize("name", ["square_toeplitz", "readme_256"])

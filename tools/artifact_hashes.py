@@ -11,8 +11,11 @@ file it wrote, in name order.  The configs are the four benchmark
 workloads of ``bench/workloads.py`` next to this script, whichever tree
 is hashed, and three that reach the other code paths: ``square_toeplitz``
 with the README's complex ``filter1d``, ``real_case``, and a rectangular
-``noncentered_pseudodiag`` with a complex ``lambda_diag``.  Run it on two
-trees and diff the output.  The configs check bytes, not accuracy.
+``noncentered_pseudodiag`` with a complex ``lambda_diag``.  A last line
+``sweep-alpha <sha256>`` hashes the stdout of ``gramfield sweep-alpha``
+on ``SWEEP_ALPHA`` (the README filter at sizes 8 x 8 and 16 x 16, seeds
+0 and 1).  Run it on two trees and diff the output.  The configs check
+bytes, not accuracy.
 
 The eigenvalues LAPACK returns differ in the last bits between BLAS
 thread counts, so every child runs with the BLAS thread variables set to
@@ -50,6 +53,11 @@ _RUN = ("import sys, gramfield, gramfield.cli\n"
         "if not gramfield.__file__.startswith(sys.argv[1]):\n"
         "    sys.exit(f'imported {gramfield.__file__}, not {sys.argv[1]}')\n"
         "sys.exit(gramfield.cli.main(sys.argv[2:]))\n")
+
+SWEEP_ALPHA = {"filter2d": {"dims": 2, "entries": [[0, 0, 1.0, 0.0],
+                                                   [1, 0, 0.5, 0.0],
+                                                   [0, 1, 0.25, 0.0]]},
+               "sizes": [[8, 8], [16, 16]], "seeds": [0, 1]}
 
 
 def _workloads():
@@ -93,18 +101,25 @@ def header():
             f"numpy {np.__version__} {blas['name']} {blas['version']}"]
 
 
-def artifact_hash(tree, name, doc, workdir):
-    """sha256 over the stdout and the artifacts of one run."""
-    out = workdir / name
+def _gramfield(tree, verb, name, doc, workdir):
+    """The stdout of ``gramfield <verb>`` on ``doc``, run from ``tree``."""
     path = workdir / f"{name}.json"
-    path.write_text(json.dumps(dict(doc, output_dir=str(out))))
+    path.write_text(json.dumps(doc))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN, str(tree / "src") + os.sep, "run",
+        [sys.executable, "-c", _RUN, str(tree / "src") + os.sep, verb,
          str(path)],
         env=child_env(tree), cwd=workdir, capture_output=True, check=False)
     if proc.returncode != 0:
-        sys.exit(f"{name}: gramfield run failed\n{proc.stderr.decode()}")
-    digest = hashlib.sha256(proc.stdout)
+        sys.exit(f"{name}: gramfield {verb} failed\n{proc.stderr.decode()}")
+    return proc.stdout
+
+
+def artifact_hash(tree, name, doc, workdir):
+    """sha256 over the stdout and the artifacts of one run."""
+    out = workdir / name
+    digest = hashlib.sha256(_gramfield(tree, "run", name,
+                                       dict(doc, output_dir=str(out)),
+                                       workdir))
     for artifact in sorted(out.iterdir()):
         digest.update(artifact.name.encode() + b"\0")
         digest.update(artifact.read_bytes())
@@ -122,6 +137,9 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in configs().items():
             print(name, artifact_hash(tree, name, doc, Path(tmp)), flush=True)
+        stdout = _gramfield(tree, "sweep-alpha", "sweep-alpha", SWEEP_ALPHA,
+                            Path(tmp))
+        print("sweep-alpha", hashlib.sha256(stdout).hexdigest(), flush=True)
     return 0
 
 
