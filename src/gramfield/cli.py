@@ -220,9 +220,8 @@ def _deterministic_part(cfg):
         return matgen.build_toeplitz(cfg.filter1d, cfg.n)
     if cfg.mode == "noncentered_pseudodiag":
         lam = matgen.build_pseudo_diagonal(cfg.lambda_diag, cfg.N, cfg.n)
-        return transforms.congruence(
-            transforms.fourier_matrix(cfg.N).conj().T, lam,
-            transforms.fourier_matrix(cfg.n).conj().T)
+        return (transforms.fourier_matrix(cfg.N).conj().T @ lam
+                @ transforms.fourier_matrix(cfg.n))
     return None
 
 

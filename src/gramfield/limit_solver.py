@@ -457,6 +457,7 @@ def _centered_map(P, c):
 def solve_centered_many(profile, c, z_values, cfg=SolverConfig()):
     """Centered-case kernels, one per point of ``z_values``; a point
     that did not converge has ``converged=False``."""
+    c = _number(c, "c")
     if not 0 < c <= 1:
         raise ValueError("aspect ratio c must lie in (0, 1]")
     z = _check_z(z_values)
@@ -530,6 +531,7 @@ def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
     (u, l) -> (c u, l) plus a ``cfg.grid_size``-node midpoint grid on
     [c, 1] x {0} carrying the (1 - c) term, empty when c == 1.
     """
+    c = _number(c, "c")
     if not 0 < c <= 1:
         raise ValueError("aspect ratio c must lie in (0, 1]")
     z = _check_z(z_values)

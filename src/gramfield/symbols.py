@@ -6,8 +6,7 @@ h(k1, k2) or the 1-d sequence a(j).  One class, generic in ``dims``,
 covers both (``FilterSequence2D`` and ``FilterSequence1D`` fix ``dims``),
 and a filter evaluates its own symbol (``symbol``, one argument per
 dimension) and variance profile |symbol|^2 (``profile``).  Everything
-derived from a filter here is an exact finite sum: the absolute
-coefficient sum, the autocovariance
+derived from a filter here is an exact finite sum: the autocovariance
 
     C(j) = sum_k h(k) * conj(h(k - j)),
 
@@ -32,7 +31,6 @@ __all__ = [
     "FilterSequence",
     "FilterSequence2D",
     "FilterSequence1D",
-    "filter_to_json_dict",
     "filter_from_json_dict",
 ]
 
@@ -57,39 +55,39 @@ class FilterSequence:
     """Sparse complex sequence h(k) on Z^dims with finite support.
 
     ``coeffs`` maps index -> complex coefficient; an index is a
-    ``dims``-tuple of integers (a bare integer when ``dims`` is 1).
-    Support points are distinct by construction; an empty mapping
-    represents h == 0.  Coefficients must be finite.
+    ``dims``-tuple of integers (a bare integer when ``dims`` is 1), given
+    once, and a coefficient a finite number that is not a boolean.  The
+    filter is one read-only table: the sorted support points ``_k``
+    (int64, one row each) and their coefficients ``_c``; an empty mapping
+    represents h == 0.
     """
 
     def __init__(self, coeffs, dims):
         if dims not in (1, 2):
             raise ValueError(f"unsupported filter dims: {dims!r}")
-        items = sorted(((_index(key, dims), complex(c))
-                        for key, c in coeffs.items()), key=lambda kc: kc[0])
-        for key, c in items:
-            if not np.isfinite(c):
-                raise ValueError(f"coefficient {c} at {key} is not finite")
+        items = sorted(((_index(key, dims), c) for key, c in coeffs.items()),
+                       key=lambda kc: kc[0])
+        for i, (key, c) in enumerate(items):
+            if not isinstance(c, numbers.Number) or isinstance(c, bool):
+                raise ValueError(f"coefficient {c!r} at tap {key} is not "
+                                 "a number")
+            if not np.isfinite(complex(c)):
+                raise ValueError(f"coefficient {c} at tap {key} is not "
+                                 "finite")
+            if i and key == items[i - 1][0]:
+                raise ValueError(f"tap {key} is given twice")
         self.dims = dims
         self._k = np.array([k for k, _ in items],
                            dtype=np.int64).reshape(len(items), dims)
-        self._c = np.array([c for _, c in items], dtype=np.complex128)
-        self._map = dict(items)
+        self._c = np.array([complex(c) for _, c in items],
+                           dtype=np.complex128)
+        self._k.flags.writeable = self._c.flags.writeable = False
 
     @property
     def support(self):
         """Sorted support points: ints in 1-d, tuples otherwise."""
-        keys = list(self._map)
-        return [k for (k,) in keys] if self.dims == 1 else keys
-
-    @property
-    def coefficients(self):
-        return self._c.copy()
-
-    @property
-    def coeff_abs_sum(self):
-        """Sum of |h(k)| over the support (the sup bound for the symbol)."""
-        return float(np.abs(self._c).sum())
+        ks = self._k.tolist()
+        return [k for (k,) in ks] if self.dims == 1 else list(map(tuple, ks))
 
     @property
     def is_real(self):
@@ -101,11 +99,9 @@ class FilterSequence:
         """Largest absolute index appearing in the support, 0 if empty."""
         return int(np.abs(self._k).max(initial=0))
 
-    def __len__(self):
-        return len(self._c)
-
     def __getitem__(self, key):
-        return self._map.get(_index(key, self.dims), 0.0 + 0.0j)
+        hit = np.flatnonzero((self._k == _index(key, self.dims)).all(axis=1))
+        return complex(self._c[hit[0]]) if len(hit) else 0.0 + 0.0j
 
     def covariance(self, *j):
         """Autocovariance C(j) = sum_k h(k) conj(h(k - j)).
@@ -113,22 +109,23 @@ class FilterSequence:
         C(0) equals sum |h|^2 and C(-j) == conj(C(j)).
         """
         j = _index(j, self.dims)
-        total = 0.0 + 0.0j
-        for k, c in self._map.items():
-            shifted = tuple(a - b for a, b in zip(k, j))
-            total += c * np.conj(self._map.get(shifted, 0.0))
-        return complex(total)
+        ks = self._k.tolist()
+        return complex(sum(
+            self._c[a] * np.conj(self._c[b])
+            for a, k in enumerate(ks) for b, l in enumerate(ks)
+            if all(x - y == z for x, y, z in zip(k, j, l))))
 
     def arrays(self):
-        """One index array per dimension, then the coefficients, sorted."""
+        """One index array per dimension, then the coefficients, sorted
+        (read-only views of the table)."""
         return (*self._k.T, self._c)
 
     def symbol(self, *t):
         """Phi(t1, t2) in 2-d, psi(t) in 1-d: one argument per dimension.
 
         Broadcasts over numpy arrays and returns a complex for scalar
-        arguments.  |symbol| is at most ``coeff_abs_sum``, and the
-        symbol is 1-periodic in each argument.
+        arguments.  |symbol| is at most sum_k |h(k)|, and the symbol is
+        1-periodic in each argument.
         """
         if len(t) != self.dims:
             raise TypeError(f"a {self.dims}-d symbol takes "
@@ -146,8 +143,7 @@ class FilterSequence:
 
     def profile(self, *t):
         """Variance profile |symbol(t)|^2."""
-        val = self.symbol(*t)
-        return np.abs(val) ** 2 if isinstance(val, np.ndarray) else abs(val) ** 2
+        return np.abs(self.symbol(*t)) ** 2
 
 
 class FilterSequence2D(FilterSequence):
@@ -162,19 +158,6 @@ class FilterSequence1D(FilterSequence):
 
     def __init__(self, coeffs):
         super().__init__(coeffs, dims=1)
-
-
-def filter_to_json_dict(filt):
-    """JSON document for a filter: {"dims": d, "entries": [...]}.
-
-    Each entry is [*k, re, im]: [k1, k2, re, im] in 2-d, [j, re, im] in
-    1-d.  Round-trips exactly (floats are serialized via repr).
-    """
-    if not isinstance(filt, FilterSequence):
-        raise TypeError(f"not a filter sequence: {type(filt)!r}")
-    entries = [[*k, float(c.real), float(c.imag)]
-               for k, c in zip(filt._k.tolist(), filt._c)]
-    return {"dims": filt.dims, "entries": entries}
 
 
 def _list(value, name):
@@ -237,7 +220,8 @@ def _complex_row(row, length, name, what):
 
 
 def filter_from_json_dict(doc):
-    """Filter from its JSON document (``filter_to_json_dict``'s format).
+    """Filter from its JSON document {"dims": d, "entries": [...]}, each
+    entry [*k, re, im]: [k1, k2, re, im] in 2-d, [j, re, im] in 1-d.
 
     Raises ValueError when the document is not an object holding exactly
     ``dims`` and ``entries`` or its entries not a list, and names the

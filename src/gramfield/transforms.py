@@ -30,7 +30,6 @@ from .symbols import _integer
 __all__ = [
     "fourier_matrix",
     "real_orthogonal_matrix",
-    "congruence",
     "variance_profile_grid",
     "symmetrized_variance_grid",
 ]
@@ -61,23 +60,6 @@ def real_orthogonal_matrix(p):
     if p % 2 == 0:
         q[p - 1, :] = (-1.0) ** j2 / np.sqrt(p)
     return q
-
-
-def congruence(t_left, mat, t_right):
-    """T_left @ M @ T_right^adjoint (transpose when T_right is real).
-
-    ``mat`` is any N x n array, and the transforms are square arrays
-    matching its rows and columns.  Returns a plain array.
-    Gram spectra of the input and output coincide because both factors
-    are unitary.
-    """
-    t_left, mat, t_right = (np.asarray(a) for a in (t_left, mat, t_right))
-    rows, cols = mat.shape
-    if t_left.shape != (rows, rows) or t_right.shape != (cols, cols):
-        raise ValueError(
-            f"transform shapes {t_left.shape} and {t_right.shape} do not "
-            f"match matrix shape {mat.shape}")
-    return t_left @ mat @ t_right.conj().T
 
 
 def variance_profile_grid(h, N, n):

@@ -1042,3 +1042,19 @@ def test_write_solver_csv_golden_text(tmp_path):
         "4.9406564584124654e-324,1.0000000000000001e+300,42\n"
         "1.0000000000000001e+300,0.10000000000000001,0,"
         "0.33333333333333331,4.9406564584124654e-324,100000\n")
+
+
+@pytest.mark.parametrize("solve", [
+    lambda c: solve_centered_many(ONES, c, [1j]),
+    lambda c: solve_noncentered_many(ONES, c, measure_from_lambda(np.ones(4)),
+                                     [1j])],
+    ids=["centered", "noncentered"])
+def test_aspect_ratio_is_a_number(solve):
+    # c = True used to solve as c = 1, and c = "1" raised a bare TypeError
+    for bad in (True, "1"):
+        with pytest.raises(ValueError, match=r"^c must be a number, got "):
+            solve(bad)
+    (np_result,), (result,) = converged(solve(np.float64(0.5))), solve(0.5)
+    if isinstance(result, tuple):
+        np_result, result = np_result[0], result[0]
+    assert np_result.value == result.value
