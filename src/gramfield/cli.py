@@ -29,9 +29,10 @@ from . import matgen, spectra, transforms
 from .limit_solver import (SolverConfig, measure_from_lambda,
                            measure_from_profile, solve_centered_many,
                            solve_noncentered_many, write_solver_csv)
-from .spectra import (EmpiricalSpectrum, bai_bound, default_inversion_grid,
-                      invert_stieltjes_to_cdf, kolmogorov_distance,
-                      levy_distance, read_cdf_csv, write_cdf_csv)
+from .spectra import (DistributionFunction, bai_bound,
+                      default_inversion_grid, invert_stieltjes_to_cdf,
+                      kolmogorov_distance, levy_distance, read_cdf_csv,
+                      write_cdf_csv)
 from .symbols import (_complex_row, _integer, _list, _positive,
                       filter_from_json_dict)
 
@@ -296,13 +297,11 @@ def run_experiment(cfg: ExperimentConfig):
 
     for res in results:
         np.savetxt(out / f"eigenvalues_seed{res['seed']}.csv",
-                   res["spectrum"].eigenvalues, fmt="%.17g",
-                   header="eigenvalue", comments="")
+                   res["spectrum"], fmt="%.17g", header="eigenvalue",
+                   comments="")
 
-    pooled_vals = np.sort(np.concatenate(
-        [res["spectrum"].eigenvalues for res in results]))
-    pooled = EmpiricalSpectrum(eigenvalues=pooled_vals)
-    pooled_ecdf = pooled.ecdf()
+    pooled_ecdf = DistributionFunction.ecdf(
+        np.concatenate([res["spectrum"] for res in results]))
     write_cdf_csv(pooled_ecdf, out / "pooled_ecdf.csv")
 
     nonconverged = 0
@@ -312,7 +311,7 @@ def run_experiment(cfg: ExperimentConfig):
         write_solver_csv(kernels, out / "stieltjes.csv")
 
     inv = cfg.inversion
-    grid = default_inversion_grid(pooled, step=inv.step, pad=inv.pad)
+    grid = default_inversion_grid(pooled_ecdf, step=inv.step, pad=inv.pad)
     sweep = _solve_batch(cfg, grid + 1j * inv.eta)
     nonconverged += sum(not k.converged for k in sweep)
     f_values = np.array([k.value for k in sweep])

@@ -139,17 +139,15 @@ class StieltjesKernel:
     """Discretized complex measure pi_z: weights on support points.
 
     ``nodes`` holds the primary coordinate of each support point (a
-    quadrature node in [0, 1] or an atom's u-coordinate); ``lambdas``
-    holds the second coordinate where the measure lives on
-    [0, 1] x R+.  ``weights[k]`` is the complex measure of point k, so
-    integration of g is sum g(node_k) * weights[k] and the transform
-    value f(z) is the plain weight sum.
+    quadrature node in [0, 1] or an atom's u-coordinate).  ``weights[k]``
+    is the complex measure of point k, so integration of g is
+    sum g(node_k) * weights[k] and the transform value f(z) is the plain
+    weight sum.
     """
 
     z: complex
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    lambdas: np.ndarray | None = field(default=None, repr=False)
     residual: float = 0.0
     iterations: int = 0
     converged: bool = True
@@ -414,13 +412,13 @@ def _newton(z, cfg, state, fmap):
     return iterations
 
 
-def _kernels(z, stats, nodes, weights, lambdas=None):
+def _kernels(z, stats, nodes, weights):
     """One StieltjesKernel per z: row i of ``weights`` with the
     (residual, iterations, converged) of ``_iterate`` at z[i]."""
     resid, iters, conv = stats
     return [StieltjesKernel(z=complex(z[i]), nodes=nodes, weights=weights[i],
-                            lambdas=lambdas, residual=float(resid[i]),
-                            iterations=int(iters[i]), converged=bool(conv[i]))
+                            residual=float(resid[i]), iterations=int(iters[i]),
+                            converged=bool(conv[i]))
             for i in range(len(z))]
 
 
@@ -551,8 +549,7 @@ def solve_noncentered_many(profile, c, H: AtomicMeasureH, z_values,
     wt = minus_inv_z * tilde_w
     stats = _iterate(z, cfg, (w, wt), _noncentered_map(P, c, hw, hl, tilde_w))
     return list(zip(
-        _kernels(z, stats, hu, w, hl),
-        _kernels(z, stats, tilde_u, wt, np.concatenate([hl, np.zeros(R)]))))
+        _kernels(z, stats, hu, w), _kernels(z, stats, tilde_u, wt)))
 
 
 def write_solver_csv(kernels, path):

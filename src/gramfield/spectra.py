@@ -1,10 +1,10 @@
 """Gram spectra, distribution functions, distances, and Stieltjes tools.
 
-An empirical spectrum is the sorted nonnegative eigenvalue list of a
-Gram matrix MM* (pass M* for M*M); it induces a right-continuous step
-ECDF.  Distribution functions may also be tabulated (a monotone
-grid of (x, F(x)) pairs, with repeated x values encoding jumps), which
-is how inverted limiting distributions are stored.
+A Gram spectrum is the ascending eigenvalue array of MM* (pass M* for
+M*M).  Every distribution function is one table, a monotone grid of
+(x, F(x)) pairs with repeated x values encoding jumps: the
+right-continuous step ECDF of a sample (``DistributionFunction.ecdf``)
+and an inverted limiting distribution alike.
 
 Two distances are provided.  The Kolmogorov distance is sup |F - G|
 over the merged breakpoints.  The Levy distance
@@ -25,14 +25,11 @@ piecewise-linear tables alike, up to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .symbols import _positive
 
 __all__ = [
-    "EmpiricalSpectrum",
     "DistributionFunction",
     "gram_spectrum",
     "levy_distance",
@@ -49,33 +46,9 @@ __all__ = [
 _CLIP = 1e-9  # relative floor below which small negative eigenvalues are zeroed
 
 
-@dataclass(frozen=True)
-class EmpiricalSpectrum:
-    """Sorted, finite, nonnegative eigenvalues of a Gram matrix."""
-
-    eigenvalues: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("eigenvalues must be finite")
-        if np.any(np.diff(vals) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
-        if np.any(vals < 0):
-            raise ValueError("eigenvalues must be nonnegative")
-        object.__setattr__(self, "eigenvalues", vals)
-
-    def ecdf(self):
-        # duplicate-x pairs encode each jump exactly
-        n = len(self.eigenvalues)
-        fs = np.empty(2 * n)
-        fs[0::2] = np.arange(0, n) / n
-        fs[1::2] = np.arange(1, n + 1) / n
-        return DistributionFunction(np.repeat(self.eigenvalues, 2), fs)
-
-
 def gram_spectrum(mat):
-    """Eigenvalues of MM*; ``gram_spectrum(M.conj().T)`` gives those of M*M.
+    """Ascending eigenvalues of MM* as a float array;
+    ``gram_spectrum(M.conj().T)`` gives those of M*M.
 
     The Gram product is formed explicitly and fed to a self-adjoint
     eigensolver; roundoff negatives down to -1e-9 * max|eig| are clipped
@@ -97,11 +70,11 @@ def gram_spectrum(mat):
             f"Gram eigenvalue {vals.min():.3e} below clipping floor "
             f"{-_CLIP * scale:.3e}")
     # eigvalsh returns ascending values, and clipping keeps their order
-    return EmpiricalSpectrum(eigenvalues=np.clip(vals, 0.0, None))
+    return np.clip(vals, 0.0, None)
 
 
 class DistributionFunction:
-    """Right-continuous CDF, either an ECDF step or a tabulated monotone grid.
+    """Right-continuous CDF tabulated on a monotone grid.
 
     Tabulated grids are piecewise linear between distinct abscissae;
     repeated x values encode jumps.  Left of the table the value is 0,
@@ -122,6 +95,17 @@ class DistributionFunction:
         self.xs = xs
         self.fs = np.clip(fs, 0.0, 1.0)
 
+    @classmethod
+    def ecdf(cls, sample):
+        """The step ECDF of a finite sample, in any order: each sorted
+        value appears twice, at the heights before and after its jump."""
+        xs = np.sort(np.asarray(sample, dtype=np.float64), axis=None)
+        n = len(xs)
+        fs = np.empty(2 * n)
+        fs[0::2] = np.arange(0, n) / n
+        fs[1::2] = np.arange(1, n + 1) / n
+        return cls(np.repeat(xs, 2), fs)
+
     def eval(self, x):
         """Right-continuous evaluation F(x)."""
         return np.interp(x, self.xs, self.fs, left=0.0)
@@ -136,22 +120,9 @@ class DistributionFunction:
         fs = np.concatenate([[0.0], self.fs])
         return np.interp(-np.asarray(x, dtype=np.float64), -xs[::-1], fs[::-1])
 
-    @property
-    def total_mass(self):
-        return float(self.fs[-1])
 
-
-def _as_cdf(obj):
-    if isinstance(obj, DistributionFunction):
-        return obj
-    if isinstance(obj, EmpiricalSpectrum):
-        return obj.ecdf()
-    raise TypeError(f"not a distribution: {type(obj)!r}")
-
-
-def kolmogorov_distance(f, g):
+def kolmogorov_distance(F, G):
     """sup_x |F(x) - G(x)| over the merged breakpoints (both limits)."""
-    F, G = _as_cdf(f), _as_cdf(g)
     pts = np.union1d(F.xs, G.xs)
     d_right = np.abs(F.eval(pts) - G.eval(pts))
     d_left = np.abs(F.eval_left(pts) - G.eval_left(pts))
@@ -168,20 +139,23 @@ def _rotated_graph(F):
     return s, np.concatenate([[0.0], F.fs])
 
 
-def levy_distance(f, g):
+def levy_distance(F, G):
     """Levy distance: the largest gap between the two completed graphs
     along the lines x + y = s, taken over the merged breakpoints."""
-    (sf, yf), (sg, yg) = _rotated_graph(_as_cdf(f)), _rotated_graph(_as_cdf(g))
+    (sf, yf), (sg, yg) = _rotated_graph(F), _rotated_graph(G)
     s = np.concatenate([sf, sg])
     return float(np.abs(np.interp(s, sf, yf) - np.interp(s, sg, yg)).max())
 
 
-def empirical_stieltjes(spectrum: EmpiricalSpectrum, z):
+def empirical_stieltjes(eigenvalues, z):
     """f(z) = (1/N) sum 1/(lambda_i - z) for Im z > 0."""
     z = complex(z)
     if not (np.isfinite(z) and z.imag > 0):
         raise ValueError(f"z must be finite with Im z > 0, got {z}")
-    return complex(np.mean(1.0 / (spectrum.eigenvalues - z)))
+    vals = np.asarray(eigenvalues, dtype=np.float64)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("eigenvalues must be finite")
+    return complex(np.mean(1.0 / (vals - z)))
 
 
 def bai_bound(a, b):
@@ -195,7 +169,8 @@ def bai_bound(a, b):
     if ae.shape != be.shape:
         raise ValueError(f"shape mismatch: {ae.shape} vs {be.shape}")
     N = ae.shape[0]
-    lhs = levy_distance(gram_spectrum(ae), gram_spectrum(be)) ** 4
+    lhs = levy_distance(DistributionFunction.ecdf(gram_spectrum(ae)),
+                        DistributionFunction.ecdf(gram_spectrum(be))) ** 4
     diff = float(np.sum(np.abs(ae - be) ** 2))
     total = float(np.sum(np.abs(ae) ** 2) + np.sum(np.abs(be) ** 2))
     rhs = 2.0 / N ** 2 * diff * total
@@ -255,12 +230,13 @@ def invert_stieltjes_to_cdf(f, grid, eta=1e-3):
     return DistributionFunction(grid, cdf)
 
 
-def default_inversion_grid(spectrum: EmpiricalSpectrum, step=1e-3, pad=1.0):
-    """Inversion grid covering [min eig - pad, max eig + pad] at ``step``."""
+def default_inversion_grid(F: DistributionFunction, step=1e-3, pad=1.0):
+    """Inversion grid covering F's table [x_0 - pad, x_last + pad] at
+    ``step`` (for an ECDF: the sample's min and max)."""
     step = _positive(step, "step")
     pad = _positive(pad, "pad", zero=True)
-    lo = float(spectrum.eigenvalues.min()) - pad
-    hi = float(spectrum.eigenvalues.max()) + pad
+    lo = float(F.xs[0]) - pad
+    hi = float(F.xs[-1]) + pad
     return lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
 
 

@@ -56,22 +56,28 @@ class FilterSequence:
 
     ``coeffs`` maps index -> complex coefficient; an index is a
     ``dims``-tuple of integers (a bare integer when ``dims`` is 1), given
-    once, and a coefficient a finite number that is not a boolean.  The
+    once, and a coefficient a finite number that is not a boolean;
+    ``dims``, 1 or 2, is read by ``_integer``'s rule.  The
     filter is one read-only table: the sorted support points ``_k``
     (int64, one row each) and their coefficients ``_c``; an empty mapping
     represents h == 0.
     """
 
     def __init__(self, coeffs, dims):
-        if dims not in (1, 2):
-            raise ValueError(f"unsupported filter dims: {dims!r}")
+        dims = _dims(dims)
         items = sorted(((_index(key, dims), c) for key, c in coeffs.items()),
                        key=lambda kc: kc[0])
+        values = []
         for i, (key, c) in enumerate(items):
             if not isinstance(c, numbers.Number) or isinstance(c, bool):
                 raise ValueError(f"coefficient {c!r} at tap {key} is not "
                                  "a number")
-            if not np.isfinite(complex(c)):
+            try:
+                values.append(complex(c))
+            except OverflowError:
+                raise ValueError(f"coefficient at tap {key} is an integer "
+                                 "too large for a float") from None
+            if not np.isfinite(values[-1]):
                 raise ValueError(f"coefficient {c} at tap {key} is not "
                                  "finite")
             if i and key == items[i - 1][0]:
@@ -79,8 +85,7 @@ class FilterSequence:
         self.dims = dims
         self._k = np.array([k for k, _ in items],
                            dtype=np.int64).reshape(len(items), dims)
-        self._c = np.array([complex(c) for _, c in items],
-                           dtype=np.complex128)
+        self._c = np.array(values, dtype=np.complex128)
         self._k.flags.writeable = self._c.flags.writeable = False
 
     @property
@@ -199,6 +204,14 @@ def _integer(value, name, minimum=None):
     return value
 
 
+def _dims(value):
+    """A filter's ``dims`` as an int (``_integer``'s rule), 1 or 2."""
+    dims = _integer(value, "filter dims")
+    if dims not in (1, 2):
+        raise ValueError(f"unsupported filter dims: {dims!r}")
+    return dims
+
+
 def _positive(value, name, zero=False):
     """``_number(value, name)``; raises a ValueError naming ``name``
     unless it is finite and positive (nonnegative when ``zero``)."""
@@ -235,9 +248,7 @@ def filter_from_json_dict(doc):
     if set(doc) != {"dims", "entries"}:
         raise ValueError("filter document must hold exactly 'dims' and "
                          f"'entries', got keys {list(doc)}")
-    dims = doc["dims"]
-    if dims not in (1, 2):
-        raise ValueError(f"unsupported filter dims: {dims!r}")
+    dims = _dims(doc["dims"])
     what = f"[{', '.join(['k'] * dims)}, re, im] of numbers"
     coeffs = {}
     for i, e in enumerate(_list(doc["entries"], "filter entries")):

@@ -44,16 +44,15 @@ def report(num, name, ok, detail=""):
     print(f"[ACCEPTANCE {num}] {name}: {'PASS' if ok else 'FAIL'}  {detail}")
 
 
-def pooled_spectrum(h, N, n, seeds, *, real=False, extra=None):
+def pooled_ecdf(h, N, n, seeds, *, real=False, extra=None):
     dist = "real_standard" if real else "complex_standard"
     vals = []
     for s in seeds:
         noise = gf.sample_noise(N, n, gf.NoiseSpec(dist, s), margin=h.radius)
         z = gf.build_field(h, noise)
         m = z if extra is None else np.asarray(z) + extra
-        vals.append(gf.gram_spectrum(m).eigenvalues)
-    v = np.sort(np.concatenate(vals))
-    return gf.EmpiricalSpectrum(eigenvalues=v)
+        vals.append(gf.gram_spectrum(m))
+    return gf.DistributionFunction.ecdf(np.concatenate(vals))
 
 
 # The kernel-producing steps of criteria 1, 2, 5, 6 and 7.  Each runs
@@ -76,7 +75,7 @@ def centered_sweep():
     """Pooled 256^2 spectrum, its inversion grid, the solver sweep over
     it, and the runtime of the three."""
     t0 = time.monotonic()
-    e256 = pooled_spectrum(H2, 256, 256, SEEDS)
+    e256 = pooled_ecdf(H2, 256, 256, SEEDS)
     grid = gf.default_inversion_grid(e256)
     kernels = gf.solve_centered_many(H2.profile, 1.0, grid + 1e-3j, SWEEP_CFG)
     return e256, grid, kernels, time.monotonic() - t0
@@ -86,8 +85,8 @@ def centered_sweep():
 def square_sweep():
     """Pooled spectrum of field plus Toeplitz(A1) at n = 256, its grid,
     and the (f, f_tilde) sweep over it."""
-    pooled = pooled_spectrum(H2, 256, 256, SEEDS,
-                             extra=gf.build_toeplitz(A1, 256))
+    pooled = pooled_ecdf(H2, 256, 256, SEEDS,
+                         extra=gf.build_toeplitz(A1, 256))
     grid = gf.default_inversion_grid(pooled)
     # the Toeplitz part is the pseudo-diagonal model at c = 1, diagonal psi
     H_sym = gf.measure_from_profile(A1.profile, SWEEP_CFG.grid_size)
@@ -129,7 +128,7 @@ def square_symbol_solves():
 @functools.cache
 def real_sweep():
     """Pooled real-noise 256^2 spectrum, its grid, and the |Phi|^2 sweep."""
-    pooled = pooled_spectrum(H2, 256, 256, SEEDS, real=True)
+    pooled = pooled_ecdf(H2, 256, 256, SEEDS, real=True)
     grid = gf.default_inversion_grid(pooled)
     kernels = gf.solve_centered_many(H2.profile, 1.0,
                                      grid + 1e-3j, SWEEP_CFG)
@@ -170,11 +169,11 @@ def test_criterion_1_marchenko_pastur_oracle():
 def test_criterion_2_centered_end_to_end():
     e256, grid, kernels, sweep_s = centered_sweep()
     t0 = time.monotonic()
-    e128 = pooled_spectrum(H2, 128, 128, SEEDS)
+    e128 = pooled_ecdf(H2, 128, 128, SEEDS)
     f_vals = np.array([k.value for k in kernels])
     limit = gf.invert_stieltjes_to_cdf(f_vals, grid, eta=1e-3)
-    k256 = gf.kolmogorov_distance(e256.ecdf(), limit)
-    k128 = gf.kolmogorov_distance(e128.ecdf(), limit)
+    k256 = gf.kolmogorov_distance(e256, limit)
+    k128 = gf.kolmogorov_distance(e128, limit)
     elapsed = sweep_s + time.monotonic() - t0
     ok = k256 < 0.05 and k128 > k256 and elapsed < 120.0
     report(2, "centered end-to-end", ok,
@@ -192,8 +191,8 @@ def test_criterion_3_fourier_congruence():
                             margin=H2.radius)
     zt = gf.build_periodized_field(H2, noise)
     y = F_N @ zt @ F_n.conj().T
-    s_direct = gf.gram_spectrum(zt).eigenvalues
-    s_conj = gf.gram_spectrum(y).eigenvalues
+    s_direct = gf.gram_spectrum(zt)
+    s_conj = gf.gram_spectrum(y)
     spec_gap = np.abs(s_direct - s_conj).max()
     spec_ok = spec_gap <= 1e-9 * max(1.0, s_direct.max())
 
@@ -279,7 +278,7 @@ def test_criterion_5_square_toeplitz_pipeline():
     pooled, grid, pairs = square_sweep()
     f_vals = np.array([p[0].value for p in pairs])
     limit = gf.invert_stieltjes_to_cdf(f_vals, grid, eta=1e-3)
-    K = gf.kolmogorov_distance(pooled.ecdf(), limit)
+    K = gf.kolmogorov_distance(pooled, limit)
     esd_ok = K < 0.06
 
     ok = gap_ok and diag_ok and esd_ok
@@ -361,7 +360,7 @@ def test_criterion_7_real_case_block_covariance_and_esd():
     pooled, grid, kernels = real_sweep()
     f_vals = np.array([k.value for k in kernels])
     limit = gf.invert_stieltjes_to_cdf(f_vals, grid, eta=1e-3)
-    K = gf.kolmogorov_distance(pooled.ecdf(), limit)
+    K = gf.kolmogorov_distance(pooled, limit)
     esd_ok = K < 0.02
 
     ok = block_ok and esd_ok

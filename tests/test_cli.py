@@ -8,7 +8,8 @@ from gramfield.limit_solver import (SolverConfig, measure_from_lambda,
                                     measure_from_profile,
                                     solve_noncentered_many)
 from gramfield.matgen import circulant_eigenvalues
-from gramfield.spectra import EmpiricalSpectrum, read_cdf_csv, write_cdf_csv
+from gramfield.spectra import (DistributionFunction, read_cdf_csv,
+                               write_cdf_csv)
 
 
 def base_config(tmp_path, **overrides):
@@ -157,8 +158,7 @@ class TestRun:
         zs = np.array([1j, 1 + 1j, 2 + 0.5j])
         det = cli._deterministic_part(cfg)
         f = np.array([np.mean(1 / (cli._simulate_seed(cfg, det, s)[
-            "spectrum"].eigenvalues[:, None] - zs), axis=0)
-            for s in cfg.seeds])
+            "spectrum"][:, None] - zs), axis=0) for s in cfg.seeds])
         mc = f.mean(axis=0)
         se = np.sqrt(np.sum(np.abs(f - mc) ** 2, axis=0) / (len(f) - 1)
                      / len(f))
@@ -431,6 +431,8 @@ class TestConfigValidation:
           "filter1d": {"dims": 1, "entries": [[0, 1.0, 10 ** 400]]}},
          r"^filter1d: filter entries\[0\] holds an integer too large for a "
          "float$"),
+        ({"filter2d": {"dims": True, "entries": [[0, 1.0, 0.0]]}},
+         "^filter2d: filter dims must be an integer, got True$"),
         ({"N": 0}, "^N must be at least 1, got 0$"),
         ({"solver": {"tolerance": -1}},
          r"^solver tolerance must be finite and positive, got -1.0$")],
@@ -444,7 +446,7 @@ class TestConfigValidation:
              "lambda_diag_square", "lambda_diag_null",
              "square_without_filter1d", "noncentered_without_lambda_diag",
              "filter_entires", "filter2d_null", "filter1d_bad_tap",
-             "filter1d_huge_coefficient", "N_zero",
+             "filter1d_huge_coefficient", "filter2d_bool_dims", "N_zero",
              "solver_tolerance_negative"])
     def test_bad_config_fails_before_output_dir(self, tmp_path, override,
                                                message):
@@ -454,7 +456,8 @@ class TestConfigValidation:
         # (output_dir 5) a TypeError inside run_experiment; an unknown key,
         # a key the mode does not read (null too) and a misspelt filter
         # key used to be dropped: "entires" loaded as h = 0; a filter
-        # document's errors did not say which key holds it
+        # document's errors did not say which key holds it, and "dims":
+        # true loaded a 1-d filter
         doc = override
         if isinstance(override, dict):
             doc = {key: value for key, value in
@@ -585,7 +588,7 @@ class TestCompare:
     def test_file_vs_itself(self, tmp_path):
         vals = np.array([0.1, 0.5, 0.9])
         path = tmp_path / "f.csv"
-        write_cdf_csv(EmpiricalSpectrum(eigenvalues=vals).ecdf(), path)
+        write_cdf_csv(DistributionFunction.ecdf(vals), path)
         levy, kolmogorov = cli.compare_distributions(path, path)
         assert levy == 0.0
         assert kolmogorov == 0.0
@@ -593,8 +596,8 @@ class TestCompare:
     def test_delta_masses(self, tmp_path):
         p0 = tmp_path / "d0.csv"
         p3 = tmp_path / "d3.csv"
-        write_cdf_csv(EmpiricalSpectrum(np.array([0.0])).ecdf(), p0)
-        write_cdf_csv(EmpiricalSpectrum(np.array([0.3])).ecdf(), p3)
+        write_cdf_csv(DistributionFunction.ecdf([0.0]), p0)
+        write_cdf_csv(DistributionFunction.ecdf([0.3]), p3)
         levy, kolmogorov = cli.compare_distributions(p0, p3)
         assert levy == pytest.approx(0.3, abs=1e-8)
         assert kolmogorov == 1.0

@@ -726,7 +726,6 @@ class TestNonCentered:
         assert len(pit.nodes) == 1 + 16
         assert pit.nodes[0] == pytest.approx(c * 0.5)
         assert np.all(pit.nodes[1:] >= c)
-        assert np.all(pit.lambdas[1:] == 0)
         # c = 1 leaves no tail component
         (_, pit1), = converged(solve_noncentered_many(ONES, 1.0, H, [1j],
                                                       cfg))
@@ -951,7 +950,7 @@ class TestEndToEndRectangular:
         # c = 1/2: pooled ESD against the solved limit, plus a wrong-c
         # control showing the comparison has discriminating power
         from gramfield.matgen import NoiseSpec, build_field, sample_noise
-        from gramfield.spectra import (EmpiricalSpectrum,
+        from gramfield.spectra import (DistributionFunction,
                                        default_inversion_grid,
                                        invert_stieltjes_to_cdf,
                                        kolmogorov_distance)
@@ -961,25 +960,24 @@ class TestEndToEndRectangular:
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=H_TEST.radius)
             z = build_field(H_TEST, noise)
             from gramfield.spectra import gram_spectrum
-            vals.append(gram_spectrum(z).eigenvalues)
-        v = np.sort(np.concatenate(vals))
-        e = EmpiricalSpectrum(eigenvalues=v)
+            vals.append(gram_spectrum(z))
+        e = DistributionFunction.ecdf(np.concatenate(vals))
         grid = default_inversion_grid(e)
         cfg = SolverConfig(tolerance=1e-7, max_iterations=100000, damping=0.5)
         ks = solve_centered_many(H_TEST.profile, N / n, grid + 1e-3j, cfg)
         lim = invert_stieltjes_to_cdf(
             np.array([k.value for k in ks]), grid, 1e-3)
-        assert kolmogorov_distance(e.ecdf(), lim) < 0.02
+        assert kolmogorov_distance(e, lim) < 0.02
         ks_bad = solve_centered_many(H_TEST.profile, 1.0, grid + 1e-3j, cfg)
         lim_bad = invert_stieltjes_to_cdf(
             np.array([k.value for k in ks_bad]), grid, 1e-3)
-        assert kolmogorov_distance(e.ecdf(), lim_bad) > 0.1
+        assert kolmogorov_distance(e, lim_bad) > 0.1
 
     def test_noncentered_pseudodiagonal_esd(self):
         # two-level diagonal added in the Fourier domain; the raw-field
         # Gram ESD follows the non-centered solver's limit
         from gramfield.matgen import NoiseSpec, build_field, sample_noise
-        from gramfield.spectra import (EmpiricalSpectrum,
+        from gramfield.spectra import (DistributionFunction,
                                        default_inversion_grid, gram_spectrum,
                                        invert_stieltjes_to_cdf,
                                        kolmogorov_distance)
@@ -994,16 +992,15 @@ class TestEndToEndRectangular:
         for s in range(20):
             noise = sample_noise(N, n, NoiseSpec(seed=s), margin=H_TEST.radius)
             z = build_field(H_TEST, noise)
-            vals.append(gram_spectrum(z + a_entries).eigenvalues)
-        v = np.sort(np.concatenate(vals))
-        e = EmpiricalSpectrum(eigenvalues=v)
+            vals.append(gram_spectrum(z + a_entries))
+        e = DistributionFunction.ecdf(np.concatenate(vals))
         grid = default_inversion_grid(e)
         cfg = SolverConfig(tolerance=1e-7, max_iterations=100000, damping=0.5)
         pairs = solve_noncentered_many(H_TEST.profile, 1.0, H, grid + 1e-3j,
                                        cfg)
         lim = invert_stieltjes_to_cdf(
             np.array([p[0].value for p in pairs]), grid, 1e-3)
-        assert kolmogorov_distance(e.ecdf(), lim) < 0.02
+        assert kolmogorov_distance(e, lim) < 0.02
 
 
 class TestLimitingCdf:
@@ -1017,7 +1014,7 @@ class TestLimitingCdf:
         xs = np.linspace(0, 4.5, 300)
         oracle = np.array([mp_cdf(x, 1.0) for x in xs])
         assert np.abs(cdf.eval(xs) - oracle).max() < 0.02
-        assert 0.98 <= cdf.total_mass <= 1.0
+        assert 0.98 <= cdf.fs[-1] <= 1.0
 
     def test_point_mass_function_input(self):
         grid = np.arange(-1.0, 1.0, 1e-3)

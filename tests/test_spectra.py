@@ -5,8 +5,8 @@ import pytest
 
 from gramfield.matgen import (FieldMatrix, NoiseSpec, build_field,
                               build_periodized_field, sample_noise)
-from gramfield.spectra import (DistributionFunction, EmpiricalSpectrum,
-                               bai_bound, default_inversion_grid,
+from gramfield.spectra import (DistributionFunction, bai_bound,
+                               default_inversion_grid,
                                empirical_stieltjes, gram_spectrum,
                                invert_stieltjes_to_cdf, kolmogorov_distance,
                                levy_distance, read_cdf_csv, trace_stats,
@@ -17,26 +17,24 @@ from oracles import (brute_kolmogorov, brute_levy, grid_levy_sample_vs_table,
                      table_cdf)
 
 
-def spectrum_of(vals):
-    vals = np.sort(np.asarray(vals, dtype=float))
-    return EmpiricalSpectrum(eigenvalues=vals)
+ecdf = DistributionFunction.ecdf
 
 
 class TestGramSpectrum:
     def test_zero_matrix(self):
         m = FieldMatrix(np.zeros((4, 4)))
-        assert np.array_equal(gram_spectrum(m).eigenvalues, np.zeros(4))
+        assert np.array_equal(gram_spectrum(m), np.zeros(4))
 
     def test_identity(self):
         m = FieldMatrix(np.eye(3))
-        assert np.allclose(gram_spectrum(m).eigenvalues, [1, 1, 1])
+        assert np.allclose(gram_spectrum(m), [1, 1, 1])
 
     def test_padded_diagonal_left_right(self):
         e = np.zeros((2, 3))
         e[0, 0], e[1, 1] = 1.0, 2.0
         m = FieldMatrix(e)
-        assert np.allclose(gram_spectrum(m).eigenvalues, [1, 4])
-        assert np.allclose(gram_spectrum(m.entries.conj().T).eigenvalues,
+        assert np.allclose(gram_spectrum(m), [1, 4])
+        assert np.allclose(gram_spectrum(m.entries.conj().T),
                            [0, 1, 4])
 
     @pytest.mark.parametrize("entry", [1e155, 1e200])
@@ -48,8 +46,8 @@ class TestGramSpectrum:
 
     def test_left_right_share_nonzero(self):
         noise = sample_noise(10, 17, NoiseSpec(seed=31))
-        left = gram_spectrum(noise).eigenvalues
-        right = gram_spectrum(noise.entries.conj().T).eigenvalues
+        left = gram_spectrum(noise)
+        right = gram_spectrum(noise.entries.conj().T)
         assert len(right) - len(left) == 7
         # the 7 extra values are (numerical) zeros
         assert np.abs(right[:7]).max() <= 1e-9 * left.max()
@@ -81,49 +79,48 @@ class TestDistributionFunction:
                 assert np.allclose(ev(pts), ref, rtol=0, atol=1e-15)
 
     def test_ecdf_limits_at_a_double_eigenvalue(self):
-        F = spectrum_of([1.0, 2.0, 2.0, 3.0]).ecdf()
+        F = ecdf([1.0, 2.0, 2.0, 3.0])
         assert (F.eval(2.0), F.eval_left(2.0)) == (0.75, 0.25)
         assert (F.eval(0.5), F.eval_left(1.0), F.eval(3.0)) == (0, 0, 1)
 
 
 class TestKolmogorov:
     def test_equal(self):
-        s = spectrum_of([0.5, 1.5, 2.0])
+        s = ecdf([0.5, 1.5, 2.0])
         assert kolmogorov_distance(s, s) == 0.0
 
     def test_point_masses(self):
-        assert kolmogorov_distance(spectrum_of([0]), spectrum_of([1])) == 1.0
+        assert kolmogorov_distance(ecdf([0]), ecdf([1])) == 1.0
 
     def test_uniform_draws_vs_identity_cdf(self):
         # the one-sample Kolmogorov statistic exceeds 1.63/sqrt(n) with
         # probability below 1%; fixed seed keeps it deterministic
         rng = np.random.default_rng(123)
         n = 1000
-        draws = np.sort(rng.random(n))
-        ecdf = spectrum_of(draws)
+        draws = ecdf(rng.random(n))
         ident = DistributionFunction([0.0, 1.0], [0.0, 1.0])
-        assert kolmogorov_distance(ecdf, ident) < 1.63 / np.sqrt(n)
+        assert kolmogorov_distance(draws, ident) < 1.63 / np.sqrt(n)
 
     def test_matches_brute_force_two_sample(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             a = rng.random(int(rng.integers(1, 12)))
             b = rng.random(int(rng.integers(1, 12))) * 2
-            lib = kolmogorov_distance(spectrum_of(a), spectrum_of(b))
+            lib = kolmogorov_distance(ecdf(a), ecdf(b))
             assert lib == pytest.approx(brute_kolmogorov(a, b), abs=1e-12)
 
 
 class TestLevy:
     def test_equal(self):
-        s = spectrum_of([0.0, 1.0, 2.5])
+        s = ecdf([0.0, 1.0, 2.5])
         assert levy_distance(s, s) == 0.0
 
     def test_shifted_point_mass(self):
-        d = levy_distance(spectrum_of([0.0]), spectrum_of([0.3]))
+        d = levy_distance(ecdf([0.0]), ecdf([0.3]))
         assert d == pytest.approx(0.3, abs=1e-8)
 
     def test_mass_imbalance(self):
-        d = levy_distance(spectrum_of([0, 1]), spectrum_of([0, 1, 1]))
+        d = levy_distance(ecdf([0, 1]), ecdf([0, 1, 1]))
         assert 0 < d <= 1 / 6 + 1e-9
 
     def test_levy_below_kolmogorov(self):
@@ -131,7 +128,7 @@ class TestLevy:
         for _ in range(25):
             a = rng.random(int(rng.integers(1, 15))) * 3
             b = rng.random(int(rng.integers(1, 15))) * 3
-            sa, sb = spectrum_of(a), spectrum_of(b)
+            sa, sb = ecdf(a), ecdf(b)
             assert levy_distance(sa, sb) <= kolmogorov_distance(sa, sb) + 1e-9
 
     def test_matches_brute_force(self):
@@ -139,22 +136,22 @@ class TestLevy:
         for _ in range(8):
             a = rng.random(int(rng.integers(1, 8)))
             b = rng.random(int(rng.integers(1, 8)))
-            lib = levy_distance(spectrum_of(a), spectrum_of(b))
+            lib = levy_distance(ecdf(a), ecdf(b))
             ref = brute_levy(a, b, step=1e-4)
             assert lib == pytest.approx(ref, abs=2e-4)
 
     def test_scale_shift(self):
         # shifting one spectrum by s moves the Levy distance to at most s
-        s = spectrum_of(np.linspace(0, 2, 9))
-        shifted = spectrum_of(np.linspace(0, 2, 9) + 0.05)
+        s = ecdf(np.linspace(0, 2, 9))
+        shifted = ecdf(np.linspace(0, 2, 9) + 0.05)
         d = levy_distance(s, shifted)
         assert d <= 0.05 + 1e-9
 
     def test_symmetry(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
-            a = spectrum_of(rng.random(int(rng.integers(1, 20))))
-            b = spectrum_of(rng.random(int(rng.integers(1, 20))) * 2)
+            a = ecdf(rng.random(int(rng.integers(1, 20))))
+            b = ecdf(rng.random(int(rng.integers(1, 20))) * 2)
             assert levy_distance(a, b) == pytest.approx(
                 levy_distance(b, a), abs=2e-9)
 
@@ -177,7 +174,7 @@ class TestLevyAgainstTable:
         # F(x) = 1{x >= 0.2} against G(x) = x on [0, 1]: the binding
         # constraint is F(x - eps) - eps <= G(x) at x = 0.2 + eps,
         # i.e. 1 - eps <= 0.2 + eps, so eps = 0.4
-        mass = spectrum_of([0.2])
+        mass = ecdf([0.2])
         uniform = DistributionFunction([0.0, 1.0], [0.0, 1.0])
         assert levy_distance(mass, uniform) == pytest.approx(0.4, abs=1e-12)
         assert levy_distance(uniform, mass) == pytest.approx(0.4, abs=1e-12)
@@ -190,30 +187,28 @@ class TestLevyAgainstTable:
             xs, fs = random_table(rng)
             table = DistributionFunction(xs, fs)
             ref = grid_levy_sample_vs_table(vals, xs, fs, step=step)
-            for d in (levy_distance(spectrum_of(vals), table),
-                      levy_distance(table, spectrum_of(vals))):
+            for d in (levy_distance(ecdf(vals), table),
+                      levy_distance(table, ecdf(vals))):
                 assert d == pytest.approx(ref, abs=step + 1e-9)
 
 
 class TestEmpiricalStieltjes:
     def test_zero_spectrum(self):
-        s = spectrum_of([0, 0, 0])
-        assert empirical_stieltjes(s, 1j) == pytest.approx(1j)
+        assert empirical_stieltjes(np.zeros(3), 1j) == pytest.approx(1j)
 
     def test_single_atom(self):
-        s = spectrum_of([1.0])
-        assert empirical_stieltjes(s, 2j) == pytest.approx((1 + 2j) / 5)
+        assert empirical_stieltjes([1.0], 2j) == pytest.approx((1 + 2j) / 5)
 
     def test_tail_normalization(self):
         rng = np.random.default_rng(8)
-        s = spectrum_of(rng.random(50) * 4)
-        y = 1e6 * s.eigenvalues.max()
+        s = rng.random(50) * 4
+        y = 1e6 * s.max()
         val = empirical_stieltjes(s, 1j * y)
         assert abs(-1j * y * val - 1.0) < 1e-5
 
     def test_transform_properties_random(self):
         rng = np.random.default_rng(9)
-        s = spectrum_of(rng.random(30) * 5)
+        s = rng.random(30) * 5
         for _ in range(50):
             z = complex(rng.normal(), abs(rng.normal()) + 1e-3)
             f = empirical_stieltjes(s, z)
@@ -229,7 +224,7 @@ class TestEmpiricalStieltjes:
     def test_bad_z_rejected(self, z):
         # a NaN passed the old Im z <= 0 check and returned NaN
         with pytest.raises(ValueError, match="z must be finite"):
-            empirical_stieltjes(spectrum_of([1.0]), z)
+            empirical_stieltjes([1.0], z)
 
 
 class TestBaiBound:
@@ -320,13 +315,13 @@ class TestInversion:
 
     def test_self_consistency_with_empirical_transform(self):
         rng = np.random.default_rng(12)
-        vals = np.sort(rng.random(100) * 4)
-        s = spectrum_of(vals)
+        vals = rng.random(100) * 4
         grid = np.arange(-1.0, 5.0, 1e-3)
-        f_vals = np.array([empirical_stieltjes(s, x + 1e-3j) for x in grid])
+        f_vals = np.array([empirical_stieltjes(vals, x + 1e-3j)
+                           for x in grid])
         cdf = invert_stieltjes_to_cdf(f_vals, grid, eta=1e-3)
-        assert kolmogorov_distance(s, cdf) < 0.02
-        assert 0.98 <= cdf.total_mass <= 1.0
+        assert kolmogorov_distance(ecdf(vals), cdf) < 0.02
+        assert 0.98 <= cdf.fs[-1] <= 1.0
 
     @pytest.mark.parametrize("eta", [0.0, -1e-3, np.nan, np.inf],
                              ids=["zero", "negative", "nan", "inf"])
@@ -340,7 +335,7 @@ class TestInversion:
     def test_bad_grid_step_rejected(self, step):
         # a negative step gave an empty grid, 0 a ZeroDivisionError
         with pytest.raises(ValueError, match="step must be finite"):
-            default_inversion_grid(spectrum_of([0.5, 1.0]), step=step)
+            default_inversion_grid(ecdf([0.5, 1.0]), step=step)
 
     @pytest.mark.parametrize("pad", [np.nan, np.inf, -5.0],
                              ids=["nan", "inf", "negative"])
@@ -349,16 +344,14 @@ class TestInversion:
         # these eigenvalues gave an empty grid
         with pytest.raises(ValueError,
                            match="^pad must be finite and nonnegative, got"):
-            default_inversion_grid(spectrum_of([0.5, 1.0]), pad=pad)
+            default_inversion_grid(ecdf([0.5, 1.0]), pad=pad)
 
 
 class TestCdfCsv:
     def test_round_trip_and_distance_stability(self, tmp_path):
         rng = np.random.default_rng(13)
-        s1 = spectrum_of(rng.random(40))
-        s2 = spectrum_of(rng.random(30) + 0.1)
-        d1 = s1.ecdf()
-        d2 = s2.ecdf()
+        d1 = ecdf(rng.random(40))
+        d2 = ecdf(rng.random(30) + 0.1)
         p1, p2 = tmp_path / "f.csv", tmp_path / "g.csv"
         write_cdf_csv(d1, p1)
         write_cdf_csv(d2, p2)
@@ -398,17 +391,30 @@ class TestCdfCsv:
         assert np.signbit(back.xs[0])
 
 
-def test_negative_eigenvalues_rejected():
-    with pytest.raises(ValueError):
-        EmpiricalSpectrum(eigenvalues=np.array([-0.5, 1.0]))
-
-
 @pytest.mark.parametrize("vals", [[0.1, np.nan, 2.0], [0.1, 2.0, np.inf]])
 def test_non_finite_eigenvalues_rejected(vals):
-    # both pass the order and sign checks; a NaN made the Stieltjes
-    # transform NaN
-    with pytest.raises(ValueError, match="eigenvalues must be finite"):
-        EmpiricalSpectrum(eigenvalues=np.array(vals))
+    # a NaN made the Stieltjes transform NaN
+    with pytest.raises(ValueError, match="must be finite"):
+        ecdf(vals)
+    with pytest.raises(ValueError, match="^eigenvalues must be finite$"):
+        empirical_stieltjes(vals, 1j)
+
+
+def test_ecdf_sorts_its_sample():
+    # an unsorted sample with a tie gives the table of the sorted one:
+    # each value twice, at the heights before and after its jump
+    F = ecdf([3.0, 1.0, 2.0, 1.0])
+    assert F.xs.tolist() == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+    assert F.fs.tolist() == [0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 0.75, 1.0]
+
+
+def test_ecdf_of_a_negative_sample():
+    # a sample need not be nonnegative; the inversion grid spans its table
+    F = ecdf([-2.0, 0.5, -1.0])
+    assert F.xs.tolist() == [-2.0, -2.0, -1.0, -1.0, 0.5, 0.5]
+    assert (F.eval_left(-2.0), F.eval(-2.0), F.eval(0.5)) == (0, 1 / 3, 1)
+    assert default_inversion_grid(F, step=0.5).tolist() == [
+        -3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
 
 
 @pytest.mark.parametrize("xs, fs", [

@@ -123,6 +123,23 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             filter_from_json_dict({"dims": 3, "entries": []})
 
+    @pytest.mark.parametrize("dims", [True, 1.5, "2"])
+    def test_non_integer_dims_rejected(self, dims):
+        # True used to load a 1-d filter, and the constructor raised a
+        # bare TypeError for it
+        message = f"^filter dims must be an integer, got {dims!r}$"
+        with pytest.raises(ValueError, match=message):
+            filter_from_json_dict({"dims": dims, "entries": []})
+        with pytest.raises(ValueError, match=message):
+            FilterSequence({}, dims=dims)
+
+    def test_integral_float_dims_accepted(self):
+        # 2.0 used to raise a bare TypeError: can't multiply sequence by
+        # non-int of type 'float'
+        h = filter_from_json_dict({"dims": 2.0, "entries": [[0, 0, 1, 0]]})
+        assert type(h) is FilterSequence2D and type(h.dims) is int
+        assert FilterSequence({0: 1}, dims=1.0).dims == 1
+
     @pytest.mark.parametrize("doc, message", [
         ([1, 2], r"filter document must be an object, got \[1, 2\]"),
         ({"dims": 2, "entries": 5}, "filter entries must be a list, got 5"),
@@ -254,6 +271,13 @@ def test_non_finite_coefficients_rejected(bad):
         FilterSequence2D({(0, 0): 1.0, (1, 0): bad})
     with pytest.raises(ValueError, match="not finite"):
         FilterSequence1D({0: 1.0, 1: bad})
+
+
+def test_huge_integer_coefficient_named():
+    # used to raise a bare OverflowError from complex(c)
+    with pytest.raises(ValueError, match=r"^coefficient at tap \(0, 1\) is "
+                                         "an integer too large for a float$"):
+        FilterSequence2D({(0, 0): 1, (0, 1): 10 ** 400})
 
 
 @pytest.mark.parametrize("key", [(2 ** 63, 0), (np.inf, 0), (np.nan, 0),

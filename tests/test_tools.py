@@ -1,7 +1,8 @@
 """The artifact hash script runs configs that the CLI accepts, one or
 more in every mode, hashes them the same whatever BLAS thread count the
 calling shell sets, heads its output with the thread count and the
-numpy/BLAS build, and ends it with the hash of a `sweep-alpha` run."""
+numpy/BLAS build, and ends it with the hashes of a `compare` and a
+`sweep-alpha` run."""
 
 import hashlib
 import importlib.util
@@ -46,8 +47,10 @@ def test_child_env_pins_blas_threads(tool, monkeypatch):
 def test_header_names_threads_and_numpy_build(tool, monkeypatch, capsys):
     monkeypatch.setattr(tool, "configs", dict)     # no config to run
     assert tool.main([str(ROOT)]) == 0
-    threads, build, _ = capsys.readouterr().out.splitlines()
+    threads, build, compare, sweep = capsys.readouterr().out.splitlines()
     assert threads == "threads 1"
+    assert compare.startswith("compare ")
+    assert sweep.startswith("sweep-alpha ")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert build == f"numpy {np.__version__} {blas['name']} {blas['version']}"
 
@@ -62,6 +65,23 @@ def test_sweep_alpha_line_hashes_the_verb_stdout(tool, monkeypatch, capsys,
     assert tool.main([str(ROOT)]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"sweep-alpha {expected}"
+
+
+def test_compare_line_hashes_the_verb_stdout(tool, monkeypatch, capsys,
+                                            tmp_path):
+    paths = []
+    for name, text in tool.COMPARE.items():
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text)
+    assert cli.main(["compare", *map(str, paths)]) == 0
+    out = capsys.readouterr().out
+    # the Kolmogorov distance is read at the tie: the step table jumps
+    # from 0.25 to 0.75 at 1, where the linear table is 0.5
+    assert out.splitlines()[1].endswith(",0.25")
+    expected = hashlib.sha256(out.encode()).hexdigest()
+    monkeypatch.setattr(tool, "configs", dict)
+    assert tool.main([str(ROOT)]) == 0
+    assert f"compare {expected}" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("name", ["square_toeplitz", "readme_256"])

@@ -11,10 +11,13 @@ file it wrote, in name order.  The configs are the four benchmark
 workloads of ``bench/workloads.py`` next to this script, whichever tree
 is hashed, and three that reach the other code paths: ``square_toeplitz``
 with the README's complex ``filter1d``, ``real_case``, and a rectangular
-``noncentered_pseudodiag`` with a complex ``lambda_diag``.  A last line
-``sweep-alpha <sha256>`` hashes the stdout of ``gramfield sweep-alpha``
-on ``SWEEP_ALPHA`` (the README filter at sizes 8 x 8 and 16 x 16, seeds
-0 and 1).  Run it on two trees and diff the output.  The configs check
+``noncentered_pseudodiag`` with a complex ``lambda_diag``.  A line
+``compare <sha256>`` hashes the stdout of ``gramfield compare`` on the
+two CDF files of ``COMPARE`` (a step table with a tie and a jump at its
+first point, and a piecewise-linear table), and a last line
+``sweep-alpha <sha256>`` the stdout of ``gramfield sweep-alpha`` on
+``SWEEP_ALPHA`` (the README filter at sizes 8 x 8 and 16 x 16, seeds 0
+and 1).  Run it on two trees and diff the output.  The configs check
 bytes, not accuracy.
 
 The eigenvalues LAPACK returns differ in the last bits between BLAS
@@ -59,6 +62,12 @@ SWEEP_ALPHA = {"filter2d": {"dims": 2, "entries": [[0, 0, 1.0, 0.0],
                                                    [0, 1, 0.25, 0.0]]},
                "sizes": [[8, 8], [16, 16]], "seeds": [0, 1]}
 
+# the sample [0.5, 1, 1, 2] without its leading (0.5, 0) row, so the
+# table jumps at its first point, against a piecewise-linear table
+COMPARE = {"step.csv": "x,F\n0.5,0.25\n1,0.25\n1,0.5\n1,0.5\n1,0.75\n"
+                       "2,0.75\n2,1\n",
+           "linear.csv": "x,F\n0,0\n0.75,0.3\n1.5,0.9\n2.5,1\n"}
+
 
 def _workloads():
     spec = importlib.util.spec_from_file_location(
@@ -101,25 +110,30 @@ def header():
             f"numpy {np.__version__} {blas['name']} {blas['version']}"]
 
 
-def _gramfield(tree, verb, name, doc, workdir):
-    """The stdout of ``gramfield <verb>`` on ``doc``, run from ``tree``."""
-    path = workdir / f"{name}.json"
-    path.write_text(json.dumps(doc))
+def _write(workdir, name, text):
+    path = workdir / name
+    path.write_text(text)
+    return path
+
+
+def _gramfield(tree, workdir, verb, *paths):
+    """The stdout of ``gramfield <verb> <paths>``, run from ``tree``."""
     proc = subprocess.run(
         [sys.executable, "-c", _RUN, str(tree / "src") + os.sep, verb,
-         str(path)],
+         *map(str, paths)],
         env=child_env(tree), cwd=workdir, capture_output=True, check=False)
     if proc.returncode != 0:
-        sys.exit(f"{name}: gramfield {verb} failed\n{proc.stderr.decode()}")
+        sys.exit(f"{paths[0].stem}: gramfield {verb} failed\n"
+                 f"{proc.stderr.decode()}")
     return proc.stdout
 
 
 def artifact_hash(tree, name, doc, workdir):
     """sha256 over the stdout and the artifacts of one run."""
     out = workdir / name
-    digest = hashlib.sha256(_gramfield(tree, "run", name,
-                                       dict(doc, output_dir=str(out)),
-                                       workdir))
+    config = _write(workdir, f"{name}.json",
+                    json.dumps(dict(doc, output_dir=str(out))))
+    digest = hashlib.sha256(_gramfield(tree, workdir, "run", config))
     for artifact in sorted(out.iterdir()):
         digest.update(artifact.name.encode() + b"\0")
         digest.update(artifact.read_bytes())
@@ -135,11 +149,16 @@ def main(argv=None):
         parser.error(f"{tree} holds no src/gramfield")
     print(*header(), sep="\n", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
         for name, doc in configs().items():
-            print(name, artifact_hash(tree, name, doc, Path(tmp)), flush=True)
-        stdout = _gramfield(tree, "sweep-alpha", "sweep-alpha", SWEEP_ALPHA,
-                            Path(tmp))
-        print("sweep-alpha", hashlib.sha256(stdout).hexdigest(), flush=True)
+            print(name, artifact_hash(tree, name, doc, tmp), flush=True)
+        verbs = {"compare": [_write(tmp, name, text)
+                             for name, text in COMPARE.items()],
+                 "sweep-alpha": [_write(tmp, "sweep-alpha.json",
+                                        json.dumps(SWEEP_ALPHA))]}
+        for verb, paths in verbs.items():
+            stdout = _gramfield(tree, tmp, verb, *paths)
+            print(verb, hashlib.sha256(stdout).hexdigest(), flush=True)
     return 0
 
 
